@@ -233,9 +233,9 @@ public:
   static Derived take_root(node_t *R) { return Derived(R); }
 
 protected:
-  /// All construction funnels through here: small whole trees are folded
-  /// into a single root block (see tree_ops::compress_root).
-  explicit ordered_api(node_t *R) : Root(Ops::compress_root(R)) {}
+  /// All construction funnels through here: adopts an owned root. Every op
+  /// already returns a whole tree of at most 2B entries as one block.
+  explicit ordered_api(node_t *R) : Root(R) {}
   node_t *Root = nullptr;
 };
 

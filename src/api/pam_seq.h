@@ -64,6 +64,7 @@ public:
   size_t size() const { return Ops::size(Root); }
   bool empty() const { return Root == nullptr; }
   size_t size_in_bytes() const { return Ops::size_in_bytes(Root); }
+  size_t node_count() const { return Ops::node_count(Root); }
 
   /// Element at index I. O(log n + B) work (vs O(1) for arrays — the nth
   /// tradeoff discussed with Fig. 2).
@@ -117,7 +118,7 @@ public:
   node_t *root() const { return Root; }
 
 private:
-  explicit pam_seq(node_t *R) : Root(Ops::compress_root(R)) {}
+  explicit pam_seq(node_t *R) : Root(R) {}
   node_t *copy_root() const { return Ops::inc(Root); }
   node_t *Root = nullptr;
 };

@@ -105,8 +105,12 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
 
   /// Combines owned \p L, \p E, \p R into one tree. Callers must ensure
   /// weight balance (as join does); this function enforces only the
-  /// blocked-leaves invariant: sizes in [B,2B] fold into one flat node,
+  /// blocked-leaves invariant, under which every subtree of at most 2B
+  /// entries is one flat block: sizes up to 2B fold into one flat node,
   /// sizes in (2B,4B] redistribute around the median into two flat nodes.
+  /// (Fig. 5's node() keeps sizes below B as regular "simplex" trees, one
+  /// node per entry; folding instead re-encodes all S entries into a new
+  /// block through a scratch array.)
   /// Like every consuming builder: a throw (injected or real bad_alloc)
   /// releases all owned inputs, so callers holding siblings only need their
   /// own guards.
@@ -114,8 +118,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     if constexpr (!kBlocked)
       return make_regular(L, std::move(E), R);
     size_t S = size(L) + size(R) + 1;
-    if (S < kB)
-      return make_regular(L, std::move(E), R);
     if (S > 4 * kB) {
       node_guard GR(R);
       node_t *Ln = normalize(L);
@@ -156,31 +158,13 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     return make_regular(Lf, std::move(Buf.data()[Mid]), Rf);
   }
 
-  /// Folds a whole tree smaller than B into a single root-level flat block.
-  /// Trees of size < B would otherwise be all-regular "simplex" trees
-  /// (Def. 4.1 only constrains leaves when |T| >= B); storing them as one
-  /// block is what makes low-degree edge lists and short posting lists
-  /// compact, as in the CPAM implementation. Applied at API boundaries.
-  static node_t *compress_root(node_t *T) {
-    if constexpr (!kBlocked)
-      return T;
-    if (!T || is_flat(T) || T->Size >= kB)
-      return T;
-    size_t N = T->Size;
-    node_guard G(T);
-    temp_buf Buf(N);
-    flatten(G.release(), Buf.data());
-    Buf.set_count(N);
-    return make_flat(Buf.data(), N);
-  }
-
   /// Repairs a child that should be a flat block but is a raw expanded
   /// subtree (possible after rotations over freshly unfolded nodes): any
-  /// regular subtree of size [B, 2B] is folded into a single flat node.
+  /// regular subtree of at most 2B entries is folded into a single flat node.
   static node_t *normalize(node_t *C) {
     if constexpr (!kBlocked)
       return C;
-    if (!C || is_flat(C) || C->Size < kB || C->Size > 2 * kB)
+    if (!C || is_flat(C) || C->Size > 2 * kB)
       return C;
     size_t N = C->Size;
     node_guard G(C);
@@ -304,12 +288,13 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   //===--------------------------------------------------------------------===
 
   /// Builds a tree over A[0..N) (in the given order; sorted for maps/sets),
-  /// moving entries out of \p A. Leaves respect the blocking invariant.
+  /// moving entries out of \p A. Leaves respect the blocking invariant: up
+  /// to 2B entries are one block, so every split piece is at least B.
   static node_t *from_array_move(entry_t *A, size_t N) {
     if (N == 0)
       return nullptr;
     if constexpr (kBlocked) {
-      if (N >= kB && N <= 2 * kB)
+      if (N <= 2 * kB)
         return make_flat(A, N);
     }
     size_t Mid = N / 2;
@@ -412,9 +397,9 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   /// ever revisiting a sealed byte: a chunk is only sealed once B+1 later
   /// entries exist, so after any seal at least B entries are pending, and
   /// finish() always closes the stream as one or two leaves in [B, 2B]
-  /// (a pending tail in (2B, 3B] splits around its median). Results
-  /// shorter than B never touch the encoder at all: they build straight
-  /// from the pending entries. finish() assembles the sealed leaves and
+  /// (a pending tail in (2B, 3B] splits around its median); a whole
+  /// stream of at most 2B entries is one leaf of any size, the shape every
+  /// small subtree has. finish() assembles the sealed leaves and
   /// separators into a weight-balanced top with join (forking for wide
   /// results, the same discipline as from_array_move).
   ///
@@ -532,11 +517,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       Total = 0;
       if (Tail == 0)
         return nullptr; // Nothing sealed either (hold-back keeps tails > 0).
-      if (NLeaves == 0 && Tail < kB) {
-        // Short stream: build from entries (decoding the open chunk if the
-        // caller streamed any of it).
-        return close_short(A, R, Cc, Tail);
-      }
       if (Tail <= kChunk) {
         // One final legal leaf.
         C->push_n(A, R);
@@ -576,7 +556,14 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       }
       // Corner: decode the open chunk once and rebuild this last unit from
       // entries — the only decode bounce left, rare and bounded by 2B.
-      node_t *Sub = close_short(A, R, Cc, Tail);
+      temp_buf All(Tail);
+      C->drain(All.data());
+      All.set_count(Cc);
+      for (size_t I = 0; I < R; ++I)
+        ::new (static_cast<void *>(All.data() + Cc + I))
+            entry_t(std::move(A[I]));
+      All.set_count(Tail);
+      node_t *Sub = from_array_move(All.data(), Tail);
       if (NLeaves == 0)
         return Sub;
       Leaves[NLeaves++] = Sub;
@@ -586,10 +573,8 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     /// Builds the result tree (nullptr when nothing was pushed) and resets.
     node_t *finish() {
       node_t *Out;
-      if (NLeaves == 0 && (WC::stages_entries || NPend < kB)) {
-        // Short stream (or an entry-staging scheme, whose staging array
-        // is the pending array itself): build directly from the entries.
-        Out = NPend ? from_array_move(Pending, NPend) : nullptr;
+      if (NPend == 0) {
+        Out = nullptr; // Nothing pushed: any seal leaves B pending.
       } else if (NLeaves == 0 && NPend <= kChunk) {
         // The whole stream is one legal leaf: adopt the batch-encoded
         // bytes wholesale (the unit arrays may not exist here — a
@@ -639,21 +624,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       if constexpr (!std::is_trivially_destructible_v<entry_t>)
         for (size_t I = From; I < NPend; ++I)
           Pending[I].~entry_t();
-    }
-
-    /// Rebuilds (open cursor chunk + tail entries) as one small tree from
-    /// entries, decoding the chunk if nonempty.
-    node_t *close_short(entry_t *A, size_t R, size_t Cc, size_t Tail) {
-      if (Cc == 0)
-        return R ? from_array_move(A, R) : nullptr;
-      temp_buf All(Tail);
-      C->drain(All.data());
-      All.set_count(Cc);
-      for (size_t I = 0; I < R; ++I)
-        ::new (static_cast<void *>(All.data() + Cc + I))
-            entry_t(std::move(A[I]));
-      All.set_count(Tail);
-      return from_array_move(All.data(), Tail);
     }
 
     /// Seals the current cursor chunk (N entries) as one finished leaf.

@@ -8,9 +8,9 @@
 /// Checkers for the PaC-tree invariants of Def. 4.1, used by the test suite
 /// after every mutating operation:
 ///   - weight balance with alpha = 0.29 at every regular node;
-///   - blocked leaves: every flat node holds B..2B entries, and no regular
-///     node has a size that should have been folded (sizes in [B, 2B] are
-///     always flat);
+///   - blocked leaves: every subtree of at most 2B entries is one flat
+///     node, so every regular node holds more than 2B entries; interior
+///     flat nodes hold B..2B and only a root block may be smaller;
 ///   - size fields consistent; keys strictly increasing in-order; augmented
 ///     values equal to the recomputed aggregate.
 ///
@@ -35,25 +35,24 @@ template <class Ops> struct invariant_checker {
   /// the first violation.
   static std::string check(const node_t *T, bool Ordered = true) {
     std::string Err;
-    size_t Total = Ops::size(T);
-    checkRec(T, Total, /*IsRoot=*/true, Ordered, Err);
+    checkRec(T, /*IsRoot=*/true, Ordered, Err);
     return Err;
   }
 
 private:
-  static size_t checkRec(const node_t *T, size_t TotalSize, bool IsRoot,
-                         bool Ordered, std::string &Err) {
+  static size_t checkRec(const node_t *T, bool IsRoot, bool Ordered,
+                         std::string &Err) {
     if (!Err.empty() || !T)
       return 0;
     if (Ops::is_flat(T)) {
       size_t N = T->Size;
       if constexpr (Ops::kBlocked) {
-        // The root of a whole small tree may be a single block of any size
+        // A whole tree of at most 2B entries is one root block of any size
         // in [1, 2B]; interior blocks must hold B..2B entries.
         size_t MinSize = IsRoot ? 1 : Ops::kB;
         if (N < MinSize || N > 2 * Ops::kB)
-          Err = "flat node size " + std::to_string(N) + " outside [B,2B]=[" +
-                std::to_string(Ops::kB) + "," + std::to_string(2 * Ops::kB) +
+          Err = "flat node size " + std::to_string(N) + " outside [" +
+                std::to_string(MinSize) + "," + std::to_string(2 * Ops::kB) +
                 "]";
       } else {
         Err = "flat node present in an unblocked (P-tree) instance";
@@ -62,21 +61,16 @@ private:
     }
     const auto *R = static_cast<const typename Ops::NL::regular_t *>(T);
     size_t N = T->Size;
-    if constexpr (Ops::kBlocked) {
-      if (N >= Ops::kB && N <= 2 * Ops::kB) {
-        Err = "regular node of size " + std::to_string(N) +
-              " should have been folded (B=" + std::to_string(Ops::kB) + ")";
-        return N;
-      }
-      if (N > 2 * Ops::kB && TotalSize >= Ops::kB &&
-          (!R->Left || !R->Right)) {
-        Err = "regular node of size " + std::to_string(N) +
-              " with a missing child in a blocked tree";
-        return N;
-      }
+    // A regular node over more than 2B entries has two nonempty children:
+    // weight balance rejects a missing one.
+    if (Ops::kBlocked && N <= 2 * Ops::kB) {
+      Err = "regular node of size " + std::to_string(N) +
+            " should have been one flat block (B=" + std::to_string(Ops::kB) +
+            ")";
+      return N;
     }
-    size_t Ls = checkRec(R->Left, TotalSize, /*IsRoot=*/false, Ordered, Err);
-    size_t Rs = checkRec(R->Right, TotalSize, /*IsRoot=*/false, Ordered, Err);
+    size_t Ls = checkRec(R->Left, /*IsRoot=*/false, Ordered, Err);
+    size_t Rs = checkRec(R->Right, /*IsRoot=*/false, Ordered, Err);
     if (!Err.empty())
       return N;
     if (Ls + Rs + 1 != N) {

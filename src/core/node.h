@@ -7,9 +7,10 @@
 /// \file
 /// Storage layer of a PaC-tree PaC(alpha, B, C) (Def. 4.1): reference-
 /// counted binary *regular* nodes plus *flat* nodes holding a block of B..2B
-/// entries encoded by scheme C. `B == 0` disables blocking entirely, which
-/// yields exactly the P-trees of PAM and serves as the PAM baseline
-/// throughout the evaluation.
+/// entries encoded by scheme C (a whole tree of at most 2B entries is one
+/// block of any size). `B == 0` disables blocking entirely, which yields
+/// exactly the P-trees of PAM and serves as the PAM baseline throughout the
+/// evaluation.
 ///
 /// Ownership discipline: every function that takes a `node_t *` *consumes*
 /// one reference to it and every returned `node_t *` carries one reference.
@@ -247,7 +248,10 @@ struct node_layer {
   }
 
   static node_t *singleton(entry_t E) {
-    return make_regular(nullptr, std::move(E), nullptr);
+    if constexpr (kBlocked)
+      return make_flat(&E, 1);
+    else
+      return make_regular(nullptr, std::move(E), nullptr);
   }
 
   /// Allocates a flat node whose payload the caller fills with exactly

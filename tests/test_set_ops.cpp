@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 
 #include "gtest/gtest.h"
@@ -258,8 +259,8 @@ TEST_F(FlatFastPath, OversizedLeafFolding) {
       Set U = Set::map_union(A, Set::from_sorted(Odds));
       ASSERT_EQ(U.check_invariants(), "") << "fast=" << Fast;
       ASSERT_EQ(U.to_vector(), Spliced.to_vector());
-      // Shrinking splice: deleting most of a leaf must rebuild legal
-      // (regular, sub-B) structure, not an undersized interior leaf.
+      // Shrinking splice: deleting most of a leaf must leave one small
+      // root block, not an undersized interior leaf.
       std::vector<uint64_t> Most(Evens.begin(), Evens.end() - 3);
       Set Small = A.multi_delete(Most);
       ASSERT_EQ(Small.check_invariants(), "") << "fast=" << Fast;
@@ -300,23 +301,25 @@ TEST_F(FlatFastPath, CombineOpInvokedOncePerDuplicateKey) {
       for (size_t I = Na - Overlap; I < Na - Overlap + Nb; ++I)
         B.push_back({I, 2});
       M MA(A), MB(B);
-      int64_t Calls = 0;
+      // Atomic: parallel union branches invoke the combine op concurrently.
+      std::atomic<int64_t> Calls = 0;
       auto CountingPlus = [&Calls](uint64_t X, uint64_t Y) {
-        ++Calls;
+        Calls.fetch_add(1, std::memory_order_relaxed);
         return X + Y;
       };
       M U = M::map_union(MA, MB, CountingPlus);
-      ASSERT_EQ(Calls, static_cast<int64_t>(Overlap)) << "union fast=" << Fast;
+      ASSERT_EQ(Calls.load(), static_cast<int64_t>(Overlap))
+          << "union fast=" << Fast;
       ASSERT_EQ(U.size(), Na + Nb - Overlap);
       ASSERT_EQ(*U.find(Na - Overlap), 3u);
       Calls = 0;
       M X = M::map_intersect(MA, MB, CountingPlus);
-      ASSERT_EQ(Calls, static_cast<int64_t>(Overlap))
+      ASSERT_EQ(Calls.load(), static_cast<int64_t>(Overlap))
           << "intersect fast=" << Fast;
       ASSERT_EQ(X.size(), Overlap);
       Calls = 0;
       M MI = MA.multi_insert(B, CountingPlus);
-      ASSERT_EQ(Calls, static_cast<int64_t>(Overlap))
+      ASSERT_EQ(Calls.load(), static_cast<int64_t>(Overlap))
           << "multi_insert fast=" << Fast;
       ASSERT_EQ(MI.to_vector(), U.to_vector());
     }

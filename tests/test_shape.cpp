@@ -1,0 +1,284 @@
+//===- test_shape.cpp - Small-subtree shape and allocation budgets ---------===//
+//
+// Part of the CPAM reproduction of PaC-trees (PLDI 2022).
+//
+//===----------------------------------------------------------------------===//
+//
+// In a blocked tree every subtree of at most 2B entries is one flat block.
+// These tests check that shape on every kind of API result small enough to
+// be one block (node_count() == 1) for raw, diff and gamma sets, a diff
+// map, an augmented map and sequences; that the invariant checker rejects
+// the all-regular small shape; and that small merges and split stay within
+// a fixed allocation budget (pool telemetry, so pooled builds only).
+//
+//===----------------------------------------------------------------------===//
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "gtest/gtest.h"
+
+#include "src/api/aug_map.h"
+#include "src/api/pam_map.h"
+#include "src/api/pam_seq.h"
+#include "src/api/pam_set.h"
+#include "src/core/pool_allocator.h"
+#include "src/encoding/diff_encoder.h"
+#include "src/encoding/gamma_encoder.h"
+#include "tests/test_common.h"
+
+using namespace cpam;
+
+namespace {
+
+/// The entry with key \p K (maps get a key-derived value).
+template <class Coll> typename Coll::entry_t entry_of(uint64_t K) {
+  if constexpr (Coll::entry_traits::has_val)
+    return {K, 3 * K + 1};
+  else
+    return K;
+}
+
+/// Entries with keys 0, 2, ..., 2(N-1): odd keys are absent.
+template <class Coll> std::vector<typename Coll::entry_t> evens(size_t N) {
+  std::vector<typename Coll::entry_t> V;
+  for (uint64_t I = 0; I < N; ++I)
+    V.push_back(entry_of<Coll>(2 * I));
+  return V;
+}
+
+/// Empty if \p C (an ordered collection or a sequence) passes its invariant
+/// check and, holding at most 2B entries, is exactly one block; else a
+/// description.
+template <class Coll> std::string shape_error(const Coll &C) {
+  std::string Err = C.check_invariants();
+  if (!Err.empty())
+    return Err;
+  if (C.size() > 0 && C.size() <= 2 * Coll::ops::kB && C.node_count() != 1)
+    return std::to_string(C.size()) + " entries in " +
+           std::to_string(C.node_count()) + " nodes";
+  return "";
+}
+
+/// Runs every ordered-collection result shape over \p Coll.
+template <class Coll> void run_ordered_shapes() {
+  using Ops = typename Coll::ops;
+  constexpr size_t B = Ops::kB;
+  auto R = test::seeded_rng(B);
+
+  for (size_t N = 1; N <= 4 * B + 2; ++N)
+    ASSERT_EQ(shape_error(Coll::from_sorted(evens<Coll>(N))), "")
+        << "from_sorted N=" << N;
+
+  // Point updates in shuffled order: up to 3B entries, then back to empty,
+  // so every size up to 2B is reached by both insert and remove.
+  std::vector<uint64_t> Keys(3 * B);
+  for (size_t I = 0; I < Keys.size(); ++I)
+    Keys[I] = 2 * I;
+  for (size_t I = Keys.size(); I > 1; --I)
+    std::swap(Keys[I - 1], Keys[R.next(I)]);
+  Coll C;
+  for (uint64_t K : Keys) {
+    C = C.insert(entry_of<Coll>(K));
+    ASSERT_EQ(shape_error(C), "") << "insert " << K;
+  }
+  for (uint64_t K : Keys) {
+    C = C.remove(K);
+    ASSERT_EQ(shape_error(C), "") << "remove " << K;
+  }
+
+  // Both split pieces, at every present (even) and absent (odd) key.
+  for (size_t N : {2 * B, 2 * B + 1, 3 * B, 4 * B + 1, 8 * B}) {
+    Coll T = Coll::from_sorted(evens<Coll>(N));
+    for (uint64_t K = 0; K <= 2 * N; ++K) {
+      auto S = Ops::split(Ops::inc(T.root()), K);
+      Coll L = Coll::take_root(S.L), Rt = Coll::take_root(S.R);
+      ASSERT_EQ(shape_error(L), "") << "split left N=" << N << " K=" << K;
+      ASSERT_EQ(shape_error(Rt), "") << "split right N=" << N << " K=" << K;
+    }
+  }
+
+  const size_t Big = 8 * B;
+  Coll T = Coll::from_sorted(evens<Coll>(Big));
+  for (size_t W = 1; W <= 2 * B + 1; ++W) {
+    for (uint64_t Lo : {uint64_t{0}, uint64_t{2 * B + 1}, 2 * (Big - W)}) {
+      Coll Rg = T.range(Lo, Lo + 2 * W - 1);
+      ASSERT_EQ(shape_error(Rg), "") << "range [" << Lo << "," << W << ")";
+    }
+    Coll F = T.filter([&](const auto &E) {
+      return Coll::entry_traits::get_key(E) / 2 % (Big / W) == 0;
+    });
+    ASSERT_EQ(shape_error(F), "") << "filter W=" << W;
+  }
+
+  // Intersect, difference and multi_delete leaving S scattered entries.
+  for (size_t S = 1; S <= 2 * B; ++S) {
+    std::vector<uint64_t> Kept, Rest;
+    for (uint64_t I = 0; I < Big; ++I)
+      (I % (Big / S) == 0 && Kept.size() < S ? Kept : Rest).push_back(2 * I);
+    std::vector<typename Coll::entry_t> KeptE, RestE;
+    for (uint64_t K : Kept)
+      KeptE.push_back(entry_of<Coll>(K));
+    for (uint64_t K : Rest)
+      RestE.push_back(entry_of<Coll>(K));
+    Coll KeptT = Coll::from_sorted(KeptE), RestT = Coll::from_sorted(RestE);
+    Coll X = Coll::map_intersect(T, KeptT);
+    ASSERT_EQ(X.size(), S);
+    ASSERT_EQ(shape_error(X), "") << "intersect S=" << S;
+    Coll D = Coll::map_difference(T, RestT);
+    ASSERT_EQ(D.size(), S);
+    ASSERT_EQ(shape_error(D), "") << "difference S=" << S;
+    Coll MD = T.multi_delete(Rest);
+    ASSERT_EQ(MD.size(), S);
+    ASSERT_EQ(shape_error(MD), "") << "multi_delete S=" << S;
+    // Small unions and batch inserts stay one block up to 2B.
+    Coll U = Coll::map_union(X, Coll::from_sorted(evens<Coll>(2 * B - S)));
+    ASSERT_EQ(shape_error(U), "") << "union S=" << S;
+    Coll MI = Coll().multi_insert(KeptE);
+    ASSERT_EQ(shape_error(MI), "") << "multi_insert S=" << S;
+  }
+}
+
+class TreeShape : public test::LeakCheckTest {};
+
+TEST_F(TreeShape, RawSetResultsUpTo2BAreOneBlock) {
+  run_ordered_shapes<pam_set<uint64_t, 8>>();
+}
+TEST_F(TreeShape, DiffSetResultsUpTo2BAreOneBlock) {
+  run_ordered_shapes<pam_set<uint64_t, 8, diff_encoder>>();
+  run_ordered_shapes<pam_set<uint64_t, 32, diff_encoder>>();
+}
+TEST_F(TreeShape, GammaSetResultsUpTo2BAreOneBlock) {
+  run_ordered_shapes<pam_set<uint64_t, 8, gamma_encoder>>();
+}
+TEST_F(TreeShape, DiffMapResultsUpTo2BAreOneBlock) {
+  run_ordered_shapes<pam_map<uint64_t, uint64_t, 8, diff_encoder>>();
+}
+TEST_F(TreeShape, AugMapResultsUpTo2BAreOneBlock) {
+  run_ordered_shapes<aug_map<aug_sum_entry<uint64_t, uint64_t>, 8>>();
+}
+
+TEST_F(TreeShape, SeqResultsUpTo2BAreOneBlock) {
+  using Seq = pam_seq<uint64_t, 8>;
+  constexpr size_t B = Seq::ops::kB;
+  for (size_t N = 1; N <= 4 * B + 2; ++N) {
+    std::vector<uint64_t> V(N);
+    for (size_t I = 0; I < N; ++I)
+      V[I] = 1000 - I;
+    Seq S(V);
+    ASSERT_EQ(shape_error(S), "") << "build N=" << N;
+    // take and drop are the two pieces of split_at.
+    for (size_t I = 0; I <= N; ++I) {
+      ASSERT_EQ(shape_error(S.take(I)), "") << "take N=" << N << " I=" << I;
+      ASSERT_EQ(shape_error(S.drop(I)), "") << "drop N=" << N << " I=" << I;
+    }
+  }
+}
+
+// The tightened checker rejects the shape Fig. 5's node() builds for small
+// trees: regular nodes over at most 2B entries.
+TEST_F(TreeShape, CheckerRejectsRegularNodesOverSmallSubtrees) {
+  using Ops = pam_set<uint64_t, 8>::ops;
+  uint64_t A = 1, C = 3;
+  Ops::node_t *T =
+      Ops::make_regular(Ops::make_flat(&A, 1), 2, Ops::make_flat(&C, 1));
+  EXPECT_NE(invariant_checker<Ops>::check(T).find("one flat block"),
+            std::string::npos)
+      << invariant_checker<Ops>::check(T);
+  Ops::dec(T);
+  Ops::node_t *One = Ops::make_regular(nullptr, 7, nullptr);
+  EXPECT_NE(invariant_checker<Ops>::check(One), "");
+  Ops::dec(One);
+}
+
+/// Pool allocations (every size class, every thread) made by \p F.
+template <class F> uint64_t pool_allocs(const F &Fn) {
+  auto Total = [] {
+    uint64_t N = 0;
+    for (const auto &C : pool_allocator::stats())
+      N += C.Allocs;
+    return N;
+  };
+  uint64_t Before = Total();
+  Fn();
+  return Total() - Before;
+}
+
+class AllocBudget : public test::LeakCheckTest {};
+
+// A one-entry union or difference against a one-block set costs the same
+// few allocations however full the block is (an all-regular small result
+// would cost one per entry). Both base-case paths are checked: the flat fast
+// path merges cursor to cursor; without it the operands are flattened into
+// two scratch arrays first.
+TEST_F(AllocBudget, SmallMergeCostIsIndependentOfBlockFill) {
+  if (!pool_enabled())
+    GTEST_SKIP() << "pool telemetry only exists in pooled mode";
+  using Set = pam_set<uint32_t, 64, diff_encoder>;
+  test::FlagGuard G(Set::ops::flat_fastpath());
+  for (bool Fast : {true, false}) {
+    SCOPED_TRACE(Fast ? "flat fast path" : "array path");
+    Set::ops::flat_fastpath() = Fast;
+    std::vector<uint64_t> Unions, Diffs;
+    for (uint32_t D : {5u, 20u, 50u, 63u}) {
+      std::vector<uint32_t> Keys(D);
+      for (uint32_t I = 0; I < D; ++I)
+        Keys[I] = 2 * I;
+      Set A = Set::from_sorted(Keys), One = Set::from_sorted({D | 1u});
+      ASSERT_EQ(A.node_count(), 1u);
+      ASSERT_EQ(One.node_count(), 1u);
+      Unions.push_back(pool_allocs([&] {
+        Set U = Set::map_union(A, One);
+        ASSERT_EQ(U.size(), D + 1u);
+      }));
+      Diffs.push_back(pool_allocs([&] {
+        Set Df = Set::map_difference(A, One);
+        ASSERT_EQ(Df.size(), D);
+      }));
+    }
+    for (size_t I = 1; I < Unions.size(); ++I) {
+      EXPECT_EQ(Unions[I], Unions[0]) << "union allocations grow with d";
+      EXPECT_EQ(Diffs[I], Diffs[0]) << "difference allocations grow with d";
+    }
+    EXPECT_LE(Unions[0], 4u);
+    EXPECT_LE(Diffs[0], Fast ? 2u : 4u);
+  }
+}
+
+// split of a snapshot copies one root-to-leaf path: O(log n) allocations,
+// not one per entry of the small pieces at the leaf. Holds on both leaf
+// split paths (streamed splice, or flatten then re-encode).
+TEST_F(AllocBudget, SplitAllocatesLogarithmically) {
+  if (!pool_enabled())
+    GTEST_SKIP() << "pool telemetry only exists in pooled mode";
+  using Map = pam_map<uint64_t, uint64_t, 128, diff_encoder>;
+  using Ops = Map::ops;
+  constexpr size_t LogN = 20, N = size_t{1} << LogN;
+  std::vector<Map::entry_t> E(N);
+  for (uint64_t I = 0; I < N; ++I)
+    E[I] = {3 * I, I};
+  Map M = Map::from_sorted(std::move(E));
+  test::FlagGuard G(Ops::flat_fastpath());
+  for (bool Fast : {true, false}) {
+    SCOPED_TRACE(Fast ? "flat fast path" : "array path");
+    Ops::flat_fastpath() = Fast;
+    auto R = test::seeded_rng();
+    uint64_t Worst = 0;
+    for (int I = 0; I < 64; ++I) {
+      uint64_t K = R.next(3 * N);
+      Worst = std::max(Worst, pool_allocs([&] {
+                         auto S = Ops::split(Ops::inc(M.root()), K);
+                         EXPECT_EQ(Ops::size(S.L) + Ops::size(S.R) +
+                                       (S.E ? 1 : 0),
+                                   N);
+                         Ops::dec(S.L);
+                         Ops::dec(S.R);
+                       }));
+    }
+    EXPECT_LE(Worst, 2 * LogN + 8);
+  }
+}
+
+} // namespace
