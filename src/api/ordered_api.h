@@ -95,9 +95,10 @@ public:
   Derived remove(const key_t &K) const {
     return Derived(Ops::remove(Ops::inc(Root), K));
   }
-  /// Entries with KL <= key <= KR.
+  /// Entries with KL <= key <= KR; reads this collection, sharing the
+  /// whole subtrees inside the range.
   Derived range(const key_t &KL, const key_t &KR) const {
-    return Derived(Ops::range(Ops::inc(Root), KL, KR));
+    return Derived(Ops::range(Root, KL, KR));
   }
   template <class Pred> Derived filter(const Pred &P) const {
     return Derived(Ops::filter(Ops::inc(Root), P));

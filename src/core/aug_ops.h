@@ -29,6 +29,7 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
   using key_t = typename MO::key_t;
   using aug_t = typename Entry::aug_t;
   using exposed = typename MO::exposed;
+  using node_guard = typename MO::node_guard;
   using MO::aug_of;
   using MO::dec;
   using MO::entry_key;
@@ -149,8 +150,9 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
     }
     if (is_flat(T)) {
       size_t N = T->Size;
+      node_guard G(T); // Covers a throw from either buffer allocation.
       typename MO::temp_buf Buf(N), Out(N);
-      MO::flatten(T, Buf.data());
+      MO::flatten(G.release(), Buf.data());
       Buf.set_count(N);
       size_t K = 0;
       for (size_t I = 0; I < N; ++I) {
@@ -164,9 +166,15 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
     }
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;
-    par::par_do_if(
-        size(X.L) + size(X.R) >= par_gran(), [&] { L = aug_filter(X.L, P); },
-        [&] { R = aug_filter(X.R, P); });
+    try {
+      par::par_do_if(
+          size(X.L) + size(X.R) >= par_gran(),
+          [&] { L = aug_filter(X.L, P); }, [&] { R = aug_filter(X.R, P); });
+    } catch (...) {
+      dec(L);
+      dec(R);
+      throw;
+    }
     if (P(Entry::aug_from_entry(X.E)))
       return join(L, std::move(X.E), R);
     return join2(L, R);

@@ -7,7 +7,8 @@
 /// \file
 /// Join-based algorithms over PaC-trees (Figs. 6, 8, 10): search, insertion
 /// and deletion, the three set operations (union / intersect / difference),
-/// multi_insert / multi_delete, filter, map_reduce and order statistics.
+/// multi_insert / multi_delete, filter, map_reduce, range extraction and
+/// order statistics.
 /// Each algorithm is written against expose/join/split only — plus the
 /// optimized base cases of Sec. 8, taken whenever a subproblem fits in the
 /// base-case granularity kappa (default 8B; configurable for the ablation
@@ -15,6 +16,8 @@
 /// block to encoded block through streaming cursors (tree_ops::leaf_reader
 /// and leaf_writer) with no intermediate arrays; other shapes flatten into
 /// arrays and merge, as does everything when flat_fastpath() is off.
+/// Updates consume their operand trees; the queries and range() only read
+/// theirs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -1267,22 +1270,76 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   }
 
   //===--------------------------------------------------------------------===
-  // Range extraction.
+  // Range extraction (reads its source).
   //===--------------------------------------------------------------------===
 
-  /// Tree of all entries with KL <= key <= KR. Consumes \p T.
-  /// O(log n + B) work (Table 1).
-  static node_t *range(node_t *T, const key_t &KL, const key_t &KR) {
-    split_t S1 = split(T, KL);
-    dec(S1.L);
-    split_t S2 = split(S1.R, KR);
-    dec(S2.R);
-    node_t *Out = S2.L;
-    if (S2.E)
-      Out = join(Out, std::move(*S2.E), nullptr);
-    if (S1.E)
-      Out = join(nullptr, std::move(*S1.E), Out);
-    return Out;
+  /// Tree of all entries with KL <= key <= KR (empty when KR < KL). Reads
+  /// \p T without consuming it: the walk down to the first regular node
+  /// whose key is in range takes no references, and the result joins that
+  /// entry with a suffix of its left subtree and a prefix of its right one.
+  /// Only whole subtrees inside the range are shared, one inc each; the at
+  /// most two boundary blocks are copied in part, so the allocations depend
+  /// on the range width, not on n. O(log n + B) work (Table 1).
+  static node_t *range(const node_t *T, const key_t &KL, const key_t &KR) {
+    while (T && !is_flat(T)) {
+      const auto *R = static_cast<const typename NL::regular_t *>(T);
+      if (key_less(entry_key(R->E), KL)) {
+        T = R->Right;
+      } else if (key_less(KR, entry_key(R->E))) {
+        T = R->Left;
+      } else {
+        node_guard L(suffix(R->Left, KL));
+        node_t *Rt = prefix(R->Right, KR);
+        return join(L.release(), R->E, Rt);
+      }
+    }
+    return T ? copy_block(T, &KL, &KR) : nullptr;
+  }
+
+  /// Tree of the entries of \p T with key >= \p KL (T is read, not
+  /// consumed). Follows the one path to KL: every whole subtree right of
+  /// it is shared with one inc, the block at its end is copied in part.
+  static node_t *suffix(const node_t *T, const key_t &KL) {
+    if (!T)
+      return nullptr;
+    if (is_flat(T))
+      return copy_block(T, &KL, nullptr);
+    const auto *R = static_cast<const typename NL::regular_t *>(T);
+    if (key_less(entry_key(R->E), KL))
+      return suffix(R->Right, KL);
+    node_t *L = suffix(R->Left, KL); // Before the inc: a throw leaks none.
+    return join(L, R->E, inc(R->Right));
+  }
+
+  /// Mirror of suffix: the entries of \p T with key <= \p KR.
+  static node_t *prefix(const node_t *T, const key_t &KR) {
+    if (!T)
+      return nullptr;
+    if (is_flat(T))
+      return copy_block(T, nullptr, &KR);
+    const auto *R = static_cast<const typename NL::regular_t *>(T);
+    if (key_less(KR, entry_key(R->E)))
+      return prefix(R->Left, KR);
+    node_t *Rt = prefix(R->Right, KR);
+    return join(inc(R->Left), R->E, Rt);
+  }
+
+  /// Copies the entries of the flat block \p T with *KL <= key <= *KR (a
+  /// null bound is open) into a new tree of at most one block; T is read,
+  /// not consumed.
+  static node_t *copy_block(const node_t *T, const key_t *KL,
+                            const key_t *KR) {
+    const auto *F = static_cast<const typename NL::flat_t *>(T);
+    leaf_writer W(T->Size);
+    NL::encoder::for_each_while(
+        NL::payload(F), T->Size, [&](const entry_t &E) {
+          if (KR && key_less(*KR, entry_key(E)))
+            return false;
+          if (!KL || !key_less(entry_key(E), *KL))
+            W.push(E);
+          return true;
+        });
+    return W.finish();
   }
 
   //===--------------------------------------------------------------------===

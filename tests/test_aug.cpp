@@ -53,6 +53,10 @@ TYPED_TEST(AugSumTest, AugRangeMatchesBruteForce) {
       if (K >= Lo && K <= Hi)
         Expect += V;
     ASSERT_EQ(M.aug_range(Lo, Hi), Expect) << "[" << Lo << "," << Hi << "]";
+    TypeParam Rg = M.range(Lo, Hi);
+    ASSERT_EQ(Rg.aug_val(), M.aug_range(Lo, Hi))
+        << "[" << Lo << "," << Hi << "]";
+    ASSERT_EQ(Rg.check_invariants(), "") << "[" << Lo << "," << Hi << "]";
   }
   // Prefix and suffix aggregates.
   for (uint64_t K : {0ul, 1ul, 2999ul, 3000ul, 9999ul}) {

@@ -7,12 +7,12 @@
 /// \file
 /// The chaos suite: semantics of the deterministic failpoint registry
 /// (src/util/failpoint.h) and fault-injection episodes driving every armed
-/// failure path — allocation throws mid-merge (alloc.node, leaf.seal),
-/// fork refusal degrading to inline execution (sched.fork), and the
-/// serving failure paths (queue-full rejection, wedged applies, stalled
-/// readers tripping the watchdog). Episodes assert the exception contract
-/// end to end: a failed op leaves its operands untouched, leaks nothing
-/// (LeakCheckTest fixtures), and the structure still satisfies the
+/// failure path — allocation throws mid-merge or mid-filter (alloc.node,
+/// leaf.seal), fork refusal degrading to inline execution (sched.fork),
+/// and the serving failure paths (queue-full rejection, wedged applies,
+/// stalled readers tripping the watchdog). Episodes assert the exception
+/// contract end to end: a failed op leaves its operands untouched, leaks
+/// nothing (LeakCheckTest fixtures), and the structure still satisfies the
 /// Def. 4.1 invariants. Runs in the ASan `chaos` CI leg with latency
 /// failpoints armed process-wide via CPAM_FAILPOINTS, and in the TSan leg.
 ///
@@ -28,6 +28,7 @@
 
 #include "gtest/gtest.h"
 
+#include "src/api/aug_map.h"
 #include "src/api/pam_set.h"
 #include "src/encoding/diff_encoder.h"
 #include "src/encoding/gamma_encoder.h"
@@ -304,6 +305,39 @@ TEST_F(ChaosLeakTest, CombinedChaosEpisode) {
   EXPECT_GT(Survived, 0u);
   EXPECT_GT(Died, 0u);
   EXPECT_GT(fail::fires("alloc.node") + fail::fires("leaf.seal"), 0u);
+}
+
+/// aug_filter under "alloc.node" failures: a failed call releases every
+/// partial result (the fixture counts live nodes) and leaves its operand
+/// intact; survivors match the brute-force filter. Thresholds keep from
+/// half the entries down to a handful, so both outcomes occur.
+TEST_F(ChaosLeakTest, AugFilterChaosLeaksNothing) {
+  using MapT = aug_map<aug_max_entry<uint64_t, uint64_t>, 8>;
+  constexpr uint64_t kMaxVal = 1u << 20;
+  Rng R = test::seeded_rng(13);
+  std::vector<std::pair<uint64_t, uint64_t>> E(20000);
+  for (uint64_t I = 0; I < E.size(); ++I)
+    E[I] = {I, R.next(kMaxVal)};
+  MapT M = MapT::from_sorted(E);
+  fail::scoped_arm Arm("alloc.node", "p=50/seed=17");
+  uint64_t Survived = 0, Died = 0;
+  for (int Step = 0; Step < 56; ++Step) {
+    uint64_t Tau = kMaxVal - (kMaxVal >> (1 + Step % 14));
+    try {
+      MapT F = M.aug_filter([Tau](uint64_t Max) { return Max >= Tau; });
+      ++Survived;
+      std::vector<std::pair<uint64_t, uint64_t>> Want;
+      for (const auto &KV : E)
+        if (KV.second >= Tau)
+          Want.push_back(KV);
+      ASSERT_EQ(F.to_vector(), Want) << "Tau=" << Tau;
+    } catch (const std::bad_alloc &) {
+      ++Died;
+    }
+    ASSERT_EQ(M.to_vector(), E) << "operand changed at step " << Step;
+  }
+  EXPECT_GT(Survived, 0u);
+  EXPECT_GT(Died, 0u);
 }
 
 //===----------------------------------------------------------------------===//

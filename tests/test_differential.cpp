@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Differential testing layer: random interleaved sequences of insert /
-/// remove / union / intersect / difference / multi_insert / multi_delete
-/// driven simultaneously against a PaC-tree and a std::map / std::set
+/// remove / union / intersect / difference / multi_insert / multi_delete /
+/// range driven simultaneously against a PaC-tree and a std::map / std::set
 /// oracle, at block sizes B in {0, 8, 128} (PAM baseline, small blocks, the
 /// paper default) and with the flat-leaf streaming fast paths both on and
 /// off in the same binary. After every step the tree must satisfy the
@@ -24,9 +24,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <new>
 #include <set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -89,6 +93,40 @@ void checkAgainstOracle(const MapT &M, const Oracle &O, const char *What) {
   ASSERT_EQ(Got, Want) << What;
 }
 
+/// Bounds for a range step: present keys, absent keys, an inverted pair
+/// (Lo > Hi) or the whole key space.
+template <class OracleT>
+std::pair<uint64_t, uint64_t> rangeBounds(Rng &R, const OracleT &O) {
+  auto Pick = [&] {
+    if (O.empty() || R.next(2))
+      return R.next(kUniverse + 2); // Any key, often absent.
+    auto It = O.begin();
+    std::advance(It, R.next(O.size()));
+    if constexpr (std::is_same_v<OracleT, std::set<uint64_t>>)
+      return *It;
+    else
+      return It->first;
+  };
+  uint64_t A = Pick(), B = Pick();
+  switch (R.next(6)) {
+  case 0:
+    return {0, UINT64_MAX};
+  case 1: // Inverted (Lo > Hi): empty by definition.
+    return {std::max(A, B) + (A == B), std::min(A, B)};
+  default:
+    return {std::min(A, B), std::max(A, B)};
+  }
+}
+
+/// The oracle entries with Lo <= key <= Hi. For Lo > Hi,
+/// lower_bound(Lo)..upper_bound(Hi) is not an iterator range.
+template <class OracleT>
+OracleT oracleSlice(const OracleT &O, uint64_t Lo, uint64_t Hi) {
+  if (Lo > Hi)
+    return {};
+  return OracleT(O.lower_bound(Lo), O.upper_bound(Hi));
+}
+
 /// One random differential episode. All set algebra combines values with +
 /// so a dropped or double-invoked combine is visible in the value, not just
 /// the key set.
@@ -97,7 +135,7 @@ template <class MapT> void runMapEpisode(Rng R) {
   MapT M;
   Oracle O;
   for (int Step = 0; Step < kSteps; ++Step) {
-    switch (R.next(10)) {
+    switch (R.next(11)) {
     case 0: { // Point insert (combine +).
       uint64_t K = R.next(kUniverse), V = R.next(1u << 16);
       M.insert_inplace(typename MapT::entry_t(K, V), Plus);
@@ -196,6 +234,23 @@ template <class MapT> void runMapEpisode(Rng R) {
       checkAgainstOracle(M, O, "map_values");
       break;
     }
+    case 9: { // range reads M, which must stay unchanged.
+      auto [Lo, Hi] = rangeBounds(R, O);
+      Oracle Slice = oracleSlice(O, Lo, Hi);
+      MapT Rg = M.range(Lo, Hi);
+      checkAgainstOracle(Rg, Slice, "range");
+      checkAgainstOracle(M, O, "range source");
+      // Rg shares whole subtrees with M: updating it in place must copy
+      // them, never write through to M.
+      if (!Slice.empty()) {
+        auto Mid = std::next(Slice.begin(), Slice.size() / 2);
+        Rg.remove_inplace(Mid->first);
+        Slice.erase(Mid);
+        checkAgainstOracle(Rg, Slice, "range result updated in place");
+        checkAgainstOracle(M, O, "range source after result update");
+      }
+      break;
+    }
     default: { // Rebuild from scratch occasionally (fresh tree shapes).
       EntryVec B = randomEntries(R, R.next(800), kUniverse);
       M = MapT(B, Plus);
@@ -239,7 +294,7 @@ template <class MapT> void runMapChaosEpisode(Rng R, uint64_t Salt) {
   uint64_t Survived = 0, Died = 0;
   for (int Step = 0; Step < kSteps; ++Step) {
     try {
-      switch (R.next(6)) {
+      switch (R.next(7)) {
       case 0: { // Point insert.
         uint64_t K = R.next(kUniverse), V = R.next(1u << 16);
         MapT Next = M.insert(typename MapT::entry_t(K, V));
@@ -284,6 +339,14 @@ template <class MapT> void runMapChaosEpisode(Rng R, uint64_t Salt) {
           auto [It, New] = O.emplace(K, V);
           if (!New)
             It->second += V;
+        }
+        break;
+      }
+      case 5: { // Eight ranges: one alone rarely meets a failure.
+        for (int I = 0; I < 8; ++I) {
+          auto [Lo, Hi] = rangeBounds(R, O);
+          MapT Rg = M.range(Lo, Hi);
+          checkAgainstOracle(Rg, oracleSlice(O, Lo, Hi), "chaos range");
         }
         break;
       }
@@ -362,7 +425,7 @@ template <class SetT> void runSetEpisode(Rng R) {
     return Keys;
   };
   for (int Step = 0; Step < kSteps; ++Step) {
-    switch (R.next(7)) {
+    switch (R.next(8)) {
     case 0: {
       uint64_t K = R.next(kUniverse);
       S = S.insert(K);
@@ -414,6 +477,13 @@ template <class SetT> void runSetEpisode(Rng R) {
       checkSetAgainstOracle(S, O, "multi_insert");
       break;
     }
+    case 6: { // range reads S, which must stay unchanged.
+      auto [Lo, Hi] = rangeBounds(R, O);
+      checkSetAgainstOracle(S.range(Lo, Hi), oracleSlice(O, Lo, Hi),
+                            "range");
+      checkSetAgainstOracle(S, O, "range source");
+      break;
+    }
     default: {
       auto Keys = RandomKeys(R.next(500));
       S = S.multi_delete(Keys);
@@ -454,7 +524,7 @@ template <class SetT> void runSetChaosEpisode(Rng R, uint64_t Salt) {
   uint64_t Survived = 0, Died = 0;
   for (int Step = 0; Step < kSteps; ++Step) {
     try {
-      switch (R.next(6)) {
+      switch (R.next(7)) {
       case 0: {
         uint64_t K = R.next(kUniverse);
         SetT Next = S.insert(K);
@@ -489,6 +559,14 @@ template <class SetT> void runSetChaosEpisode(Rng R, uint64_t Salt) {
         SetT Next = S.multi_insert(Keys);
         S = std::move(Next);
         O.insert(Keys.begin(), Keys.end());
+        break;
+      }
+      case 5: { // Eight ranges: one alone rarely meets a failure.
+        for (int I = 0; I < 8; ++I) {
+          auto [Lo, Hi] = rangeBounds(R, O);
+          checkSetAgainstOracle(S.range(Lo, Hi), oracleSlice(O, Lo, Hi),
+                                "chaos range");
+        }
         break;
       }
       default: {

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <thread>
@@ -271,10 +272,13 @@ TEST(SchedulerRuntime, StatsCountForksAndReclaims) {
 
 TEST(SchedulerRuntime, ParkUnparkChurn) {
   par::scheduler_stats_reset();
-  // Alternate short parallel bursts with idle gaps long enough for workers
-  // to run through the spin/yield escalation and park, so every round
-  // exercises the wake-on-push protocol from a cold (parked) pool.
+  // Alternate short parallel bursts with idle gaps that last until a worker
+  // has parked, so every round exercises the wake-on-push protocol from a
+  // cold (parked) pool. A gap waits for the park rather than sleeping a
+  // fixed time: on a loaded host the idle workers may not be scheduled
+  // through their spin/yield escalation within any fixed few milliseconds.
   const int Rounds = 30;
+  const bool Pool = par::num_workers() > 1;
   for (int R = 0; R < Rounds; ++R) {
     std::atomic<long> Sum{0};
     par::parallel_for(
@@ -284,13 +288,20 @@ TEST(SchedulerRuntime, ParkUnparkChurn) {
         },
         /*Gran=*/16);
     ASSERT_EQ(Sum.load(), 4095L * 4096 / 2) << "round " << R;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (!Pool)
+      continue;
+    // Parked workers re-park after every backstop timeout, so the count
+    // keeps rising while the pool idles; 2 s bounds a wedged run.
+    uint64_t Before = par::scheduler_stats().Parks;
+    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (par::scheduler_stats().Parks == Before &&
+           std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   par::SchedulerStats S = par::scheduler_stats();
-  if (par::num_workers() > 1) {
+  if (Pool) {
     EXPECT_GT(S.Forks, 0u);
-    // Workers must actually have parked during the gaps (the spin phase is
-    // a few hundred microseconds; the gaps are 5 ms).
+    // Workers must actually have parked during the gaps.
     EXPECT_GT(S.Parks, 0u);
   } else {
     EXPECT_EQ(S.Parks, 0u);

@@ -18,6 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -281,6 +282,79 @@ TEST_F(ServingLeakTest, ManyReadersManyVersionsReclaimsEverything) {
     for (auto &T : Readers)
       T.join();
     EXPECT_GT(Acquires.load(), 0u);
+    Chain.reclaim();
+    EXPECT_EQ(Chain.retired_count(), 0u);
+    EXPECT_EQ(Chain.reclaimed_total(), Published);
+  }
+}
+
+/// Readers call range on acquired snapshots while the writer publishes
+/// versions built with insert, remove and multi_insert and reclaims old
+/// ones. range takes no reference on the path nodes it walks, so every
+/// result matching the same slice of its snapshot's to_vector() shows the
+/// writer never frees or rewrites a node a reader is on.
+TEST_F(ServingLeakTest, ConcurrentRangeReadersMatchTheirSnapshot) {
+  constexpr uint64_t kUniverse = 1u << 15;
+  constexpr uint64_t kMinVersions = 200;
+  constexpr uint64_t kMinRanges = 64;
+  constexpr uint64_t kMaxVersions = 1u << 16; // Starvation backstop.
+  constexpr size_t kReaders = 3;
+  {
+    std::vector<uint64_t> Start = iota(kUniverse / 4);
+    for (uint64_t &K : Start)
+      K *= 4;
+    version_chain<u64_set> Chain(u64_set::from_sorted(Start));
+    std::atomic<bool> Done{false};
+    std::atomic<uint64_t> Ranges{0};
+    std::vector<std::thread> Readers;
+    for (size_t R = 0; R < kReaders; ++R) {
+      Readers.emplace_back([&, R] {
+        Rng Rnd(test::test_seed(R));
+        uint64_t I = 0;
+        while (!Done.load(std::memory_order_acquire)) {
+          u64_set S = Chain.acquire();
+          uint64_t Lo = Rnd.ith(I++) % kUniverse;
+          uint64_t Hi = Lo + Rnd.ith(I++) % 4096;
+          std::vector<uint64_t> Got = S.range(Lo, Hi).to_vector();
+          std::vector<uint64_t> All = S.to_vector();
+          std::vector<uint64_t> Want(
+              std::lower_bound(All.begin(), All.end(), Lo),
+              std::upper_bound(All.begin(), All.end(), Hi));
+          EXPECT_EQ(Got, Want) << "range [" << Lo << "," << Hi << "]";
+          Ranges.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    Rng W = test::seeded_rng(kReaders);
+    u64_set Cur = Chain.acquire();
+    uint64_t Published = 0;
+    while (Published < kMinVersions ||
+           (Ranges.load(std::memory_order_relaxed) < kMinRanges &&
+            Published < kMaxVersions)) {
+      switch (Published % 3) {
+      case 0:
+        Cur.insert_inplace(W.next(kUniverse));
+        break;
+      case 1:
+        Cur.remove_inplace(W.next(kUniverse));
+        break;
+      default: {
+        std::vector<uint64_t> Batch(64);
+        for (uint64_t &K : Batch)
+          K = W.next(kUniverse);
+        Cur = Cur.multi_insert(std::move(Batch));
+        break;
+      }
+      }
+      Chain.publish(Cur);
+      ++Published;
+      if ((Published & 63) == 0)
+        std::this_thread::yield();
+    }
+    Done.store(true, std::memory_order_release);
+    for (auto &T : Readers)
+      T.join();
+    EXPECT_GT(Ranges.load(), 0u);
     Chain.reclaim();
     EXPECT_EQ(Chain.retired_count(), 0u);
     EXPECT_EQ(Chain.reclaimed_total(), Published);

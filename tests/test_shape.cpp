@@ -8,8 +8,8 @@
 // These tests check that shape on every kind of API result small enough to
 // be one block (node_count() == 1) for raw, diff and gamma sets, a diff
 // map, an augmented map and sequences; that the invariant checker rejects
-// the all-regular small shape; and that small merges and split stay within
-// a fixed allocation budget (pool telemetry, so pooled builds only).
+// the all-regular small shape; and that small merges, split and range stay
+// within a fixed allocation budget (pool telemetry, so pooled builds only).
 //
 //===----------------------------------------------------------------------===//
 
@@ -278,6 +278,44 @@ TEST_F(AllocBudget, SplitAllocatesLogarithmically) {
                        }));
     }
     EXPECT_LE(Worst, 2 * LogN + 8);
+  }
+}
+
+// range copies at most two partial blocks and shares every whole subtree
+// inside the range with one inc, so its allocations depend on the width W,
+// not on n. It reads no runtime switch, so the budget needs no FlagGuard
+// and holds in both CPAM_FLAT_FASTPATH builds.
+TEST_F(AllocBudget, RangeAllocationsDependOnWidthNotSize) {
+  if (!pool_enabled())
+    GTEST_SKIP() << "pool telemetry only exists in pooled mode";
+  using Map = pam_map<uint64_t, uint64_t, 128, diff_encoder>;
+  constexpr size_t LogN[] = {16, 20};
+  constexpr size_t Widths[] = {128, 1024}, Budget[] = {8, 16};
+  uint64_t Worst[2][2] = {};
+  for (size_t S = 0; S < 2; ++S) {
+    const size_t N = size_t{1} << LogN[S];
+    std::vector<Map::entry_t> E(N);
+    for (uint64_t I = 0; I < N; ++I)
+      E[I] = {3 * I, I};
+    Map M = Map::from_sorted(std::move(E));
+    auto R = test::seeded_rng(LogN[S]);
+    for (size_t Wi = 0; Wi < 2; ++Wi) {
+      const size_t W = Widths[Wi];
+      for (int I = 0; I < 64; ++I) {
+        uint64_t First = R.next(N - W);
+        uint64_t Allocs = pool_allocs([&] {
+          Map Rg = M.range(3 * First, 3 * (First + W - 1));
+          ASSERT_EQ(Rg.size(), W);
+          ASSERT_EQ(Rg.first()->first, 3 * First);
+        });
+        Worst[S][Wi] = std::max(Worst[S][Wi], Allocs);
+      }
+    }
+  }
+  for (size_t Wi = 0; Wi < 2; ++Wi) {
+    SCOPED_TRACE("W=" + std::to_string(Widths[Wi]));
+    EXPECT_LE(Worst[1][Wi], Worst[0][Wi] + 1) << "allocations grow with n";
+    EXPECT_LE(Worst[1][Wi], Budget[Wi]);
   }
 }
 
