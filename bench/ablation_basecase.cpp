@@ -4,10 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Ablations for the design choices of Sec. 8 (and DESIGN.md):
-//  1. Base-case granularity kappa for union / multi-insert / intersect:
-//     expose-only (kappa=0) vs kappa in {B, 4B, 8B, 16B}. The paper reports
-//     kappa=4B 4.4x and kappa=8B 6.7x faster than expose-only (B=128).
+// Ablations for the design choices of Sec. 8:
+//  1. Base-case granularity kappa of the set operations and multi_insert,
+//     kappa in {0, 8B, 16B, 32B, 64B, 128B} at B = 128 (default 32B). A
+//     dense pair of at most kappa entries merges whole; a pair whose larger
+//     side is one block always does, so kappa = 0 is the expose-only
+//     algorithm down to the blocks. Two shapes, each with the median time
+//     and the pool allocations of one call: dense (two n-entry maps:
+//     union, intersect, multi_insert of n entries) and sparse (an n-entry
+//     map against n/1000 scattered keys: union in both argument orders and
+//     difference). The paper reports kappa = 4B 4.4x and kappa = 8B 6.7x
+//     faster than expose-only.
 //  2. Copy-on-write reuse: in-place updates (refcount-1 reuse) vs forced
 //     path copying (shared snapshot held).
 //
@@ -15,6 +22,7 @@
 
 #include "bench/bench_common.h"
 #include "src/api/pam_map.h"
+#include "src/core/pool_allocator.h"
 #include "src/parallel/random.h"
 
 using namespace cpam;
@@ -32,31 +40,62 @@ std::vector<Entry> makeEntries(size_t N, uint64_t Seed) {
   return E;
 }
 
+/// Pool allocations (every size class, every thread) made by one call.
+template <class F> uint64_t poolAllocs(const F &Fn) {
+  auto Total = [] {
+    uint64_t N = 0;
+    for (const auto &C : pool_allocator::stats())
+      N += C.Allocs;
+    return N;
+  };
+  uint64_t Before = Total();
+  Fn();
+  return Total() - Before;
+}
+
+/// Median time of \p F and the pool allocations of one more call, printed
+/// as one "ms allocs" cell.
+template <class F> void cell(const F &Fn) {
+  double T = time_par(Fn);
+  if (pool_enabled())
+    std::printf("  %9.2f %9llu", T * 1e3,
+                static_cast<unsigned long long>(poolAllocs(Fn)));
+  else
+    std::printf("  %9.2f %9s", T * 1e3, "-");
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
   size_t N = arg_size(argc, argv, "n", 1000000);
   g_reps = static_cast<int>(arg_size(argc, argv, "reps", 3));
   print_header("Sec. 8 ablation: base-case granularity kappa (B=128)");
+  std::printf("dense: two %zu-entry maps; sparse: A of %zu entries, S of "
+              "%zu scattered keys\n",
+              N, N, std::max<size_t>(1, N / 1000));
+  std::printf("each cell: median ms, pool allocations of one call\n");
+  std::printf("%-13s %19s  %19s  %19s  %19s  %19s  %19s\n", "", "union",
+              "intersect", "multi_insert", "union(A,S)", "union(S,A)",
+              "difference(A,S)");
 
   auto E1 = makeEntries(N, 1);
   auto E2 = makeEntries(N, 2);
-  M M1(E1), M2(E2);
+  M M1(E1), M2(E2), Small(makeEntries(std::max<size_t>(1, N / 1000), 3));
 
-  double Baseline = 0;
-  for (size_t Kappa : {size_t(0), size_t(128), size_t(512), size_t(1024),
-                       size_t(2048)}) {
-    M::ops::kappa() = Kappa;
-    double Union = time_par([&] { auto U = M::map_union(M1, M2); });
-    double Inter = time_par([&] { auto X = M::map_intersect(M1, M2); });
-    double Multi = time_par([&] { auto X = M1.multi_insert(E2); });
-    if (Kappa == 0)
-      Baseline = Union;
-    std::printf("kappa=%5zu (%3zuB)  union=%8.4fs (%.2fx vs expose-only)  "
-                "intersect=%8.4fs  multi-insert=%8.4fs\n",
-                Kappa, Kappa / 128, Union, Baseline / Union, Inter, Multi);
+  const size_t Default = M::ops::kappa();
+  for (size_t Mult : {0, 8, 16, 32, 64, 128}) {
+    M::ops::kappa() = Mult * 128;
+    std::printf("kappa=%3zuB%s", Mult, Mult * 128 == Default ? "*" : " ");
+    cell([&] { M U = M::map_union(M1, M2); });
+    cell([&] { M X = M::map_intersect(M1, M2); });
+    cell([&] { M X = M1.multi_insert(E2); });
+    cell([&] { M U = M::map_union(M1, Small); });
+    cell([&] { M U = M::map_union(Small, M1); });
+    cell([&] { M D = M::map_difference(M1, Small); });
+    std::printf("\n");
   }
-  M::ops::kappa() = 8 * 128; // Restore the default.
+  M::ops::kappa() = Default;
+  std::printf("(* the default)\n");
 
   print_header("Copy-on-write reuse ablation (sequential point inserts)");
   size_t Ins = std::max<size_t>(1, N / 20);

@@ -141,7 +141,7 @@ void runDense(size_t NPairs, JsonReport &Report, const char *Tag = "") {
 
 /// One large flat-by-flat union through the quantile-split parallel merge:
 /// kappa is raised past 2N so map_union flattens both whole trees and runs
-/// a single merge_arrays call, measured with the chunk split disabled
+/// a single set_arrays call, measured with the chunk split disabled
 /// (grain=0: the sequential streamed merge) and at the default grain (up
 /// to kMaxMergeChunks chunk merges forked via parDo).
 template <int B, template <class> class Enc = raw_encoder>

@@ -995,12 +995,28 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   }
 
   /// Splits \p T by key \p K into (keys < K, keys > K) plus the entry with
-  /// key K if present. Consumes \p T.
+  /// key K if present. Consumes \p T. A block whose keys all fall on one
+  /// side of K is returned as it is, with no re-encode.
   static split_t split(node_t *T, const key_t &K) {
     if (!T)
       return {};
     if (is_flat(T)) {
-      size_t N = T->Size;
+      size_t N = T->Size, Below = 0;
+      bool Found = false;
+      NL::encoder::for_each_while(
+          NL::payload(as_flat(T)), N, [&](const entry_t &E) {
+            if (Entry::comp(Entry::get_key(E), K)) {
+              ++Below;
+              return true;
+            }
+            Found = !Entry::comp(K, Entry::get_key(E));
+            return false;
+          });
+      if (Below == N || (Below == 0 && !Found)) {
+        split_t Out;
+        (Below == N ? Out.L : Out.R) = T;
+        return Out;
+      }
       if (flat_fastpath() && flat_splice_wins()) {
         // Leaf splice: stream the block into the two sides, never
         // materializing it (each entry is decoded once on its way out).
@@ -1028,18 +1044,16 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       flatten(G.release(), Buf.data());
       Buf.set_count(N);
       entry_t *A = Buf.data();
-      size_t I = lower_bound_idx(A, N, K);
-      bool Found = I < N && !Entry::comp(K, Entry::get_key(A[I]));
       split_t Out;
-      Out.L = from_array_move(A, I);
+      Out.L = from_array_move(A, Below);
       try {
-        Out.R = from_array_move(A + I + Found, N - I - Found);
+        Out.R = from_array_move(A + Below + Found, N - Below - Found);
       } catch (...) {
         dec(Out.L);
         throw;
       }
       if (Found)
-        Out.E.emplace(std::move(A[I]));
+        Out.E.emplace(std::move(A[Below]));
       return Out;
     }
     exposed X = expose(T);

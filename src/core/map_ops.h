@@ -10,14 +10,20 @@
 /// multi_insert / multi_delete, filter, map_reduce, range extraction and
 /// order statistics.
 /// Each algorithm is written against expose/join/split only — plus the
-/// optimized base cases of Sec. 8, taken whenever a subproblem fits in the
-/// base-case granularity kappa (default 8B; configurable for the ablation
-/// study). Base cases whose operands are both flat blocks merge encoded
-/// block to encoded block through streaming cursors (tree_ops::leaf_reader
-/// and leaf_writer) with no intermediate arrays; other shapes flatten into
-/// arrays and merge, as does everything when flat_fastpath() is off.
-/// Updates consume their operand trees; the queries and range() only read
-/// theirs.
+/// optimized base cases of Sec. 8. union, intersect and difference are one
+/// skeleton (set_op) with a per-op keep policy: it exposes the larger
+/// operand, whose root is a regular node once it holds more than 2B entries
+/// (reading it re-encodes nothing), and splits only the smaller one at that
+/// key, so sparse pairs cost O(m log(n/m)) block edits on the small side
+/// instead of a split of the large side per key of the small one. A pair
+/// merges whole (merge_whole) when its larger side is one block, or when it
+/// is dense and fits the base-case granularity kappa (32B; configurable for
+/// the ablation study). Base cases whose operands are both flat blocks
+/// merge encoded block to encoded block through streaming cursors
+/// (tree_ops::leaf_reader and leaf_writer) with no intermediate arrays;
+/// other shapes flatten into arrays and merge, as does everything when
+/// flat_fastpath() is off. Updates consume their operand trees; the queries
+/// and range() only read theirs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,13 +78,36 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using leaf_writer = typename TO::leaf_writer;
   using leaf_chunk_writer = typename TO::leaf_chunk_writer;
 
-  /// Base-case granularity kappa of Sec. 8: subproblems whose total size is
-  /// at most this are solved by flattening into arrays and merging. The
-  /// paper reports kappa = 8B as 6.7x faster than the expose-only algorithm.
-  /// Mutable only for the ablation bench (single-threaded setup code).
+  /// Base-case granularity kappa of Sec. 8: a dense pair of operands with at
+  /// most this many entries in total merges whole (see merge_whole). The
+  /// paper picks kappa = 8B (6.7x faster than the expose-only algorithm at
+  /// B = 128). Here every split of a blocked tree re-encodes the block it
+  /// cuts and a neighbour on each side, so wider base cases pay off for
+  /// longer: the perfbench set_algebra script (two 2M-entry B=128 diff
+  /// maps, 4 workers on a 4-vCPU Xeon guest) runs at 148 / 176 / 191 / 191 /
+  /// 191 M operand entries/s for kappa = 8B / 16B / 32B / 64B / 128B
+  /// (medians of 5 runs), while resident memory grows past 32B. The knee,
+  /// 32B, also keeps a base case's 16-byte entry buffers inside the pool's
+  /// 64 KiB top size class. Unblocked trees (B = 0) keep kappa = 0. Mutable
+  /// only for the ablation bench and tests (single-threaded setup code).
   static size_t &kappa() {
-    static size_t K = kBlocked ? 8 * static_cast<size_t>(kB) : 0;
+    static size_t K = kBlocked ? 32 * static_cast<size_t>(kB) : 0;
     return K;
+  }
+
+  /// True when operands of \p N1 and \p N2 entries (trees, or a tree and a
+  /// sorted batch) merge whole in one base case instead of recursing:
+  /// when the larger is one block (at most 2B entries, so exposing it would
+  /// unfold it), or when the pair is dense (smaller * B >= larger) with at
+  /// most kappa() entries. A sparse pair keeps recursing down the larger
+  /// side, so merging m scattered keys into n entries touches O(m) blocks
+  /// rather than rewriting every kappa-sized subtree they land in. Without
+  /// blocks (B = 0) there is no density test: kappa() alone decides.
+  static bool merge_whole(size_t N1, size_t N2) {
+    size_t Lo = std::min(N1, N2), Hi = std::max(N1, N2);
+    if constexpr (kBlocked)
+      return Hi <= 2 * kB || (N1 + N2 <= kappa() && Lo * kB >= Hi);
+    return N1 + N2 <= kappa();
   }
 
   static const key_t &entry_key(const entry_t &E) { return Entry::get_key(E); }
@@ -128,8 +157,31 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return std::nullopt;
   }
 
+  /// True if key \p K is present. Reads keys only: no entry is copied
+  /// (find's copy would be a refcount round trip for tree-valued maps).
   static bool contains(const node_t *T, const key_t &K) {
-    return find(T, K).has_value();
+    while (T) {
+      if (is_flat(T)) {
+        const auto *F = static_cast<const typename NL::flat_t *>(T);
+        bool Hit = false;
+        NL::encoder::for_each_while(
+            NL::payload(F), T->Size, [&](const entry_t &E) {
+              if (key_less(entry_key(E), K))
+                return true;
+              Hit = !key_less(K, entry_key(E));
+              return false;
+            });
+        return Hit;
+      }
+      const auto *R = static_cast<const typename NL::regular_t *>(T);
+      if (key_less(K, entry_key(R->E)))
+        T = R->Left;
+      else if (key_less(entry_key(R->E), K))
+        T = R->Right;
+      else
+        return true;
+    }
+    return false;
   }
 
   /// Number of keys strictly less than \p K.
@@ -361,41 +413,66 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   }
 
   //===--------------------------------------------------------------------===
-  // Set operations (Fig. 10) with Sec. 8 base cases. Two flat operands
-  // merge cursor-to-cursor straight into finished flat nodes (leaf_reader
-  // -> leaf_writer, no temp_buf round trip; multi-leaf results are emitted
-  // chunk by chunk); every other base-case shape (and every base case when
-  // flat_fastpath() is off) flattens into arrays.
+  // Set operations (Fig. 10) with Sec. 8 base cases. union, intersect and
+  // difference are one skeleton (set_op) and one base case (set_base),
+  // parameterized by a keep policy. Two flat operands merge cursor-to-cursor
+  // straight into finished flat nodes (leaf_reader -> leaf_writer, no
+  // temp_buf round trip; multi-leaf results are emitted chunk by chunk);
+  // every other base-case shape (and every base case when flat_fastpath()
+  // is off) flattens into arrays.
   //===--------------------------------------------------------------------===
 
-  /// Merges the sorted arrays A[0..N1) and B[0..N2) into \p Out's raw
-  /// storage (entries moved; duplicate keys combined with \p Op, invoked
-  /// exactly once) and returns the merged count. Out must have capacity
-  /// N1+N2; its count is kept current so unwinding destroys exactly the
-  /// constructed prefix.
-  template <class CombineOp>
+  /// Keep policy of a set operation over (T1, T2): an entry whose key is
+  /// only in T1 survives iff KeepL, one whose key is only in T2 iff KeepR,
+  /// and a key in both survives as Op(value in T1, value in T2) iff
+  /// KeepBoth.
+  template <bool L, bool R, bool Both> struct keep_policy {
+    static constexpr bool KeepL = L, KeepR = R, KeepBoth = Both;
+    /// Bound on the result size of merging N1 entries with N2.
+    static size_t max_out(size_t N1, size_t N2) {
+      return L && R ? N1 + N2 : L ? N1 : R ? N2 : std::min(N1, N2);
+    }
+  };
+  using union_policy = keep_policy<true, true, true>;
+  using intersect_policy = keep_policy<false, false, true>;
+  using difference_policy = keep_policy<true, false, false>;
+
+  /// Merges the sorted arrays A[0..N1) and B[0..N2) under keep policy \p P
+  /// into \p Out's raw storage (survivors moved; \p Op invoked exactly once
+  /// per kept duplicate key) and returns the kept count. Out must have
+  /// capacity P::max_out(N1, N2); its count is kept current so unwinding
+  /// destroys exactly the constructed prefix.
+  template <class P, class CombineOp>
   static size_t merge_move(entry_t *A, size_t N1, entry_t *B, size_t N2,
                            temp_buf &Out, const CombineOp &Op) {
     entry_t *O = Out.data();
     size_t I = 0, J = 0, K = 0;
+    auto Emit = [&](entry_t &&E) {
+      ::new (static_cast<void *>(O + K)) entry_t(std::move(E));
+      Out.set_count(++K);
+    };
     while (I < N1 && J < N2) {
-      if (key_less(entry_key(A[I]), entry_key(B[J])))
-        ::new (static_cast<void *>(O + K++)) entry_t(std::move(A[I++]));
-      else if (key_less(entry_key(B[J]), entry_key(A[I])))
-        ::new (static_cast<void *>(O + K++)) entry_t(std::move(B[J++]));
-      else {
-        ::new (static_cast<void *>(O + K++))
-            entry_t(combine_entries(std::move(A[I]), B[J], Op));
+      if (key_less(entry_key(A[I]), entry_key(B[J]))) {
+        if constexpr (P::KeepL)
+          Emit(std::move(A[I]));
+        ++I;
+      } else if (key_less(entry_key(B[J]), entry_key(A[I]))) {
+        if constexpr (P::KeepR)
+          Emit(std::move(B[J]));
+        ++J;
+      } else {
+        if constexpr (P::KeepBoth)
+          Emit(combine_entries(std::move(A[I]), B[J], Op));
         ++I;
         ++J;
       }
-      Out.set_count(K);
     }
-    for (; I < N1; ++I, ++K)
-      ::new (static_cast<void *>(O + K)) entry_t(std::move(A[I]));
-    for (; J < N2; ++J, ++K)
-      ::new (static_cast<void *>(O + K)) entry_t(std::move(B[J]));
-    Out.set_count(K);
+    if constexpr (P::KeepL)
+      for (; I < N1; ++I)
+        Emit(std::move(A[I]));
+    if constexpr (P::KeepR)
+      for (; J < N2; ++J)
+        Emit(std::move(B[J]));
     return K;
   }
 
@@ -522,7 +599,8 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
           // hold-back so every chunk sealed here keeps a legal successor.
           merge_fallback_count().fetch_add(1, std::memory_order_relaxed);
           temp_buf Rest((N1 - I) + (N2 - J));
-          size_t K = merge_move(A + I, N1 - I, B + J, N2 - J, Rest, Op);
+          size_t K = merge_move<union_policy>(A + I, N1 - I, B + J, N2 - J,
+                                              Rest, Op);
           if (K > kB + 1) {
             W.push_ahead_n(Rest.data(), K - (kB + 1));
             return W.finish_tail(Rest.data() + (K - (kB + 1)), kB + 1);
@@ -582,7 +660,8 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     }
     // Merge the short remainder (< B+2 per side) into the tail array.
     temp_buf TailB((N1 - I) + (N2 - J));
-    size_t K = merge_move(A + I, N1 - I, B + J, N2 - J, TailB, Op);
+    size_t K =
+        merge_move<union_policy>(A + I, N1 - I, B + J, N2 - J, TailB, Op);
     return W.finish_tail(TailB.data(), K);
   }
 
@@ -596,14 +675,16 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   // output tree is identical at any thread count.
   //===--------------------------------------------------------------------===
 
-  /// One union chunk over sorted entry arrays: the fused stream+encode
-  /// when the encoding supports it (with the run-length fallback inside),
-  /// else the array merge + build — which is both the production fallback
-  /// and the entry-staging build, itself one batch encode.
-  template <class CombineOp>
-  static node_t *union_chunk(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                             const CombineOp &Op) {
-    if constexpr (TO::leaf_writer::kCanStream) {
+  /// One chunk of a set-operation merge over sorted entry arrays (moved
+  /// out) under keep policy \p P. A union result that can span leaves takes
+  /// the fused stream+encode when the encoding supports it (with the
+  /// run-length fallback inside); everything else merges into an array and
+  /// builds — both the production fallback and the entry-staging build,
+  /// itself one batch encode.
+  template <class P, class CombineOp>
+  static node_t *set_chunk(entry_t *A, size_t N1, entry_t *B, size_t N2,
+                           const CombineOp &Op) {
+    if constexpr (P::KeepL && P::KeepR && TO::leaf_writer::kCanStream) {
       if (flat_fastpath() && N1 + N2 > 2 * kB &&
           TO::flat_merge_wins(N1 + N2)) {
         if (!probe_runs_degenerate(A, N1, B, N2))
@@ -611,51 +692,9 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
         merge_fallback_count().fetch_add(1, std::memory_order_relaxed);
       }
     }
-    temp_buf Out(N1 + N2);
-    size_t K = merge_move(A, N1, B, N2, Out, Op);
+    temp_buf Out(P::max_out(N1, N2));
+    size_t K = merge_move<P>(A, N1, B, N2, Out, Op);
     return from_array_move(Out.data(), K);
-  }
-
-  /// One intersect chunk: matched keys combine, everything else drops.
-  template <class CombineOp>
-  static node_t *intersect_chunk(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                                 const CombineOp &Op) {
-    temp_buf Out(std::min(N1, N2));
-    entry_t *O = Out.data();
-    size_t I = 0, J = 0, K = 0;
-    while (I < N1 && J < N2) {
-      if (key_less(entry_key(A[I]), entry_key(B[J])))
-        ++I;
-      else if (key_less(entry_key(B[J]), entry_key(A[I])))
-        ++J;
-      else {
-        ::new (static_cast<void *>(O + K++))
-            entry_t(combine_entries(std::move(A[I]), B[J], Op));
-        Out.set_count(K);
-        ++I;
-        ++J;
-      }
-    }
-    return from_array_move(O, K);
-  }
-
-  /// One difference chunk: keeps A-entries whose keys are absent from B.
-  static node_t *difference_chunk(entry_t *A, size_t N1, entry_t *B,
-                                  size_t N2) {
-    temp_buf Out(N1);
-    entry_t *O = Out.data();
-    size_t I = 0, J = 0, K = 0;
-    while (I < N1) {
-      while (J < N2 && key_less(entry_key(B[J]), entry_key(A[I])))
-        ++J;
-      if (J < N2 && !key_less(entry_key(A[I]), entry_key(B[J]))) {
-        ++I; // Present in B: drop.
-        continue;
-      }
-      ::new (static_cast<void *>(O + K++)) entry_t(std::move(A[I++]));
-      Out.set_count(K);
-    }
-    return from_array_move(O, K);
   }
 
   /// One multi_delete chunk: keeps entries of B whose keys are absent from
@@ -685,45 +724,20 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     }
   };
 
-  /// Union-merge of two sorted entry arrays (moved out) into a tree,
-  /// parallel above the quantile-split threshold.
-  template <class CombineOp>
-  static node_t *merge_arrays(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                              const CombineOp &Op) {
+  /// Set-operation merge of two sorted entry arrays (survivors moved out)
+  /// into a tree under keep policy \p P, parallel above the quantile-split
+  /// threshold.
+  template <class P, class CombineOp>
+  static node_t *set_arrays(entry_t *A, size_t N1, entry_t *B, size_t N2,
+                            const CombineOp &Op) {
     size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
     auto Chunk = [&Op](entry_t *CA, size_t Cn1, entry_t *CB, size_t Cn2) {
-      return union_chunk(CA, Cn1, CB, Cn2, Op);
+      return set_chunk<P>(CA, Cn1, CB, Cn2, Op);
     };
     if (C >= 2)
       return TO::parallel_flat_merge(A, N1, B, N2, key_of_entry_t{}, C,
                                      Chunk);
     return Chunk(A, N1, B, N2);
-  }
-
-  /// Intersection of two sorted entry arrays (matches moved out), parallel
-  /// above the quantile-split threshold.
-  template <class CombineOp>
-  static node_t *intersect_arrays(entry_t *A, size_t N1, entry_t *B,
-                                  size_t N2, const CombineOp &Op) {
-    size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
-    auto Chunk = [&Op](entry_t *CA, size_t Cn1, entry_t *CB, size_t Cn2) {
-      return intersect_chunk(CA, Cn1, CB, Cn2, Op);
-    };
-    if (C >= 2)
-      return TO::parallel_flat_merge(A, N1, B, N2, key_of_entry_t{}, C,
-                                     Chunk);
-    return Chunk(A, N1, B, N2);
-  }
-
-  /// Difference of two sorted entry arrays (survivors moved out), parallel
-  /// above the quantile-split threshold.
-  static node_t *difference_arrays(entry_t *A, size_t N1, entry_t *B,
-                                   size_t N2) {
-    size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
-    if (C >= 2)
-      return TO::parallel_flat_merge(A, N1, B, N2, key_of_entry_t{}, C,
-                                     &map_ops::difference_chunk);
-    return difference_chunk(A, N1, B, N2);
   }
 
   /// Erases the sorted, distinct keys K[0..N) from the sorted entry array
@@ -740,186 +754,124 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return Chunk(B, Nt, K, N);
   }
 
-  /// Merges two encoded blocks directly. Results that fit one leaf merge
-  /// cursor-to-cursor (each entry decoded once on its way into the output
-  /// stream; uniquely owned inputs moved out, never copied); wider results
-  /// flatten both blocks and run the tight array merge above — batch
-  /// decode and batch encode pipeline far better than a per-entry
-  /// read/compare/encode interleave. Duplicate keys invoke \p Op exactly
-  /// once either way.
-  template <class CombineOp>
-  static node_t *union_flat(node_t *T1, node_t *T2, const CombineOp &Op) {
-    size_t N1 = size(T1), N2 = size(T2);
-    if constexpr (TO::leaf_writer::kCanStream) {
-      if (N1 + N2 > 2 * kB) {
-        // Multi-leaf byte-coded result: batch-decode both blocks, then
-        // run the fused merge+encode (batch pipelines beat a per-entry
-        // decode/compare/encode interleave, whose serial dependency chain
-        // measured ~1.5x slower here). Entry-staging encodings skip this
-        // and stream interleaved below — their staging array already is
-        // the output.
-        node_guard G1(T1), G2(T2);
-        temp_buf B1(N1), B2(N2);
-        flatten(G1.release(), B1.data());
-        B1.set_count(N1);
-        flatten(G2.release(), B2.data());
-        B2.set_count(N2);
-        return merge_arrays(B1.data(), N1, B2.data(), N2, Op);
-      }
-    }
+  /// Merges two encoded blocks cursor to cursor under keep policy \p P:
+  /// each entry is decoded once on its way into the output stream (uniquely
+  /// owned inputs moved out, never copied) and \p Op is invoked exactly once
+  /// per kept duplicate key.
+  template <class P, class CombineOp>
+  static node_t *set_flat(node_t *T1, node_t *T2, const CombineOp &Op) {
     leaf_reader A(T1), B(T2);
-    leaf_writer W(N1 + N2);
+    leaf_writer W(P::max_out(A.remaining(), B.remaining()));
     while (!A.done() && !B.done()) {
       if (key_less(A.key(), B.key())) {
-        W.push(A.take());
+        if constexpr (P::KeepL)
+          W.push(A.take());
+        else
+          A.skip();
       } else if (key_less(B.key(), A.key())) {
+        if constexpr (P::KeepR)
+          W.push(B.take());
+        else
+          B.skip();
+      } else {
+        if constexpr (P::KeepBoth)
+          W.push(combine_entries(A.take(), B.peek(), Op));
+        else
+          A.skip();
+        B.skip();
+      }
+    }
+    if constexpr (P::KeepL)
+      while (!A.done())
+        W.push(A.take());
+    if constexpr (P::KeepR)
+      while (!B.done())
         W.push(B.take());
-      } else {
-        W.push(combine_entries(A.take(), B.peek(), Op));
-        B.skip();
-      }
-    }
-    while (!A.done())
-      W.push(A.take());
-    while (!B.done())
-      W.push(B.take());
     return W.finish();
   }
 
-  template <class CombineOp>
-  static node_t *intersect_flat(node_t *T1, node_t *T2, const CombineOp &Op) {
-    leaf_reader A(T1), B(T2);
-    leaf_writer W(std::min(A.remaining(), B.remaining()));
-    while (!A.done() && !B.done()) {
-      if (key_less(A.key(), B.key())) {
-        A.skip();
-      } else if (key_less(B.key(), A.key())) {
-        B.skip();
-      } else {
-        W.push(combine_entries(A.take(), B.peek(), Op));
-        B.skip();
-      }
-    }
-    return W.finish();
+  /// Whether two flat operands with \p N entries in total merge cursor to
+  /// cursor (set_flat) rather than through decoded arrays. Intersect and
+  /// difference are single-pass splices whose result fits the inputs
+  /// (flat_splice_wins). A union pays the per-merge cursor setup
+  /// (flat_merge_wins), and a byte-coded union result that spans leaves
+  /// batch-decodes both blocks for the fused merge+encode instead: batch
+  /// pipelines beat a per-entry decode/compare/encode interleave, whose
+  /// serial dependency chain measured ~1.5x slower there.
+  template <class P> static bool cursor_merge_wins(size_t N) {
+    if constexpr (!(P::KeepL && P::KeepR))
+      return TO::flat_splice_wins();
+    if (TO::leaf_writer::kCanStream && N > 2 * kB)
+      return false;
+    return TO::flat_merge_wins(N);
   }
 
-  static node_t *difference_flat(node_t *T1, node_t *T2) {
-    leaf_reader A(T1), B(T2);
-    leaf_writer W(A.remaining());
-    while (!A.done() && !B.done()) {
-      if (key_less(A.key(), B.key())) {
-        W.push(A.take());
-      } else if (key_less(B.key(), A.key())) {
-        B.skip();
-      } else {
-        A.skip();
-        B.skip();
-      }
-    }
-    while (!A.done())
-      W.push(A.take());
-    return W.finish();
-  }
-
-  template <class CombineOp>
-  static node_t *union_base(node_t *T1, node_t *T2, const CombineOp &Op) {
+  /// Base case of set_op: merges the whole pair in one pass.
+  template <class P, class CombineOp>
+  static node_t *set_base(node_t *T1, node_t *T2, const CombineOp &Op) {
     size_t N1 = size(T1), N2 = size(T2);
-    if (TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        flat_fastpath() && is_flat(T1) && is_flat(T2) &&
-        TO::flat_merge_wins(N1 + N2))
-      return union_flat(T1, T2, Op);
+    if (flat_fastpath() && is_flat(T1) && is_flat(T2) &&
+        TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
+        cursor_merge_wins<P>(N1 + N2))
+      return set_flat<P>(T1, T2, Op);
     node_guard G1(T1), G2(T2);
     temp_buf B1(N1), B2(N2);
     flatten(G1.release(), B1.data());
     B1.set_count(N1);
     flatten(G2.release(), B2.data());
     B2.set_count(N2);
-    return merge_arrays(B1.data(), N1, B2.data(), N2, Op);
+    return set_arrays<P>(B1.data(), N1, B2.data(), N2, Op);
   }
 
-  /// union of two owned trees; values of duplicate keys combine as
-  /// Op(value in T1, value in T2). O(m log(n/m) + min(mB, n)) work
-  /// (Thms. 6.3/6.7).
-  template <class CombineOp = take_right>
-  static node_t *union_(node_t *T1, node_t *T2,
-                        const CombineOp &Op = CombineOp()) {
-    if (!T1)
-      return T2;
-    if (!T2)
-      return T1;
-    if (size(T1) + size(T2) <= kappa())
-      return union_base(T1, T2, Op);
-    // Guard T1 across expose (which only consumes T2), then hold the four
-    // subtree pieces until both recursive branches own them; par_do_if
-    // always runs both branches, so a throwing side leaves its sibling's
-    // result for the catch to release.
-    node_guard G1(T1);
-    exposed X = expose(T2);
-    node_guard GXL(X.L), GXR(X.R);
-    split_t S = split(G1.release(), entry_key(X.E));
-    node_guard GSL(S.L), GSR(S.R);
-    entry_t Mid = S.E ? combine_entries(std::move(*S.E), X.E, Op)
-                      : std::move(X.E);
-    node_t *SL = GSL.release(), *XL = GXL.release();
-    node_t *SR = GSR.release(), *XR = GXR.release();
-    node_t *L = nullptr, *R = nullptr;
-    try {
-      par::par_do_if(
-          size(SL) + size(XL) >= par_gran(),
-          [&] { L = union_(SL, XL, Op); }, [&] { R = union_(SR, XR, Op); });
-    } catch (...) {
-      dec(L);
-      dec(R);
-      throw;
-    }
-    return join(L, std::move(Mid), R);
-  }
-
-  template <class CombineOp>
-  static node_t *intersect_base(node_t *T1, node_t *T2, const CombineOp &Op) {
-    size_t N1 = size(T1), N2 = size(T2);
-    if (TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        flat_fastpath() && is_flat(T1) && is_flat(T2) &&
-        TO::flat_splice_wins())
-      return intersect_flat(T1, T2, Op);
-    node_guard G1(T1), G2(T2);
-    temp_buf B1(N1), B2(N2);
-    flatten(G1.release(), B1.data());
-    B1.set_count(N1);
-    flatten(G2.release(), B2.data());
-    B2.set_count(N2);
-    return intersect_arrays(B1.data(), N1, B2.data(), N2, Op);
-  }
-
-  /// Intersection of two owned trees; kept values combine as
-  /// Op(value in T1, value in T2).
-  template <class CombineOp = take_right>
-  static node_t *intersect(node_t *T1, node_t *T2,
-                           const CombineOp &Op = CombineOp()) {
+  /// The one join-based skeleton of union, intersect and difference over
+  /// owned T1 and T2 under keep policy \p P (Fig. 10). A pair that
+  /// merge_whole admits is a base case. Otherwise the larger operand is
+  /// exposed — more than 2B entries make its root a regular node, so even a
+  /// shared root is read without re-encoding anything — and only the
+  /// smaller is split at the exposed key, so the recursion's block
+  /// re-encoding follows the small side. Exposing T2 or T1 changes which
+  /// operand the middle entry comes from, never the combine order: a key in
+  /// both always keeps Op(value in T1, value in T2).
+  template <class P, class CombineOp>
+  static node_t *set_op(node_t *T1, node_t *T2, const CombineOp &Op) {
     if (!T1 || !T2) {
-      dec(T1);
-      dec(T2);
-      return nullptr;
+      node_t *Out = T1 ? (P::KeepL ? T1 : nullptr) : (P::KeepR ? T2 : nullptr);
+      if (Out != T1)
+        dec(T1);
+      if (Out != T2)
+        dec(T2);
+      return Out;
     }
-    if (size(T1) + size(T2) <= kappa())
-      return intersect_base(T1, T2, Op);
-    node_guard G1(T1);
-    exposed X = expose(T2);
+    if (merge_whole(size(T1), size(T2)))
+      return set_base<P>(T1, T2, Op);
+    // Guard the smaller side across expose (which consumes only the larger
+    // one), then hold the four subtree pieces until both recursive branches
+    // own them; par_do_if always runs both branches, so a throwing side
+    // leaves its sibling's result for the catch to release.
+    bool ExposeT1 = size(T1) > size(T2);
+    node_guard GS(ExposeT1 ? T2 : T1);
+    exposed X = expose(ExposeT1 ? T1 : T2);
     node_guard GXL(X.L), GXR(X.R);
-    split_t S = split(G1.release(), entry_key(X.E));
+    split_t S = split(GS.release(), entry_key(X.E));
     node_guard GSL(S.L), GSR(S.R);
-    std::optional<entry_t> Mid =
-        S.E ? std::optional<entry_t>(
-                  combine_entries(std::move(*S.E), X.E, Op))
-            : std::nullopt;
-    node_t *SL = GSL.release(), *XL = GXL.release();
-    node_t *SR = GSR.release(), *XR = GXR.release();
+    std::optional<entry_t> Mid;
+    if (S.E) {
+      if constexpr (P::KeepBoth)
+        Mid.emplace(ExposeT1 ? combine_entries(std::move(X.E), *S.E, Op)
+                             : combine_entries(std::move(*S.E), X.E, Op));
+    } else if (ExposeT1 ? P::KeepL : P::KeepR) {
+      Mid.emplace(std::move(X.E));
+    }
+    node_t *XL = GXL.release(), *XR = GXR.release();
+    node_t *SL = GSL.release(), *SR = GSR.release();
+    node_t *L1 = ExposeT1 ? XL : SL, *L2 = ExposeT1 ? SL : XL;
+    node_t *R1 = ExposeT1 ? XR : SR, *R2 = ExposeT1 ? SR : XR;
     node_t *L = nullptr, *R = nullptr;
     try {
       par::par_do_if(
-          size(SL) + size(XL) >= par_gran(),
-          [&] { L = intersect(SL, XL, Op); },
-          [&] { R = intersect(SR, XR, Op); });
+          size(XL) + size(SL) >= par_gran(),
+          [&] { L = set_op<P>(L1, L2, Op); },
+          [&] { R = set_op<P>(R1, R2, Op); });
     } catch (...) {
       dec(L);
       dec(R);
@@ -930,48 +882,27 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return join2(L, R);
   }
 
-  static node_t *difference_base(node_t *T1, node_t *T2) {
-    size_t N1 = size(T1), N2 = size(T2);
-    if (TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        flat_fastpath() && is_flat(T1) && is_flat(T2) &&
-        TO::flat_splice_wins())
-      return difference_flat(T1, T2);
-    node_guard G1(T1), G2(T2);
-    temp_buf B1(N1), B2(N2);
-    flatten(G1.release(), B1.data());
-    B1.set_count(N1);
-    flatten(G2.release(), B2.data());
-    B2.set_count(N2);
-    return difference_arrays(B1.data(), N1, B2.data(), N2);
+  /// union of two owned trees; values of duplicate keys combine as
+  /// Op(value in T1, value in T2). With m = min and n = max of the sizes:
+  /// O(m log(n/m) + min(mB, n)) work (Thms. 6.3/6.7); the larger operand is
+  /// exposed, so merging m scattered keys touches O(m) of its blocks.
+  template <class CombineOp = take_right>
+  static node_t *union_(node_t *T1, node_t *T2,
+                        const CombineOp &Op = CombineOp()) {
+    return set_op<union_policy>(T1, T2, Op);
+  }
+
+  /// Intersection of two owned trees; kept values combine as
+  /// Op(value in T1, value in T2).
+  template <class CombineOp = take_right>
+  static node_t *intersect(node_t *T1, node_t *T2,
+                           const CombineOp &Op = CombineOp()) {
+    return set_op<intersect_policy>(T1, T2, Op);
   }
 
   /// Difference T1 \ T2 of two owned trees.
   static node_t *difference(node_t *T1, node_t *T2) {
-    if (!T1) {
-      dec(T2);
-      return nullptr;
-    }
-    if (!T2)
-      return T1;
-    if (size(T1) + size(T2) <= kappa())
-      return difference_base(T1, T2);
-    node_guard G1(T1);
-    exposed X = expose(T2);
-    node_guard GXL(X.L), GXR(X.R);
-    split_t S = split(G1.release(), entry_key(X.E));
-    node_t *SL = S.L, *XL = GXL.release();
-    node_t *SR = S.R, *XR = GXR.release();
-    node_t *L = nullptr, *R = nullptr;
-    try {
-      par::par_do_if(
-          size(SL) + size(XL) >= par_gran(),
-          [&] { L = difference(SL, XL); }, [&] { R = difference(SR, XR); });
-    } catch (...) {
-      dec(L);
-      dec(R);
-      throw;
-    }
-    return join2(L, R);
+    return set_op<difference_policy>(T1, T2, take_right());
   }
 
   //===--------------------------------------------------------------------===
@@ -987,8 +918,10 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return from_array_move(A, N);
     if (N == 0)
       return T;
-    if (size(T) + N <= kappa() || is_flat(T)) {
-      size_t Nt = size(T);
+    size_t Nt = size(T);
+    // A flat T is merged whole even against a much larger batch: exposing
+    // it would unfold the block.
+    if (is_flat(T) || merge_whole(Nt, N)) {
       // The same break-even gates every base case now: total operand
       // entries (the batch counts one per element — the old gate priced
       // it in raw bytes, which meant a different threshold here than on
@@ -996,7 +929,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       if (flat_fastpath() && is_flat(T) && TO::flat_merge_wins(Nt + N) &&
           Nt + N <= 2 * kB) {
         // Leaf splice: stream the block against the sorted batch (result
-        // fits one leaf; anything wider goes through merge_arrays below).
+        // fits one leaf; anything wider goes through set_arrays below).
         leaf_reader C(T);
         leaf_writer W(Nt + N);
         size_t J = 0;
@@ -1017,14 +950,14 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
         return W.finish();
       }
       // Flatten + merge base case (also folds oversized leaves
-      // correctly). merge_arrays picks the fused stream+encode, the
+      // correctly). set_arrays picks the fused stream+encode, the
       // quantile-split parallel driver, or the plain array merge — so a
       // large batch against a flat root no longer encodes on one worker.
       node_guard G(T);
       temp_buf Bt(Nt);
       flatten(G.release(), Bt.data());
       Bt.set_count(Nt);
-      return merge_arrays(Bt.data(), Nt, A, N, Op);
+      return set_arrays<union_policy>(Bt.data(), Nt, A, N, Op);
     }
     exposed X = expose(T);
     size_t S = lower_bound_idx(A, N, entry_key(X.E));
@@ -1053,8 +986,8 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   static node_t *multi_delete_sorted(node_t *T, const key_t *A, size_t N) {
     if (!T || N == 0)
       return T;
-    if (is_flat(T) || size(T) <= kappa()) {
-      size_t Nt = size(T);
+    size_t Nt = size(T);
+    if (is_flat(T) || merge_whole(Nt, N)) {
       if (TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2 &&
           flat_fastpath() && is_flat(T) && TO::flat_merge_wins(Nt + N)) {
         // Leaf splice: keys in A are sorted and distinct, so each can match

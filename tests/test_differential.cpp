@@ -16,6 +16,12 @@
 /// compressed fast paths must preserve exactly; this suite is what licenses
 /// the cursor rewrite of the Sec. 8 base cases.
 ///
+/// Asymmetric steps pit the collection against an operand 50-1000x smaller
+/// in both argument orders, the shape where the set-operation skeleton
+/// exposes the other side: maps combine with the non-commutative 3a + b,
+/// so a swapped combine order shows in the values, and both inputs are
+/// re-checked afterwards, since the results share subtrees with them.
+///
 /// The same sequences also run over difference- and gamma-encoded sets so
 /// the compressed read/write cursors see every operation mix. Allocator
 /// modes are covered by the build matrix (the sanitize CI leg runs this
@@ -127,6 +133,66 @@ OracleT oracleSlice(const OracleT &O, uint64_t Lo, uint64_t Hi) {
   return OracleT(O.lower_bound(Lo), O.upper_bound(Hi));
 }
 
+/// Non-commutative value combine of the asymmetric steps: Op(a, b) != Op(b,
+/// a), so a result that combined Op(value in T2, value in T1) differs.
+constexpr auto kLopsided = [](uint64_t A, uint64_t B) { return 3 * A + B; };
+
+/// Oracles of the three set operations over maps; duplicate keys keep
+/// Op(value in A, value in B).
+template <class F> Oracle oracleUnion(const Oracle &A, const Oracle &B, F Op) {
+  Oracle Out = A;
+  for (const auto &[K, V] : B) {
+    auto [It, New] = Out.emplace(K, V);
+    if (!New)
+      It->second = Op(It->second, V);
+  }
+  return Out;
+}
+template <class F>
+Oracle oracleIntersect(const Oracle &A, const Oracle &B, F Op) {
+  Oracle Out;
+  for (const auto &[K, V] : A)
+    if (auto It = B.find(K); It != B.end())
+      Out.emplace(K, Op(V, It->second));
+  return Out;
+}
+template <class OracleT>
+OracleT oracleDifference(const OracleT &A, const OracleT &B) {
+  OracleT Out = A;
+  for (const auto &KV : B) {
+    if constexpr (std::is_same_v<OracleT, std::set<uint64_t>>)
+      Out.erase(KV);
+    else
+      Out.erase(KV.first);
+  }
+  return Out;
+}
+
+/// Size of the small operand of an asymmetric step: 50-1000x below \p N
+/// (at least one entry, so below 50 entries the ratio is N).
+size_t smallSide(Rng &R, size_t N) {
+  return std::max<size_t>(1, N / (50 + R.next(951)));
+}
+
+/// \p N random keys, about half of them drawn from the oracle \p O (so the
+/// small operand both hits and misses the large one).
+template <class OracleT>
+std::vector<uint64_t> smallKeys(Rng &R, const OracleT &O, size_t N) {
+  std::vector<uint64_t> Keys(N);
+  for (auto &K : Keys) {
+    K = R.next(kUniverse);
+    if (!O.empty() && R.next(2)) {
+      auto It = O.begin();
+      std::advance(It, R.next(O.size()));
+      if constexpr (std::is_same_v<OracleT, std::set<uint64_t>>)
+        K = *It;
+      else
+        K = It->first;
+    }
+  }
+  return Keys;
+}
+
 /// One random differential episode. All set algebra combines values with +
 /// so a dropped or double-invoked combine is visible in the value, not just
 /// the key set.
@@ -135,7 +201,7 @@ template <class MapT> void runMapEpisode(Rng R) {
   MapT M;
   Oracle O;
   for (int Step = 0; Step < kSteps; ++Step) {
-    switch (R.next(11)) {
+    switch (R.next(12)) {
     case 0: { // Point insert (combine +).
       uint64_t K = R.next(kUniverse), V = R.next(1u << 16);
       M.insert_inplace(typename MapT::entry_t(K, V), Plus);
@@ -251,6 +317,34 @@ template <class MapT> void runMapEpisode(Rng R) {
       }
       break;
     }
+    case 10: { // Set algebra against a 50-1000x smaller map, both orders.
+      EntryVec B;
+      for (uint64_t K : smallKeys(R, O, smallSide(R, O.size())))
+        B.push_back({K, R.next(1u << 16)});
+      MapT MS(B, Plus);
+      Oracle OS = toOracle(B);
+      checkAgainstOracle(MapT::map_union(M, MS, kLopsided),
+                         oracleUnion(O, OS, kLopsided), "lopsided union");
+      checkAgainstOracle(MapT::map_union(MS, M, kLopsided),
+                         oracleUnion(OS, O, kLopsided),
+                         "lopsided union, small first");
+      checkAgainstOracle(MapT::map_intersect(M, MS, kLopsided),
+                         oracleIntersect(O, OS, kLopsided),
+                         "lopsided intersect");
+      checkAgainstOracle(MapT::map_intersect(MS, M, kLopsided),
+                         oracleIntersect(OS, O, kLopsided),
+                         "lopsided intersect, small first");
+      checkAgainstOracle(MapT::map_difference(M, MS), oracleDifference(O, OS),
+                         "lopsided difference");
+      checkAgainstOracle(MapT::map_difference(MS, M), oracleDifference(OS, O),
+                         "lopsided difference, small first");
+      checkAgainstOracle(M, O, "lopsided: large input unchanged");
+      checkAgainstOracle(MS, OS, "lopsided: small input unchanged");
+      M = MapT::map_union(M, MS, kLopsided);
+      O = oracleUnion(O, OS, kLopsided);
+      checkAgainstOracle(M, O, "lopsided union kept");
+      break;
+    }
     default: { // Rebuild from scratch occasionally (fresh tree shapes).
       EntryVec B = randomEntries(R, R.next(800), kUniverse);
       M = MapT(B, Plus);
@@ -294,7 +388,7 @@ template <class MapT> void runMapChaosEpisode(Rng R, uint64_t Salt) {
   uint64_t Survived = 0, Died = 0;
   for (int Step = 0; Step < kSteps; ++Step) {
     try {
-      switch (R.next(7)) {
+      switch (R.next(8)) {
       case 0: { // Point insert.
         uint64_t K = R.next(kUniverse), V = R.next(1u << 16);
         MapT Next = M.insert(typename MapT::entry_t(K, V));
@@ -348,6 +442,32 @@ template <class MapT> void runMapChaosEpisode(Rng R, uint64_t Salt) {
           MapT Rg = M.range(Lo, Hi);
           checkAgainstOracle(Rg, oracleSlice(O, Lo, Hi), "chaos range");
         }
+        break;
+      }
+      case 6: { // Lopsided set algebra, both orders; union result kept.
+        EntryVec B;
+        for (uint64_t K : smallKeys(R, O, smallSide(R, O.size())))
+          B.push_back({K, R.next(1u << 16)});
+        MapT MS(B, Plus);
+        Oracle OS = toOracle(B);
+        checkAgainstOracle(MapT::map_union(MS, M, kLopsided),
+                           oracleUnion(OS, O, kLopsided),
+                           "chaos lopsided union, small first");
+        checkAgainstOracle(MapT::map_intersect(M, MS, kLopsided),
+                           oracleIntersect(O, OS, kLopsided),
+                           "chaos lopsided intersect");
+        checkAgainstOracle(MapT::map_intersect(MS, M, kLopsided),
+                           oracleIntersect(OS, O, kLopsided),
+                           "chaos lopsided intersect, small first");
+        checkAgainstOracle(MapT::map_difference(M, MS),
+                           oracleDifference(O, OS),
+                           "chaos lopsided difference");
+        checkAgainstOracle(MapT::map_difference(MS, M),
+                           oracleDifference(OS, O),
+                           "chaos lopsided difference, small first");
+        MapT Next = MapT::map_union(M, MS, kLopsided);
+        M = std::move(Next);
+        O = oracleUnion(O, OS, kLopsided);
         break;
       }
       default: { // filter.
@@ -425,7 +545,7 @@ template <class SetT> void runSetEpisode(Rng R) {
     return Keys;
   };
   for (int Step = 0; Step < kSteps; ++Step) {
-    switch (R.next(8)) {
+    switch (R.next(9)) {
     case 0: {
       uint64_t K = R.next(kUniverse);
       S = S.insert(K);
@@ -484,6 +604,33 @@ template <class SetT> void runSetEpisode(Rng R) {
       checkSetAgainstOracle(S, O, "range source");
       break;
     }
+    case 7: { // Set algebra against a 50-1000x smaller set, both orders.
+      auto Keys = smallKeys(R, O, smallSide(R, O.size()));
+      SetT SS(Keys);
+      std::set<uint64_t> OS(Keys.begin(), Keys.end()), U = O, X;
+      U.insert(OS.begin(), OS.end());
+      for (uint64_t K : OS)
+        if (O.count(K))
+          X.insert(K);
+      checkSetAgainstOracle(SetT::map_union(S, SS), U, "lopsided union");
+      checkSetAgainstOracle(SetT::map_union(SS, S), U,
+                            "lopsided union, small first");
+      checkSetAgainstOracle(SetT::map_intersect(S, SS), X,
+                            "lopsided intersect");
+      checkSetAgainstOracle(SetT::map_intersect(SS, S), X,
+                            "lopsided intersect, small first");
+      checkSetAgainstOracle(SetT::map_difference(S, SS),
+                            oracleDifference(O, OS), "lopsided difference");
+      checkSetAgainstOracle(SetT::map_difference(SS, S),
+                            oracleDifference(OS, O),
+                            "lopsided difference, small first");
+      checkSetAgainstOracle(S, O, "lopsided: large input unchanged");
+      checkSetAgainstOracle(SS, OS, "lopsided: small input unchanged");
+      S = SetT::map_difference(S, SS);
+      O = oracleDifference(O, OS);
+      checkSetAgainstOracle(S, O, "lopsided difference kept");
+      break;
+    }
     default: {
       auto Keys = RandomKeys(R.next(500));
       S = S.multi_delete(Keys);
@@ -524,7 +671,7 @@ template <class SetT> void runSetChaosEpisode(Rng R, uint64_t Salt) {
   uint64_t Survived = 0, Died = 0;
   for (int Step = 0; Step < kSteps; ++Step) {
     try {
-      switch (R.next(7)) {
+      switch (R.next(8)) {
       case 0: {
         uint64_t K = R.next(kUniverse);
         SetT Next = S.insert(K);
@@ -567,6 +714,30 @@ template <class SetT> void runSetChaosEpisode(Rng R, uint64_t Salt) {
           checkSetAgainstOracle(S.range(Lo, Hi), oracleSlice(O, Lo, Hi),
                                 "chaos range");
         }
+        break;
+      }
+      case 6: { // Lopsided set algebra, both orders; difference kept.
+        auto Keys = smallKeys(R, O, smallSide(R, O.size()));
+        SetT SS(Keys);
+        std::set<uint64_t> OS(Keys.begin(), Keys.end()), U = O, X;
+        U.insert(OS.begin(), OS.end());
+        for (uint64_t K : OS)
+          if (O.count(K))
+            X.insert(K);
+        checkSetAgainstOracle(SetT::map_union(S, SS), U,
+                              "chaos lopsided union");
+        checkSetAgainstOracle(SetT::map_union(SS, S), U,
+                              "chaos lopsided union, small first");
+        checkSetAgainstOracle(SetT::map_intersect(S, SS), X,
+                              "chaos lopsided intersect");
+        checkSetAgainstOracle(SetT::map_intersect(SS, S), X,
+                              "chaos lopsided intersect, small first");
+        checkSetAgainstOracle(SetT::map_difference(SS, S),
+                              oracleDifference(OS, O),
+                              "chaos lopsided difference, small first");
+        SetT Next = SetT::map_difference(S, SS);
+        S = std::move(Next);
+        O = oracleDifference(O, OS);
         break;
       }
       default: {

@@ -289,4 +289,42 @@ TEST_F(MapMemory, PacTreeSmallerThanPTree) {
   EXPECT_LT(PaC.size_in_bytes(), ArrayBytes * 11 / 10);
 }
 
+/// A map value that counts how often it is copied.
+struct copy_counted {
+  static inline int Copies = 0;
+  uint64_t V = 0;
+  copy_counted() = default;
+  explicit copy_counted(uint64_t V) : V(V) {}
+  copy_counted(const copy_counted &O) : V(O.V) { ++Copies; }
+  copy_counted(copy_counted &&) = default;
+  copy_counted &operator=(const copy_counted &O) {
+    V = O.V;
+    ++Copies;
+    return *this;
+  }
+  copy_counted &operator=(copy_counted &&) = default;
+};
+
+/// contains() compares keys in place: for a tree-valued map (the graph's
+/// vertex tree) a copied entry would be a refcount round trip per lookup.
+template <int B> void expectContainsCopiesNothing() {
+  using Map = pam_map<uint64_t, copy_counted, B>;
+  std::vector<std::pair<uint64_t, copy_counted>> Entries;
+  for (uint64_t I = 0; I < 1000; ++I)
+    Entries.push_back({3 * I, copy_counted(I)});
+  Map M = Map::from_sorted(std::move(Entries));
+  copy_counted::Copies = 0;
+  for (uint64_t K = 0; K < 3000; ++K)
+    ASSERT_EQ(M.contains(K), K % 3 == 0) << "key " << K;
+  EXPECT_EQ(copy_counted::Copies, 0) << "B=" << B;
+  ASSERT_TRUE(M.find_entry(3).has_value()); // The counter does count.
+  EXPECT_GT(copy_counted::Copies, 0);
+}
+
+TEST(MapContains, ReadsKeysWithoutCopyingEntries) {
+  expectContainsCopiesNothing<0>();
+  expectContainsCopiesNothing<8>();
+  expectContainsCopiesNothing<128>();
+}
+
 } // namespace

@@ -8,8 +8,9 @@
 // These tests check that shape on every kind of API result small enough to
 // be one block (node_count() == 1) for raw, diff and gamma sets, a diff
 // map, an augmented map and sequences; that the invariant checker rejects
-// the all-regular small shape; and that small merges, split and range stay
-// within a fixed allocation budget (pool telemetry, so pooled builds only).
+// the all-regular small shape; and that small merges, split, range and
+// sparse set operations stay within a fixed allocation budget (pool
+// telemetry, so pooled builds only).
 //
 //===----------------------------------------------------------------------===//
 
@@ -316,6 +317,73 @@ TEST_F(AllocBudget, RangeAllocationsDependOnWidthNotSize) {
     SCOPED_TRACE("W=" + std::to_string(Widths[Wi]));
     EXPECT_LE(Worst[1][Wi], Worst[0][Wi] + 1) << "allocations grow with n";
     EXPECT_LE(Worst[1][Wi], Budget[Wi]);
+  }
+}
+
+// A set operation exposes its larger operand and splits only the smaller
+// one, so merging k scattered keys into an n-entry map rewrites the blocks
+// the keys land in plus the regular nodes above them: O(k log n)
+// allocations, whichever argument comes first. The keys are new, so the
+// intersection is empty and the difference removes nothing. Measured worst
+// cases, flat fast path / array path: one key 10 / 12 at 2^16 and 14 / 16
+// at 2^20 (intersect 1 / 3); 64 keys at 2^20 788 / 853.
+TEST_F(AllocBudget, SparseSetOpsRewriteOnlyTheBlocksTheyTouch) {
+  if (!pool_enabled())
+    GTEST_SKIP() << "pool telemetry only exists in pooled mode";
+  using Map = pam_map<uint64_t, uint64_t, 128, diff_encoder>;
+  using Ops = Map::ops;
+  test::FlagGuard G(Ops::flat_fastpath());
+  for (bool Fast : {true, false}) {
+    SCOPED_TRACE(Fast ? "flat fast path" : "array path");
+    Ops::flat_fastpath() = Fast;
+    // Per path: one key (union, difference, multi_insert), one key
+    // (intersect), 64 keys at 2^20 (union, difference).
+    const uint64_t OneKey = Fast ? 16 : 18, OneKeyIntersect = Fast ? 2 : 4;
+    const uint64_t Keys64 = 900;
+    for (size_t LogN : {16, 20}) {
+      const size_t N = size_t{1} << LogN;
+      std::vector<Map::entry_t> E(N);
+      for (uint64_t I = 0; I < N; ++I)
+        E[I] = {3 * I, I};
+      Map A = Map::from_sorted(std::move(E));
+      auto R = test::seeded_rng(LogN);
+      for (size_t K : {1, 8, 64}) {
+        SCOPED_TRACE("n=2^" + std::to_string(LogN) +
+                     " k=" + std::to_string(K));
+        for (int Trial = 0; Trial < 16; ++Trial) {
+          std::vector<Map::entry_t> New;
+          for (size_t I = 0; I < K; ++I) {
+            uint64_t Key = 3 * R.next(N) + 1;
+            New.push_back({Key, Key});
+          }
+          std::sort(New.begin(), New.end());
+          New.erase(std::unique(New.begin(), New.end()), New.end());
+          Map S = Map::from_sorted(New);
+          const size_t NU = N + New.size();
+          uint64_t UnionAS = pool_allocs(
+              [&] { ASSERT_EQ(Map::map_union(A, S).size(), NU); });
+          uint64_t UnionSA = pool_allocs(
+              [&] { ASSERT_EQ(Map::map_union(S, A).size(), NU); });
+          uint64_t Diff = pool_allocs(
+              [&] { ASSERT_EQ(Map::map_difference(A, S).size(), N); });
+          uint64_t Multi = pool_allocs(
+              [&] { ASSERT_EQ(A.multi_insert(New).size(), NU); });
+          uint64_t Inter = pool_allocs(
+              [&] { ASSERT_EQ(Map::map_intersect(A, S).size(), 0u); });
+          EXPECT_EQ(UnionAS, UnionSA) << "the argument order changes the work";
+          if (K == 1) {
+            EXPECT_LE(UnionAS, OneKey);
+            EXPECT_LE(Diff, OneKey);
+            EXPECT_LE(Multi, OneKey);
+            EXPECT_LE(Inter, OneKeyIntersect);
+          }
+          if (K == 64 && LogN == 20) {
+            EXPECT_LE(UnionAS, Keys64);
+            EXPECT_LE(Diff, Keys64);
+          }
+        }
+      }
+    }
   }
 }
 
