@@ -8,11 +8,10 @@
 //
 //  dense_*: the dense 50%-interleaved union shape that regressed under the
 //  streamed galloping merge (winner runs of length ~1 defeat galloping, and
-//  byte-coded leaves pay per-entry encode overhead on top). Measured three
-//  ways per (B, encoding): the run-length-adaptive fast path (default), the
-//  fast path with the fallback probe disabled (merge_probe_window=0 — the
-//  pre-PR6 behavior), and the temp_buf array base case. The fallback row
-//  must be >= 1.0x of the array row for byte-coded leaves.
+//  byte-coded leaves pay per-entry encode overhead on top). Measured two
+//  ways per (B, encoding): the run-length-adaptive merge (default) and the
+//  same merge with the fallback probe disabled (merge_probe_window=0 — the
+//  pre-PR6 behavior).
 //
 //  scale_*: one large flat-by-flat union driven through tree_ops::
 //  parallel_flat_merge (kappa raised so the whole operands reach the flat
@@ -98,7 +97,6 @@ void runDense(size_t NPairs, JsonReport &Report, const char *Tag = "") {
     Bs[P] = Set(KB);
   }
 
-  Restore<bool> GFast(Set::ops::flat_fastpath());
   Restore<size_t> GProbe(Set::ops::merge_probe_window());
   size_t Ops = NPairs * 2 * kLeaf;
   std::vector<Set> Outs(NPairs);
@@ -116,17 +114,12 @@ void runDense(size_t NPairs, JsonReport &Report, const char *Tag = "") {
 
   struct Mode {
     const char *Name;
-    bool Fast;
-    size_t ProbeW; // ~0 = keep default.
-  } Modes[] = {{"fallback", true, size_t(-1)},
-               {"nofallback", true, 0},
-               {"buf", false, size_t(-1)}};
-  double Times[3];
+    size_t ProbeW;
+  } Modes[] = {{"fallback", GProbe.saved()}, {"nofallback", 0}};
+  double Times[2];
   char Name[64];
-  for (int M = 0; M < 3; ++M) {
-    Set::ops::flat_fastpath() = Modes[M].Fast;
-    Set::ops::merge_probe_window() =
-        Modes[M].ProbeW == size_t(-1) ? GProbe.saved() : Modes[M].ProbeW;
+  for (int M = 0; M < 2; ++M) {
+    Set::ops::merge_probe_window() = Modes[M].ProbeW;
     Times[M] = TimeUnion();
     std::snprintf(Name, sizeof(Name), "dense_union%s_%s", Tag, Modes[M].Name);
     Report.add(Name, B, Ops, Times[M]);
@@ -134,8 +127,7 @@ void runDense(size_t NPairs, JsonReport &Report, const char *Tag = "") {
   }
   if (Sink == 0xdeadbeef)
     std::printf("(sink)\n");
-  std::printf("   fallback vs buf %.2fx, vs nofallback %.2fx\n",
-              Times[0] > 0 ? Times[2] / Times[0] : 0.0,
+  std::printf("   fallback vs nofallback %.2fx\n",
               Times[0] > 0 ? Times[1] / Times[0] : 0.0);
 }
 

@@ -13,17 +13,11 @@
 //  - parallel_for_gran1 / parallel_for_default: fork saturation (one fork
 //    per element) and the default-grain loop; with >1 workers gran1 doubles
 //    as the steal-throughput row (see the sched_* counter rows).
-//  - build/union/flatten at par_gran 2048 (the retuned default) vs 8192
-//    (the mutex-era setting), B=128: proves the tree operations are no
-//    slower — and the machine-room is cheaper — at the finer grain.
+//  - build/union/flatten at the tree layer's fork grain (par_gran, 2048),
+//    B=128: the tree operations end to end on the scheduler.
 //  - sched_* rows: scheduler telemetry counters accumulated over the run
 //    (ops = count, seconds = 0), recorded so steal/park behavior lands in
 //    the artifact next to the timings.
-//
-// The deque implementation is whatever the pool was created with: compile
-// default CPAM_LOCKFREE_SCHED, overridable by the environment variable of
-// the same name. CI and BENCH_PR4.json run the binary twice (env 0/1) and
-// compare.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,27 +95,22 @@ void runParallelFor(size_t N, JsonReport &Report) {
   print_time_row("parallel_for_default", TDef, TDef);
 }
 
-/// Tree operations at a given fork grain (the retuned 2048 default vs the
-/// mutex-era 8192), B=128, raw encoding.
-void runTreeOpsAtGrain(size_t N, size_t Grain, JsonReport &Report) {
+/// Tree operations at the fork grain, B=128, raw encoding. Row names carry
+/// the grain (_g2048) so they line up with the recorded trajectory.
+void runTreeOps(size_t N, JsonReport &Report) {
   using Map = pam_map<uint64_t, uint64_t, 128>;
   using Entry = typename Map::entry_t;
   using ops = typename Map::ops;
-
-  size_t SavedGran = ops::par_gran();
-  size_t SavedGc = ops::par_gc_gran();
-  ops::par_gran() = Grain;
-  ops::par_gc_gran() = Grain;
+  constexpr size_t Grain = ops::par_gran();
 
   std::vector<Entry> Sorted(N), SortedOdd(N);
   for (size_t I = 0; I < N; ++I) {
     Sorted[I] = {2 * I, I};
     SortedOdd[I] = {2 * I + 1, I};
   }
-  // Warm the pool with a full build/destroy cycle first so every grain
-  // section measures against recycled (address-sorted) storage — otherwise
-  // whichever grain runs first pays the fresh-slab carving and the
-  // comparison measures allocator state, not the grain.
+  // Warm the pool with a full build/destroy cycle first so the timed runs
+  // measure against recycled (address-sorted) storage, not fresh-slab
+  // carving.
   { Map Warm = Map::from_sorted(Sorted); }
   Map Evens = Map::from_sorted(Sorted);
   Map Odds = Map::from_sorted(SortedOdd);
@@ -162,9 +151,6 @@ void runTreeOpsAtGrain(size_t N, size_t Grain, JsonReport &Report) {
     Report.add(Name, 128, N, TFlatten);
     print_time_row(Name, TFlatten, TFlatten);
   }
-
-  ops::par_gran() = SavedGran;
-  ops::par_gc_gran() = SavedGc;
 }
 
 void dumpTelemetry(JsonReport &Report) {
@@ -205,22 +191,17 @@ int main(int argc, char **argv) {
   g_reps = std::max(1, static_cast<int>(arg_size(argc, argv, "reps", 3)));
   std::string JsonPath = arg_str(argc, argv, "json");
 
-  print_header("scheduler: fork-join overhead, stealing, grain retune");
-  std::printf("n=%zu reps=%d lockfree_sched=%s\n", N, g_reps,
-              par::lockfree_sched() ? "on" : "off");
+  print_header("scheduler: fork-join overhead, stealing, tree ops");
+  std::printf("n=%zu reps=%d\n", N, g_reps);
 
-  JsonReport Report("bench_scheduler", N, g_reps,
-                    par::lockfree_sched() ? "\"lockfree_sched\": true"
-                                          : "\"lockfree_sched\": false");
+  JsonReport Report("bench_scheduler", N, g_reps);
   par::scheduler_stats_reset();
 
   // Fork machinery in isolation.
   runForkOverhead(std::max<size_t>(N, 100000), Report);
   runParallelFor(4 * N, Report);
 
-  // Tree operations at the retuned vs the mutex-era fork grain.
-  for (size_t Grain : {size_t(2048), size_t(8192)})
-    runTreeOpsAtGrain(N, Grain, Report);
+  runTreeOps(N, Report);
 
   dumpTelemetry(Report);
   Report.write(JsonPath);

@@ -9,10 +9,9 @@
 // union of two equal-size maps, multi_insert of a 10% batch, and point
 // lookups — each at B=0 (the PAM baseline) and B=128 (the paper's default
 // block size), plus flat-by-flat union/intersect/difference over leaf-sized
-// operands with the streaming cursor fast path ON (flat_*_fast rows) vs the
-// temp_buf array path (flat_*_buf rows). The flat rows run at B in {8, 128}
-// for the raw, difference and gamma encodings; the union rows produce
-// multi-leaf (~3B-entry) results, exercising the chunked leaf pipeline.
+// operands (flat_<op> rows). The flat rows run at B in {8, 128} for the
+// raw, difference and gamma encodings; the union rows produce multi-leaf
+// (~3B-entry) results, exercising the chunked leaf pipeline.
 // The JSON additionally carries a pool_stats section with per-size-class
 // occupancy columns from pool_allocator::stats(). Emits machine-readable
 // JSON with --json=<path>; CI runs this on every push and uploads the file,
@@ -140,15 +139,14 @@ template <int B> void runSuite(size_t N, JsonReport &Report) {
 }
 
 /// Flat-by-flat set operations: many independent leaf-sized operand pairs,
-/// measured with the streaming cursor fast path on (flat_*_fast) and with
-/// the temp_buf array base case (flat_*_buf). At B=0 there are no flat
-/// nodes, so both rows measure the same expose-path control. Two key
-/// shapes: interleaved (50% overlap, so union, intersect and difference
-/// all have real merge work and combine traffic) and — when \p Runs is
-/// set — range-disjoint operands, the sorted-run/batch-append pattern the
-/// galloping batch merge targets (union only; intersections of disjoint
-/// ranges are empty). Union results (~3B-4B entries per pair) span
-/// multiple leaves, driving the chunked streaming writer.
+/// one flat_<op> row per operation. At B=0 there are no flat nodes, so the
+/// rows measure the expose path as a control. Two key shapes: interleaved
+/// (50% overlap, so union, intersect and difference all have real merge
+/// work and combine traffic) and — when \p Runs is set — range-disjoint
+/// operands, the sorted-run/batch-append pattern the galloping batch merge
+/// targets (union only; intersections of disjoint ranges are empty). Union
+/// results (~3B-4B entries per pair) span multiple leaves, driving the
+/// chunked streaming writer.
 template <int B, template <class> class Enc = cpam::raw_encoder>
 void runFlatOps(size_t NPairs, JsonReport &Report, const char *Tag = "",
                 bool Runs = false) {
@@ -174,7 +172,6 @@ void runFlatOps(size_t NPairs, JsonReport &Report, const char *Tag = "",
     Bs[P] = Set(KB);
   }
 
-  bool Saved = Set::ops::flat_fastpath();
   size_t Ops = NPairs * 2 * kLeaf; // Entries touched per run.
   char Name[64];
   std::vector<Set> Outs(NPairs);
@@ -182,35 +179,26 @@ void runFlatOps(size_t NPairs, JsonReport &Report, const char *Tag = "",
   if (Runs)
     Kinds = {"union_runs"};
   for (const char *Kind : Kinds) {
-    double Times[2];
-    for (bool Fast : {false, true}) {
-      Set::ops::flat_fastpath() = Fast;
-      uint64_t Sink = 0;
-      // Result teardown happens in the untimed prepare step, matching the
-      // runSuite discipline (the timed region covers the operation only).
-      double T = medianPrepared(
-          g_reps, [&] { std::fill(Outs.begin(), Outs.end(), Set()); },
-          [&] {
-            for (size_t P = 0; P < NPairs; ++P) {
-              Outs[P] = Kind[0] == 'u' ? Set::map_union(As[P], Bs[P])
-                        : Kind[0] == 'i'
-                            ? Set::map_intersect(As[P], Bs[P])
-                            : Set::map_difference(As[P], Bs[P]);
-              Sink ^= Outs[P].size();
-            }
-          });
-      if (Sink == 0xdeadbeef)
-        std::printf("(sink)\n");
-      std::snprintf(Name, sizeof(Name), "flat_%s%s_%s", Kind, Tag,
-                    Fast ? "fast" : "buf");
-      Report.add(Name, B, Ops, T);
-      print_time_row(Name, T, T);
-      Times[Fast] = T;
-    }
-    std::printf("   %s%s: fast path %.2fx vs temp_buf\n", Kind, Tag,
-                Times[1] > 0 ? Times[0] / Times[1] : 0.0);
+    uint64_t Sink = 0;
+    // Result teardown happens in the untimed prepare step, matching the
+    // runSuite discipline (the timed region covers the operation only).
+    double T = medianPrepared(
+        g_reps, [&] { std::fill(Outs.begin(), Outs.end(), Set()); },
+        [&] {
+          for (size_t P = 0; P < NPairs; ++P) {
+            Outs[P] = Kind[0] == 'u' ? Set::map_union(As[P], Bs[P])
+                      : Kind[0] == 'i'
+                          ? Set::map_intersect(As[P], Bs[P])
+                          : Set::map_difference(As[P], Bs[P]);
+            Sink ^= Outs[P].size();
+          }
+        });
+    if (Sink == 0xdeadbeef)
+      std::printf("(sink)\n");
+    std::snprintf(Name, sizeof(Name), "flat_%s%s", Kind, Tag);
+    Report.add(Name, B, Ops, T);
+    print_time_row(Name, T, T);
   }
-  Set::ops::flat_fastpath() = Saved;
 }
 
 /// Per-size-class pool occupancy after the whole run: allocation traffic,

@@ -12,6 +12,8 @@
 /// queries) are written against exactly these primitives, which is the
 /// paper's central software-design claim: redesigning join and expose lets
 /// the whole PAM algorithm suite run unchanged over compressed leaves.
+/// Splitting inside a block streams it through leaf_reader -> leaf_writer,
+/// one code path for every encoder, augmented trees included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,14 +26,6 @@
 
 #include "src/core/node.h"
 #include "src/obs/trace.h"
-
-/// Build-time default for the flat-leaf streaming fast paths (see
-/// tree_ops::flat_fastpath). The CMake option CPAM_FLAT_FASTPATH sets it;
-/// both code paths are always compiled so tests and benchmarks can A/B them
-/// at runtime.
-#ifndef CPAM_FLAT_FASTPATH
-#define CPAM_FLAT_FASTPATH 1
-#endif
 
 namespace cpam {
 
@@ -62,32 +56,12 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   /// fraction kAlphaNum/100. alpha <= 1 - 1/sqrt(2) as required for
   /// join-based rebalancing [Blelloch-Ferizovic-Sun].
   static constexpr size_t kAlphaNum = 29;
-  /// Default fork granularity: subproblems at least this large fork in
-  /// parallel. 2048 entries of tree work (tens of microseconds) against a
-  /// ~19 ns lock-free push+reclaim cycle keeps fork overhead well under 1%
+  /// Fork granularity: subproblems at least this large fork in parallel.
+  /// 2048 entries of tree work (tens of microseconds) against a ~19 ns
+  /// Chase-Lev push+reclaim cycle keeps fork overhead well under 1%
   /// (bench_scheduler "fork_overhead" and the union/build/flatten grain
-  /// A/B rows in BENCH_PR4.json). The mutex-deque scheduler needed 8192
-  /// here — its fork cost measured 2.2x higher (42 ns) and degrades
-  /// further under thief contention.
-  static constexpr size_t kParGranDefault = 2048;
-
-  /// Runtime fork granularity. Mutable (single-threaded setup code only)
-  /// so bench_scheduler can A/B the retuned grain against the legacy 8192
-  /// in one binary; everything below reads it per fork decision.
-  static size_t &par_gran() {
-    static size_t G = kParGranDefault;
-    return G;
-  }
-
-  /// Whether set-operation and splice base cases over flat blocks merge
-  /// cursor-to-cursor (leaf_reader -> leaf_writer), skipping the temp_buf
-  /// flatten/re-encode round trip. Defaults to the CPAM_FLAT_FASTPATH build
-  /// gate; mutable (single-threaded setup code only) so the differential
-  /// suite and the A/B benchmarks can exercise both paths in one binary.
-  static bool &flat_fastpath() {
-    static bool On = CPAM_FLAT_FASTPATH != 0;
-    return On;
-  }
+  /// rows in BENCH_PR4.json).
+  static constexpr size_t par_gran() { return 2048; }
 
   /// True if a node with child weights \p WL, \p WR is weight-balanced.
   static bool balanced(size_t WL, size_t WR) {
@@ -837,19 +811,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
            OperandEntries >= flat_stream_min_entries();
   }
 
-  /// Capability-only variant for single-pass splices with bounded output:
-  /// point insert/remove, split/split_last, filter/map, seq split_at and
-  /// concat, and intersect/difference of two leaves. Those paths have no
-  /// winner-run hazard (each side is consumed in one monotone pass and the
-  /// result fits a leaf or is a pure concat), and streaming measured as a
-  /// win for them even at the smallest block sizes where the merge-style
-  /// ops lose (BENCH_PR5: intersect/difference diff B=8 1.26x/1.39x), so
-  /// the flat_stream_min_entries() merge break-even does not apply.
-  static bool flat_splice_wins() {
-    return NL::encoder::write_cursor::stages_entries ||
-           leaf_writer::kCanStream;
-  }
-
   //===--------------------------------------------------------------------===
   // parallel_flat_merge: quantile-split chunked merges.
   //===--------------------------------------------------------------------===
@@ -866,7 +827,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   /// work. 0 disables the parallel path. Runtime-mutable (single-threaded
   /// setup code only) so the differential tests can lower it to force
   /// chunked runs on small inputs and the merge benches can A/B it.
-  static constexpr size_t kParallelMergeGrainDefault = kParGranDefault;
+  static constexpr size_t kParallelMergeGrainDefault = par_gran();
   static size_t &parallel_merge_grain() {
     static size_t G = kParallelMergeGrainDefault;
     return G;
@@ -1017,43 +978,24 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
         (Below == N ? Out.L : Out.R) = T;
         return Out;
       }
-      if (flat_fastpath() && flat_splice_wins()) {
-        // Leaf splice: stream the block into the two sides, never
-        // materializing it (each entry is decoded once on its way out).
-        leaf_reader C(T);
-        leaf_writer WL(N), WR(N);
-        split_t Out;
-        while (!C.done() && Entry::comp(Entry::get_key(C.peek()), K))
-          WL.push(C.take());
-        if (!C.done() && !Entry::comp(K, Entry::get_key(C.peek())))
-          Out.E.emplace(C.take());
-        while (!C.done())
-          WR.push(C.take());
-        Out.L = WL.finish();
-        try {
-          Out.R = WR.finish();
-        } catch (...) {
-          dec(Out.L);
-          throw;
-        }
-        return Out;
-      }
-      // Array base case: binary search inside the decoded block.
-      node_guard G(T);
-      temp_buf Buf(N);
-      flatten(G.release(), Buf.data());
-      Buf.set_count(N);
-      entry_t *A = Buf.data();
+      // Leaf splice: stream the block into the two sides, never
+      // materializing it (each entry is decoded once on its way out).
+      leaf_reader C(T);
+      leaf_writer WL(Below), WR(N - Below);
       split_t Out;
-      Out.L = from_array_move(A, Below);
+      for (size_t I = 0; I < Below; ++I)
+        WL.push(C.take());
+      if (Found)
+        Out.E.emplace(C.take());
+      while (!C.done())
+        WR.push(C.take());
+      Out.L = WL.finish();
       try {
-        Out.R = from_array_move(A + Below + Found, N - Below - Found);
+        Out.R = WR.finish();
       } catch (...) {
         dec(Out.L);
         throw;
       }
-      if (Found)
-        Out.E.emplace(std::move(A[Below]));
       return Out;
     }
     exposed X = expose(T);
@@ -1085,23 +1027,15 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   static std::pair<node_t *, entry_t> split_last(node_t *T) {
     assert(T && "split_last on empty tree");
     if (is_flat(T)) {
+      // Leaf splice: stream all but the last entry straight into the
+      // result block.
       size_t N = T->Size;
-      if (flat_fastpath() && flat_splice_wins()) {
-        // Leaf splice: stream all but the last entry straight into the
-        // result block.
-        leaf_reader C(T);
-        leaf_writer W(N);
-        for (size_t I = 0; I + 1 < N; ++I)
-          W.push(C.take());
-        entry_t Last = C.take();
-        return {W.finish(), std::move(Last)};
-      }
-      node_guard G(T);
-      temp_buf Buf(N);
-      flatten(G.release(), Buf.data());
-      Buf.set_count(N);
-      node_t *Rest = from_array_move(Buf.data(), N - 1);
-      return {Rest, std::move(Buf.data()[N - 1])};
+      leaf_reader C(T);
+      leaf_writer W(N - 1);
+      for (size_t I = 0; I + 1 < N; ++I)
+        W.push(C.take());
+      entry_t Last = C.take();
+      return {W.finish(), std::move(Last)};
     }
     exposed X = expose(T);
     if (!X.R)

@@ -20,10 +20,11 @@
 /// is dense and fits the base-case granularity kappa (32B; configurable for
 /// the ablation study). Base cases whose operands are both flat blocks
 /// merge encoded block to encoded block through streaming cursors
-/// (tree_ops::leaf_reader and leaf_writer) with no intermediate arrays;
-/// other shapes flatten into arrays and merge, as does everything when
-/// flat_fastpath() is off. Updates consume their operand trees; the queries
-/// and range() only read theirs.
+/// (tree_ops::leaf_reader and leaf_writer) with no intermediate arrays when
+/// their size says the cursors win; other shapes flatten into arrays and
+/// merge. Single-block splices (insert, remove, filter, map_values) always
+/// stream. Updates consume their operand trees; the queries and range()
+/// only read theirs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +61,6 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using split_t = typename TO::split_t;
   using TO::dec;
   using TO::expose;
-  using TO::flat_fastpath;
   using TO::flatten;
   using TO::from_array_move;
   using TO::inc;
@@ -317,42 +317,21 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return NL::singleton(std::move(E));
     if (is_flat(T)) {
-      size_t N = T->Size;
-      if (flat_fastpath() && TO::flat_splice_wins()) {
-        // Leaf splice: copy-prefix / splice / copy-suffix through the
-        // cursor pair — no whole-block materialization for a one-entry
-        // change. A 2B+1-entry result chunks into two leaves. The reader
-        // adopts T first so a throwing writer constructor releases it.
-        leaf_reader C(T);
-        leaf_writer W(N + 1);
-        while (!C.done() && key_less(C.key(), entry_key(E)))
-          W.push(C.take());
-        if (!C.done() && !key_less(entry_key(E), C.key()))
-          W.push(combine_entries(C.take(), E, Op));
-        else
-          W.push(std::move(E));
-        while (!C.done())
-          W.push(C.take());
-        return W.finish();
-      }
-      // Array base case: splice into the decoded block.
-      node_guard G(T);
-      temp_buf Buf(N + 1);
-      entry_t *A = Buf.data();
-      flatten(G.release(), A);
-      Buf.set_count(N);
-      size_t I = lower_bound_idx(A, N, entry_key(E));
-      if (I < N && !key_less(entry_key(E), entry_key(A[I]))) {
-        A[I] = combine_entries(std::move(A[I]), E, Op);
-        return from_array_move(A, N);
-      }
-      for (size_t J = N; J > I; --J) {
-        ::new (static_cast<void *>(A + J)) entry_t(std::move(A[J - 1]));
-        A[J - 1].~entry_t();
-      }
-      ::new (static_cast<void *>(A + I)) entry_t(std::move(E));
-      Buf.set_count(N + 1);
-      return from_array_move(A, N + 1);
+      // Leaf splice: copy-prefix / splice / copy-suffix through the cursor
+      // pair — no whole-block materialization for a one-entry change. A
+      // 2B+1-entry result chunks into two leaves. The reader adopts T first
+      // so a throwing writer constructor releases it.
+      leaf_reader C(T);
+      leaf_writer W(C.remaining() + 1);
+      while (!C.done() && key_less(C.key(), entry_key(E)))
+        W.push(C.take());
+      if (!C.done() && !key_less(entry_key(E), C.key()))
+        W.push(combine_entries(C.take(), E, Op));
+      else
+        W.push(std::move(E));
+      while (!C.done())
+        W.push(C.take());
+      return W.finish();
     }
     exposed X = expose(T);
     if (key_less(entry_key(E), entry_key(X.E))) {
@@ -373,30 +352,16 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return nullptr;
     if (is_flat(T)) {
-      size_t N = T->Size;
-      if (flat_fastpath() && TO::flat_splice_wins()) {
-        // Leaf splice: stream everything but the matching entry.
-        leaf_reader C(T);
-        leaf_writer W(N);
-        while (!C.done() && key_less(C.key(), K))
-          W.push(C.take());
-        if (!C.done() && !key_less(K, C.key()))
-          C.skip();
-        while (!C.done())
-          W.push(C.take());
-        return W.finish();
-      }
-      node_guard G(T);
-      temp_buf Buf(N);
-      entry_t *A = Buf.data();
-      flatten(G.release(), A);
-      Buf.set_count(N);
-      size_t I = lower_bound_idx(A, N, K);
-      if (I == N || key_less(K, entry_key(A[I])))
-        return from_array_move(A, N);
-      for (size_t J = I; J + 1 < N; ++J)
-        A[J] = std::move(A[J + 1]);
-      return from_array_move(A, N - 1);
+      // Leaf splice: stream everything but the matching entry.
+      leaf_reader C(T);
+      leaf_writer W(C.remaining());
+      while (!C.done() && key_less(C.key(), K))
+        W.push(C.take());
+      if (!C.done() && !key_less(K, C.key()))
+        C.skip();
+      while (!C.done())
+        W.push(C.take());
+      return W.finish();
     }
     exposed X = expose(T);
     if (key_less(K, entry_key(X.E))) {
@@ -417,9 +382,9 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   // difference are one skeleton (set_op) and one base case (set_base),
   // parameterized by a keep policy. Two flat operands merge cursor-to-cursor
   // straight into finished flat nodes (leaf_reader -> leaf_writer, no
-  // temp_buf round trip; multi-leaf results are emitted chunk by chunk);
-  // every other base-case shape (and every base case when flat_fastpath()
-  // is off) flattens into arrays.
+  // temp_buf round trip) when cursor_merge_wins says so; every other
+  // base-case shape flattens into arrays, whose wide union results are
+  // encoded chunk by chunk.
   //===--------------------------------------------------------------------===
 
   /// Keep policy of a set operation over (T1, T2): an entry whose key is
@@ -685,8 +650,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   static node_t *set_chunk(entry_t *A, size_t N1, entry_t *B, size_t N2,
                            const CombineOp &Op) {
     if constexpr (P::KeepL && P::KeepR && TO::leaf_writer::kCanStream) {
-      if (flat_fastpath() && N1 + N2 > 2 * kB &&
-          TO::flat_merge_wins(N1 + N2)) {
+      if (N1 + N2 > 2 * kB && TO::flat_merge_wins(N1 + N2)) {
         if (!probe_runs_degenerate(A, N1, B, N2))
           return merge_arrays_streamed(A, N1, B, N2, Op);
         merge_fallback_count().fetch_add(1, std::memory_order_relaxed);
@@ -792,15 +756,16 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
 
   /// Whether two flat operands with \p N entries in total merge cursor to
   /// cursor (set_flat) rather than through decoded arrays. Intersect and
-  /// difference are single-pass splices whose result fits the inputs
-  /// (flat_splice_wins). A union pays the per-merge cursor setup
+  /// difference are single-pass splices whose result fits the inputs, so
+  /// they always stream (BENCH_PR5: diff B=8 intersect/difference 1.26x/
+  /// 1.39x over the arrays). A union pays the per-merge cursor setup
   /// (flat_merge_wins), and a byte-coded union result that spans leaves
   /// batch-decodes both blocks for the fused merge+encode instead: batch
   /// pipelines beat a per-entry decode/compare/encode interleave, whose
   /// serial dependency chain measured ~1.5x slower there.
   template <class P> static bool cursor_merge_wins(size_t N) {
     if constexpr (!(P::KeepL && P::KeepR))
-      return TO::flat_splice_wins();
+      return true;
     if (TO::leaf_writer::kCanStream && N > 2 * kB)
       return false;
     return TO::flat_merge_wins(N);
@@ -810,7 +775,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   template <class P, class CombineOp>
   static node_t *set_base(node_t *T1, node_t *T2, const CombineOp &Op) {
     size_t N1 = size(T1), N2 = size(T2);
-    if (flat_fastpath() && is_flat(T1) && is_flat(T2) &&
+    if (is_flat(T1) && is_flat(T2) &&
         TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
         cursor_merge_wins<P>(N1 + N2))
       return set_flat<P>(T1, T2, Op);
@@ -926,8 +891,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       // entries (the batch counts one per element — the old gate priced
       // it in raw bytes, which meant a different threshold here than on
       // the set ops).
-      if (flat_fastpath() && is_flat(T) && TO::flat_merge_wins(Nt + N) &&
-          Nt + N <= 2 * kB) {
+      if (is_flat(T) && TO::flat_merge_wins(Nt + N) && Nt + N <= 2 * kB) {
         // Leaf splice: stream the block against the sorted batch (result
         // fits one leaf; anything wider goes through set_arrays below).
         leaf_reader C(T);
@@ -989,7 +953,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     size_t Nt = size(T);
     if (is_flat(T) || merge_whole(Nt, N)) {
       if (TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2 &&
-          flat_fastpath() && is_flat(T) && TO::flat_merge_wins(Nt + N)) {
+          is_flat(T) && TO::flat_merge_wins(Nt + N)) {
         // Leaf splice: keys in A are sorted and distinct, so each can match
         // at most one block entry.
         leaf_reader C(T);
@@ -1051,34 +1015,18 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return nullptr;
     if (is_flat(T)) {
-      size_t N = T->Size;
-      if (flat_fastpath() && TO::flat_splice_wins()) {
-        // Stream the block through the cursor pair: each kept entry is
-        // decoded once on its way out, nothing is materialized for the
-        // dropped ones (|result| <= |T| <= 2B always fits one leaf).
-        leaf_reader C(T);
-        leaf_writer W(N);
-        while (!C.done()) {
-          if (P(C.peek()))
-            W.push(C.take());
-          else
-            C.skip();
-        }
-        return W.finish();
+      // Stream the block through the cursor pair: each kept entry is
+      // decoded once on its way out, nothing is materialized for the
+      // dropped ones (|result| <= |T| <= 2B always fits one leaf).
+      leaf_reader C(T);
+      leaf_writer W(C.remaining());
+      while (!C.done()) {
+        if (P(C.peek()))
+          W.push(C.take());
+        else
+          C.skip();
       }
-      node_guard G(T);
-      temp_buf Buf(N), Out(N);
-      flatten(G.release(), Buf.data());
-      Buf.set_count(N);
-      size_t K = 0;
-      for (size_t I = 0; I < N; ++I) {
-        if (!P(Buf.data()[I]))
-          continue;
-        ::new (static_cast<void *>(Out.data() + K++))
-            entry_t(std::move(Buf.data()[I]));
-        Out.set_count(K);
-      }
-      return from_array_move(Out.data(), K);
+      return W.finish();
     }
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;
@@ -1103,26 +1051,16 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return nullptr;
     if (is_flat(T)) {
-      size_t N = T->Size;
-      if (flat_fastpath() && TO::flat_splice_wins()) {
-        // Keys pass through untouched (still strictly increasing, as the
-        // byte-coded write cursors require); only values are rewritten.
-        leaf_reader C(T);
-        leaf_writer W(N);
-        while (!C.done()) {
-          entry_t E = C.take();
-          Entry::get_val(E) = f(E);
-          W.push(std::move(E));
-        }
-        return W.finish();
+      // Keys pass through untouched (still strictly increasing, as the
+      // byte-coded write cursors require); only values are rewritten.
+      leaf_reader C(T);
+      leaf_writer W(C.remaining());
+      while (!C.done()) {
+        entry_t E = C.take();
+        Entry::get_val(E) = f(E);
+        W.push(std::move(E));
       }
-      node_guard G(T);
-      temp_buf Buf(N);
-      flatten(G.release(), Buf.data());
-      Buf.set_count(N);
-      for (size_t I = 0; I < N; ++I)
-        Entry::get_val(Buf.data()[I]) = f(Buf.data()[I]);
-      return from_array_move(Buf.data(), N);
+      return W.finish();
     }
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;

@@ -51,18 +51,11 @@ struct node_layer {
 
   static constexpr size_t kB = BlockSizeB;
   static constexpr bool kBlocked = BlockSizeB > 0;
-  /// Default granularity for parallel destruction/flatten/traversal of
-  /// subtrees. Halved from 4096 when the scheduler moved to lock-free
-  /// Chase-Lev deques (a fork now costs ~19 ns; see BENCH_PR4.json).
-  static constexpr size_t kGcGranDefault = 2048;
-
-  /// Runtime granularity for the node-layer parallel walks (dec, flatten,
-  /// build_expanded, size_in_bytes, node_count). Mutable for the grain A/B
-  /// benchmarks (single-threaded setup code only).
-  static size_t &par_gc_gran() {
-    static size_t G = kGcGranDefault;
-    return G;
-  }
+  /// Fork granularity for the node-layer parallel walks (dec, flatten,
+  /// build_expanded, size_in_bytes, node_count): the tree layer's 2048, at
+  /// which a ~19 ns fork stays well under 1% of the subtree work (see
+  /// BENCH_PR4.json).
+  static constexpr size_t par_gc_gran() { return 2048; }
 
   //===--------------------------------------------------------------------===
   // Node layouts.

@@ -8,7 +8,9 @@
 /// The Sequence interface of Table 1: positional operations over PaC-trees
 /// whose entries carry no ordering invariant. Provides split_at/subseq,
 /// take/drop, append (O(log n + B) via join), reverse, map, reduce and
-/// find_first. These back the Fig. 2 sequence microbenchmarks.
+/// find_first. These back the Fig. 2 sequence microbenchmarks. Like the
+/// map operations, every function that consumes a tree releases all of it
+/// when an allocation throws.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +29,10 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using node_t = typename TO::node_t;
   using entry_t = typename TO::entry_t;
   using temp_buf = typename TO::temp_buf;
+  using node_guard = typename TO::node_guard;
   using exposed = typename TO::exposed;
+  using leaf_reader = typename TO::leaf_reader;
+  using leaf_writer = typename TO::leaf_writer;
   using TO::dec;
   using TO::expose;
   using TO::flatten;
@@ -78,33 +83,31 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (I >= size(T))
       return {T, nullptr};
     if (is_flat(T)) {
-      size_t N = T->Size;
-      if (TO::flat_fastpath() && TO::flat_splice_wins()) {
-        // Stream the block into the two sides without materializing it.
-        typename TO::leaf_reader C(T);
-        typename TO::leaf_writer WL(I), WR(N - I);
-        for (size_t J = 0; J < I; ++J)
-          WL.push(C.take());
-        while (!C.done())
-          WR.push(C.take());
-        node_t *L = WL.finish();
-        return {L, WR.finish()};
-      }
-      temp_buf Buf(N);
-      flatten(T, Buf.data());
-      Buf.set_count(N);
-      node_t *L = from_array_move(Buf.data(), I);
-      node_t *R = from_array_move(Buf.data() + I, N - I);
-      return {L, R};
+      // Stream the block into the two sides without materializing it.
+      leaf_reader C(T);
+      leaf_writer WL(I), WR(C.remaining() - I);
+      for (size_t J = 0; J < I; ++J)
+        WL.push(C.take());
+      while (!C.done())
+        WR.push(C.take());
+      node_guard L(WL.finish());
+      node_t *R = WR.finish();
+      return {L.release(), R};
     }
     exposed X = expose(T);
     size_t Ls = size(X.L);
     if (I <= Ls) {
+      node_guard GR(X.R);
       auto [LL, LR] = split_at(X.L, I);
-      return {LL, join(LR, std::move(X.E), X.R)};
+      node_guard GLL(LL);
+      node_t *R = join(LR, std::move(X.E), GR.release());
+      return {GLL.release(), R};
     }
+    node_guard GL(X.L);
     auto [RL, RR] = split_at(X.R, I - Ls - 1);
-    return {join(X.L, std::move(X.E), RL), RR};
+    node_guard GRR(RR);
+    node_t *L = join(GL.release(), std::move(X.E), RL);
+    return {L, GRR.release()};
   }
 
   /// First \p I elements. Consumes \p T. O(log n + B) work.
@@ -129,21 +132,17 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   /// Concatenation. Consumes both. O(log n + B) work — the headline win
   /// over array sequences in Fig. 2 (arrays need O(n)).
   static node_t *append(node_t *L, node_t *R) {
-    if (TO::flat_fastpath() && is_flat(L) && is_flat(R) &&
-        TO::flat_splice_wins()) {
-      // Flat x flat: stream both blocks into the chunked writer back to
-      // back instead of bouncing L through split_last's temp_buf.
-      typename TO::leaf_writer W(size(L) + size(R));
-      {
-        typename TO::leaf_reader A(L);
-        while (!A.done())
-          W.push(A.take());
-      }
-      {
-        typename TO::leaf_reader B(R);
-        while (!B.done())
-          W.push(B.take());
-      }
+    if (is_flat(L) && is_flat(R)) {
+      // Flat x flat: stream both blocks into the writer back to back, one
+      // encode per entry, instead of splitting L's last entry off and
+      // folding the pieces again in join2. The readers adopt both blocks
+      // before the writer allocates.
+      leaf_reader A(L), B(R);
+      leaf_writer W(A.remaining() + B.remaining());
+      while (!A.done())
+        W.push(A.take());
+      while (!B.done())
+        W.push(B.take());
       return W.finish();
     }
     return join2(L, R);
@@ -154,8 +153,9 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     size_t N = size(T);
     if (N <= 1)
       return T;
+    node_guard G(T); // Covers a throw from the buffer allocation.
     temp_buf Buf(N);
-    flatten(T, Buf.data());
+    flatten(G.release(), Buf.data());
     Buf.set_count(N);
     entry_t *A = Buf.data();
     par::parallel_for(0, N / 2, [&](size_t I) {
@@ -169,32 +169,31 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return nullptr;
     if (is_flat(T)) {
-      size_t N = T->Size;
-      if (TO::flat_fastpath() && TO::flat_splice_wins()) {
-        // Stream the block through the cursor pair (same discipline as
-        // split_at above): each element is decoded once, transformed, and
-        // pushed straight into the result leaf.
-        typename TO::leaf_reader C(T);
-        typename TO::leaf_writer W(N);
-        while (!C.done()) {
-          entry_t E = C.take();
-          E = f(E);
-          W.push(std::move(E));
-        }
-        return W.finish();
+      // Stream the block through the cursor pair (same discipline as
+      // split_at above): each element is decoded once, transformed, and
+      // pushed straight into the result leaf.
+      leaf_reader C(T);
+      leaf_writer W(C.remaining());
+      while (!C.done()) {
+        entry_t E = C.take();
+        E = f(E);
+        W.push(std::move(E));
       }
-      temp_buf Buf(N);
-      flatten(T, Buf.data());
-      Buf.set_count(N);
-      for (size_t I = 0; I < N; ++I)
-        Buf.data()[I] = f(Buf.data()[I]);
-      return from_array_move(Buf.data(), N);
+      return W.finish();
     }
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;
-    par::par_do_if(
-        size(X.L) + size(X.R) >= par_gran(), [&] { L = map(X.L, f); },
-        [&] { R = map(X.R, f); });
+    // par_do_if runs both branches even when one throws, so the catch
+    // releases whichever sibling result exists.
+    try {
+      par::par_do_if(
+          size(X.L) + size(X.R) >= par_gran(), [&] { L = map(X.L, f); },
+          [&] { R = map(X.R, f); });
+    } catch (...) {
+      dec(L);
+      dec(R);
+      throw;
+    }
     return TO::node_join(L, f(X.E), R);
   }
 
@@ -237,8 +236,9 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return nullptr;
     if (is_flat(T)) {
       size_t N = T->Size;
+      node_guard G(T); // Covers a throw from the buffer allocations.
       temp_buf Buf(N), Out(N);
-      flatten(T, Buf.data());
+      flatten(G.release(), Buf.data());
       Buf.set_count(N);
       size_t K = 0;
       for (size_t I = 0; I < N; ++I) {
@@ -252,9 +252,15 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     }
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;
-    par::par_do_if(
-        size(X.L) + size(X.R) >= par_gran(), [&] { L = filter(X.L, P); },
-        [&] { R = filter(X.R, P); });
+    try {
+      par::par_do_if(
+          size(X.L) + size(X.R) >= par_gran(), [&] { L = filter(X.L, P); },
+          [&] { R = filter(X.R, P); });
+    } catch (...) {
+      dec(L);
+      dec(R);
+      throw;
+    }
     if (P(X.E))
       return join(L, std::move(X.E), R);
     return join2(L, R);

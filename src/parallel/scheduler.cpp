@@ -32,14 +32,6 @@ int chooseNumWorkers() {
   return HW == 0 ? 1 : static_cast<int>(HW);
 }
 
-/// Deque implementation for a fresh pool: the CPAM_LOCKFREE_SCHED
-/// environment variable (0/1) wins; otherwise the compile-time default.
-bool chooseLockfree() {
-  if (const char *Env = std::getenv("CPAM_LOCKFREE_SCHED"))
-    return std::atoi(Env) != 0;
-  return CPAM_LOCKFREE_SCHED != 0;
-}
-
 /// Cheap per-thread RNG used only for victim selection.
 unsigned nextVictimSeed() {
   thread_local unsigned Seed =
@@ -110,8 +102,7 @@ int Scheduler::threadSlot() {
 }
 
 Scheduler::Scheduler()
-    : NumWorkers(chooseNumWorkers()), UseLockfree(chooseLockfree()),
-      MDeques(NumWorkers), LFDeques(NumWorkers), Stats(NumWorkers) {
+    : NumWorkers(chooseNumWorkers()), Deques(NumWorkers), Stats(NumWorkers) {
   // The constructing thread becomes worker 0 so that top-level calls from
   // main() participate in the pool.
   ThisWorkerId = 0;
@@ -165,14 +156,7 @@ void Scheduler::statsReset() {
 }
 
 void Scheduler::push(int Id, Task *T) {
-  if (UseLockfree) {
-    LFDeques[Id].push(T);
-  } else {
-    WorkDeque &D = MDeques[Id];
-    std::lock_guard<std::mutex> Lock(D.M);
-    D.Q.push_back(T);
-    D.ApproxSize.store(D.Q.size(), std::memory_order_relaxed);
-  }
+  Deques[Id].push(T);
   counter_bump(Stats[Id].Forks);
   // Per-fork instants only at the verbose trace level: forks are the
   // hottest event in the system and would wrap the ring in milliseconds.
@@ -210,23 +194,13 @@ void Scheduler::unparkOne(int Id) {
 }
 
 bool Scheduler::tryReclaim(int Id, Task *T) {
-  if (UseLockfree) {
-    Task *P = nullptr;
-    if (!LFDeques[Id].pop(P))
-      return false; // Empty (or a thief won the final-element race): stolen.
-    assert(P == T &&
-           "bottom of the owner's deque at reclaim time must be the frame's "
-           "own task (helping steals from tops only)");
-    (void)T;
-    counter_bump(Stats[Id].InlineReclaims);
-    return true;
-  }
-  WorkDeque &D = MDeques[Id];
-  std::lock_guard<std::mutex> Lock(D.M);
-  if (D.Q.empty() || D.Q.back() != T)
-    return false; // T was stolen; whatever remains belongs to older frames.
-  D.Q.pop_back();
-  D.ApproxSize.store(D.Q.size(), std::memory_order_relaxed);
+  Task *P = nullptr;
+  if (!Deques[Id].pop(P))
+    return false; // Empty (or a thief won the final-element race): stolen.
+  assert(P == T &&
+         "bottom of the owner's deque at reclaim time must be the frame's "
+         "own task (helping steals from tops only)");
+  (void)T;
   counter_bump(Stats[Id].InlineReclaims);
   return true;
 }
@@ -239,19 +213,8 @@ Task *Scheduler::steal(int Id) {
   // (and keeps the tryReclaim bottom invariant intact).
   int Victim = static_cast<int>(nextVictimSeed() % NumWorkers);
   Task *T = nullptr;
-  if (UseLockfree) {
-    Task *V = nullptr;
-    if (LFDeques[Victim].steal(V) == chase_lev_deque<Task *>::steal_t::Ok)
-      T = V;
-  } else {
-    WorkDeque &D = MDeques[Victim];
-    std::unique_lock<std::mutex> Lock(D.M, std::try_to_lock);
-    if (Lock.owns_lock() && !D.Q.empty()) {
-      T = D.Q.front();
-      D.Q.pop_front();
-      D.ApproxSize.store(D.Q.size(), std::memory_order_relaxed);
-    }
-  }
+  if (Deques[Victim].steal(T) != chase_lev_deque<Task *>::steal_t::Ok)
+    T = nullptr;
   counter_bump(T ? Stats[Id].Steals : Stats[Id].FailedSteals);
   if (T && obs::trace::level() >= 2)
     obs::trace::instant("steal", "sched");
@@ -259,13 +222,9 @@ Task *Scheduler::steal(int Id) {
 }
 
 bool Scheduler::hasWork() const {
-  for (int I = 0; I < NumWorkers; ++I) {
-    bool NonEmpty =
-        UseLockfree ? !LFDeques[I].empty_approx()
-                    : MDeques[I].ApproxSize.load(std::memory_order_relaxed) > 0;
-    if (NonEmpty)
+  for (const chase_lev_deque<Task *> &D : Deques)
+    if (!D.empty_approx())
       return true;
-  }
   return false;
 }
 

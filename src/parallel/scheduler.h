@@ -14,21 +14,13 @@
 /// and idle workers steal from the top (oldest, hence largest) end of a
 /// random victim's deque.
 ///
-/// Two interchangeable deque implementations are compiled in:
-///
-///  - *Lock-free* (default): the Chase-Lev deque of src/parallel/chase_lev.h
-///    — owner push/pop without locked instructions on the fast path, steals
-///    via one CAS. Idle workers spin briefly with exponential backoff, then
-///    park on a condition variable; a push wakes them (see the memory-order
-///    contract in README "Parallel runtime"), so an idle process costs ~0
-///    CPU.
-///  - *Mutex* (legacy fallback): a std::mutex + std::deque pair per worker.
-///
-/// The CMake option CPAM_LOCKFREE_SCHED selects the compile-time default;
-/// the environment variable CPAM_LOCKFREE_SCHED (0/1), read once when the
-/// pool is created, overrides it at runtime. Both paths share the worker
-/// loop, the parking protocol and the telemetry, so A/B runs differ only in
-/// the deque operations themselves.
+/// The deques are the lock-free Chase-Lev deques of
+/// src/parallel/chase_lev.h: owner push/pop without locked instructions on
+/// the fast path, steals via one CAS (~19 ns per fork-join cycle, against
+/// 42 ns for the mutex deques they replaced; BENCH_PR4.json). Idle workers
+/// spin briefly with exponential backoff, then park on a condition
+/// variable; a push wakes them (see the memory-order contract in README
+/// "Parallel runtime"), so an idle process costs ~0 CPU.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +32,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -48,14 +39,6 @@
 
 #include "src/parallel/chase_lev.h"
 #include "src/util/failpoint.h"
-
-/// Build-time default for the lock-free scheduler (see file header). Both
-/// deque implementations are always compiled; this only picks which one a
-/// fresh pool uses when the CPAM_LOCKFREE_SCHED environment variable is
-/// absent.
-#ifndef CPAM_LOCKFREE_SCHED
-#define CPAM_LOCKFREE_SCHED 1
-#endif
 
 namespace cpam {
 namespace par {
@@ -138,9 +121,6 @@ public:
 
   int numWorkers() const { return NumWorkers; }
 
-  /// True when this pool runs on the lock-free Chase-Lev deques.
-  bool lockfree() const { return UseLockfree; }
-
   /// Telemetry snapshot, summed across workers.
   SchedulerStats stats() const;
   /// Zeroes all telemetry counters (quiescent use only).
@@ -222,14 +202,6 @@ public:
   }
 
 private:
-  /// Legacy mutex-guarded deque. ApproxSize mirrors Q.size() so the park
-  /// path can scan for work without taking every lock.
-  struct WorkDeque {
-    std::mutex M;
-    std::deque<Task *> Q;
-    std::atomic<size_t> ApproxSize{0};
-  };
-
   /// Per-worker telemetry, incremented via counter_bump (each counter is
   /// written by exactly one worker); the snapshot reads them relaxed from
   /// any thread.
@@ -297,9 +269,7 @@ private:
   }
 
   int NumWorkers;
-  bool UseLockfree;
-  std::vector<WorkDeque> MDeques;             // Mutex path.
-  std::vector<chase_lev_deque<Task *>> LFDeques; // Lock-free path.
+  std::vector<chase_lev_deque<Task *>> Deques;
   std::vector<WorkerStats> Stats;
   std::vector<std::thread> Threads;
   std::atomic<bool> Stop{false};
@@ -337,11 +307,6 @@ inline int thread_slot() { return Scheduler::threadSlot(); }
 inline void set_sequential(bool Seq) {
   Scheduler::sequentialMode().store(Seq, std::memory_order_relaxed);
 }
-
-/// True when the pool runs on the lock-free Chase-Lev deques (compile
-/// default CPAM_LOCKFREE_SCHED, overridable by the environment variable of
-/// the same name, both read once at pool creation).
-inline bool lockfree_sched() { return Scheduler::get().lockfree(); }
 
 /// Scheduler telemetry snapshot (forks, inline reclaims, steals, failed
 /// steals, parks, wakes) summed across workers. Approximate while workers

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include <algorithm>
+#include <map>
 
 #include "gtest/gtest.h"
 
@@ -23,6 +24,7 @@ using SumEntry = aug_sum_entry<uint64_t, uint64_t>;
 using AugSumTypes =
     ::testing::Types<aug_map<SumEntry, 0>, aug_map<SumEntry, 2>,
                      aug_map<SumEntry, 16>, aug_map<SumEntry, 128>,
+                     aug_map<SumEntry, 8, diff_encoder>,
                      aug_map<SumEntry, 64, diff_encoder>>;
 TYPED_TEST_SUITE(AugSumTest, AugSumTypes);
 
@@ -115,6 +117,67 @@ TYPED_TEST(AugSumTest, AugMaintainedThroughSetOps) {
   EXPECT_EQ(X.aug_val(), 500u * 11);
   TypeParam D = TypeParam::map_difference(MA, MB);
   EXPECT_EQ(D.aug_val(), 500u * 1);
+}
+
+// filter, multi_insert and multi_delete splice single blocks; over an
+// augmented byte-coded block they stage the entries so the block's
+// aggregate can be recomputed. Every result must match brute force in its
+// entries, its aggregate and its invariants, and leave its operand intact.
+TYPED_TEST(AugSumTest, AugMaintainedThroughFilterAndBatches) {
+  using Entries = std::vector<std::pair<uint64_t, uint64_t>>;
+  using Oracle = std::map<uint64_t, uint64_t>;
+  auto Check = [](const TypeParam &Got, const Oracle &Want, const char *What,
+                  int Round) {
+    uint64_t Sum = 0;
+    for (const auto &KV : Want)
+      Sum += KV.second;
+    ASSERT_EQ(Got.check_invariants(), "") << What << " round " << Round;
+    ASSERT_EQ(Got.to_vector(), Entries(Want.begin(), Want.end()))
+        << What << " round " << Round;
+    ASSERT_EQ(Got.aug_val(), Sum) << What << " round " << Round;
+  };
+  Rng R(8);
+  Entries E;
+  for (uint64_t I = 0; I < 3000; ++I)
+    E.push_back({3 * I, R.ith(I, 100)});
+  TypeParam M = TypeParam::from_sorted(E);
+  Oracle O(E.begin(), E.end());
+  for (int Round = 0; Round < 24; ++Round) {
+    uint64_t Mod = 2 + Round % 5;
+    auto Keep = [Mod](const auto &Ent) { return Ent.second % Mod != 0; };
+    TypeParam F = M.filter(Keep);
+    Oracle OF;
+    for (const auto &KV : O)
+      if (Keep(KV))
+        OF.insert(KV);
+    Check(F, OF, "filter", Round);
+    // Batches from one key up to a few hundred, old and new keys mixed;
+    // duplicate keys combine with the stored value by addition.
+    size_t N = 1 + R.ith(1000 + Round, Round % 2 ? 400 : 12);
+    Entries Batch;
+    std::vector<uint64_t> Dels;
+    for (size_t I = 0; I < N; ++I) {
+      uint64_t K = R.ith(2000 * Round + 2 * I, 12000);
+      Batch.push_back({K, R.ith(2000 * Round + 2 * I + 1, 100)});
+      Dels.push_back(R.ith(50000 + 2000 * Round + I, 12000));
+    }
+    TypeParam MI = M.multi_insert(Batch, std::plus<uint64_t>());
+    Oracle OI = O;
+    for (const auto &[K, V] : Batch)
+      OI[K] += V;
+    Check(MI, OI, "multi_insert", Round);
+    TypeParam MD = MI.multi_delete(Dels);
+    Oracle OD = OI;
+    for (uint64_t K : Dels)
+      OD.erase(K);
+    Check(MD, OD, "multi_delete", Round);
+    Check(M, O, "operand", Round);
+    Check(MI, OI, "multi_delete operand", Round);
+    if (this->HasFatalFailure())
+      return;
+    M = MD;
+    O = OD;
+  }
 }
 
 using MaxEntry = aug_max_entry<uint64_t, uint64_t>;

@@ -7,14 +7,15 @@
 /// \file
 /// The chaos suite: semantics of the deterministic failpoint registry
 /// (src/util/failpoint.h) and fault-injection episodes driving every armed
-/// failure path — allocation throws mid-merge or mid-filter (alloc.node,
-/// leaf.seal), fork refusal degrading to inline execution (sched.fork),
-/// and the serving failure paths (queue-full rejection, wedged applies,
-/// stalled readers tripping the watchdog). Episodes assert the exception
-/// contract end to end: a failed op leaves its operands untouched, leaks
-/// nothing (LeakCheckTest fixtures), and the structure still satisfies the
-/// Def. 4.1 invariants. Runs in the ASan `chaos` CI leg with latency
-/// failpoints armed process-wide via CPAM_FAILPOINTS, and in the TSan leg.
+/// failure path — allocation throws mid-merge, mid-filter or mid-splice of
+/// a sequence (alloc.node, leaf.seal), fork refusal degrading to inline
+/// execution (sched.fork), and the serving failure paths (queue-full
+/// rejection, wedged applies, stalled readers tripping the watchdog).
+/// Episodes assert the exception contract end to end: a failed op leaves
+/// its operands untouched, leaks nothing (LeakCheckTest fixtures), and the
+/// structure still satisfies the Def. 4.1 invariants. Runs in the ASan
+/// `chaos` CI leg with latency failpoints armed process-wide via
+/// CPAM_FAILPOINTS, and in the TSan leg.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,7 @@
 #include "gtest/gtest.h"
 
 #include "src/api/aug_map.h"
+#include "src/api/pam_seq.h"
 #include "src/api/pam_set.h"
 #include "src/encoding/diff_encoder.h"
 #include "src/encoding/gamma_encoder.h"
@@ -164,15 +166,6 @@ std::vector<uint64_t> randomKeys(Rng &R, size_t N, uint64_t Universe) {
   return Keys;
 }
 
-/// Pins a runtime size_t tuning knob for one scope, restoring on exit
-/// (including early returns from fatal test failures).
-struct SizeGuard {
-  size_t &Ref;
-  size_t Old;
-  SizeGuard(size_t &R, size_t V) : Ref(R), Old(R) { R = V; }
-  ~SizeGuard() { Ref = Old; }
-};
-
 /// Chunk-writer chaos: "leaf.seal" throws while a streamed multi-leaf
 /// result is mid-write. The failed op must abandon its staged chunks
 /// without leaking and leave the operand untouched; survivors must match
@@ -180,12 +173,11 @@ struct SizeGuard {
 /// the two byte-coded encoders that stream through seal (raw blocks stage
 /// entries and finish via from_array_move, so seal never runs for them).
 template <class SetT> void runLeafSealChaos(uint64_t Salt) {
-  test::FlagGuard G(SetT::ops::flat_fastpath());
-  SetT::ops::flat_fastpath() = true;
   // At B=8 every leaf-pair merge is under the 128-entry streaming
   // break-even and would take the array path; pin the break-even to zero
   // so the chunk writer (the code under test) runs for every base case.
-  SizeGuard MG(SetT::ops::flat_stream_min_entries(), 0);
+  test::ValueGuard<size_t> MG(SetT::ops::flat_stream_min_entries());
+  SetT::ops::flat_stream_min_entries() = 0;
   fail::scoped_arm Arm("leaf.seal", "every=50");
   Rng R = test::seeded_rng(Salt);
   constexpr uint64_t kUniverse = 200000;
@@ -254,9 +246,8 @@ TEST_F(ChaosLeakTest, CombinedChaosEpisode) {
   fail::scoped_arm A2("leaf.seal", "every=400");
   fail::scoped_arm A3("sched.fork", "p=3/seed=72");
   using SetT = pam_set<uint64_t, 8>;
-  test::FlagGuard G(SetT::ops::flat_fastpath());
-  SetT::ops::flat_fastpath() = true;
-  SizeGuard MG(SetT::ops::flat_stream_min_entries(), 0);
+  test::ValueGuard<size_t> MG(SetT::ops::flat_stream_min_entries());
+  SetT::ops::flat_stream_min_entries() = 0;
   Rng R = test::seeded_rng(9);
   constexpr uint64_t kUniverse = 100000;
   SetT S;
@@ -338,6 +329,92 @@ TEST_F(ChaosLeakTest, AugFilterChaosLeaksNothing) {
   }
   EXPECT_GT(Survived, 0u);
   EXPECT_GT(Died, 0u);
+}
+
+/// Sequence ops under "alloc.node" failures: a failed take, drop, append,
+/// map, filter or reverse releases every partial result (the fixture
+/// counts live nodes) and leaves its operand intact; survivors match a
+/// std::vector oracle. Operands run from one block to 20,000 elements, so
+/// the short ones usually survive and the long ones die deep in their
+/// recursion. Elements stay strictly increasing under every op but
+/// reverse, which difference-encoded blocks cannot hold, so it runs only
+/// when \p CanReverse.
+template <class SeqT, bool CanReverse> void runSeqChaos(uint64_t Salt) {
+  Rng R = test::seeded_rng(Salt);
+  std::vector<std::vector<uint64_t>> Vs;
+  for (size_t N : {12, 200, 2000, 20000}) {
+    std::vector<uint64_t> V(N);
+    for (size_t I = 0; I < N; ++I)
+      V[I] = 5 * I + R.next(5);
+    Vs.push_back(std::move(V));
+  }
+  // Appended to each operand: a one-block sequence above every operand key.
+  std::vector<uint64_t> Tail(12);
+  for (size_t I = 0; I < Tail.size(); ++I)
+    Tail[I] = 5 * (20000 + I) + R.next(5);
+  std::vector<SeqT> Ss(Vs.begin(), Vs.end());
+  SeqT T(Tail);
+  auto F = [](uint64_t X) { return 3 * X + 1; };
+  auto P = [](uint64_t X) { return X % 3 != 0; };
+  fail::scoped_arm Arm("alloc.node", "p=50/seed=17");
+  uint64_t Survived = 0, Died = 0;
+  for (int Step = 0; Step < 96; ++Step) {
+    int Op = Step % 6;
+    if (Op == 5 && !CanReverse)
+      continue;
+    const std::vector<uint64_t> &V = Vs[Step / 6 % Vs.size()];
+    const SeqT &S = Ss[Step / 6 % Vs.size()];
+    size_t Cut = R.next(V.size() + 1);
+    std::vector<uint64_t> Want;
+    try {
+      SeqT Out;
+      switch (Op) {
+      case 0:
+        Out = S.take(Cut);
+        Want.assign(V.begin(), V.begin() + Cut);
+        break;
+      case 1:
+        Out = S.drop(Cut);
+        Want.assign(V.begin() + Cut, V.end());
+        break;
+      case 2:
+        Out = SeqT::append(S, T);
+        Want = V;
+        Want.insert(Want.end(), Tail.begin(), Tail.end());
+        break;
+      case 3:
+        Out = S.map(F);
+        for (uint64_t X : V)
+          Want.push_back(F(X));
+        break;
+      case 4:
+        Out = S.filter(P);
+        for (uint64_t X : V)
+          if (P(X))
+            Want.push_back(X);
+        break;
+      default:
+        Out = S.reverse();
+        Want.assign(V.rbegin(), V.rend());
+        break;
+      }
+      ++Survived;
+      ASSERT_EQ(Out.check_invariants(), "") << "op " << Op << " n=" << V.size();
+      ASSERT_EQ(Out.to_vector(), Want) << "op " << Op << " n=" << V.size();
+    } catch (const std::bad_alloc &) {
+      ++Died;
+    }
+    ASSERT_EQ(S.to_vector(), V) << "operand changed at step " << Step;
+  }
+  EXPECT_GT(Survived, 0u);
+  EXPECT_GT(Died, 0u);
+}
+
+TEST_F(ChaosLeakTest, SeqOpsChaosLeakNothing) {
+  runSeqChaos<pam_seq<uint64_t, 8>, /*CanReverse=*/true>(31);
+  if (HasFatalFailure())
+    return;
+  runSeqChaos<pam_seq<uint64_t, 64, diff_encoder>, /*CanReverse=*/false>(37);
 }
 
 //===----------------------------------------------------------------------===//

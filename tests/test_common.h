@@ -58,24 +58,9 @@ inline uint64_t test_seed(uint64_t Salt = 0) {
 /// A counter-based RNG seeded deterministically for the current test.
 inline Rng seeded_rng(uint64_t Salt = 0) { return Rng(test_seed(Salt)); }
 
-/// Saves and restores a runtime switch (e.g. Ops::flat_fastpath()) around a
-/// test body, so a failed ASSERT cannot leak a flipped global into later
-/// tests in the same binary.
-class FlagGuard {
-public:
-  explicit FlagGuard(bool &Flag) : Flag(Flag), Saved(Flag) {}
-  FlagGuard(const FlagGuard &) = delete;
-  FlagGuard &operator=(const FlagGuard &) = delete;
-  ~FlagGuard() { Flag = Saved; }
-
-private:
-  bool &Flag;
-  bool Saved;
-};
-
-/// FlagGuard's generalization to any copyable runtime knob (size_t grains,
-/// thresholds): saves on construction, restores on scope exit, so a failed
-/// ASSERT cannot leak a retuned global into later tests.
+/// Saves a copyable runtime knob (a grain, a threshold, a flag) on
+/// construction and restores it on scope exit, so a failed ASSERT cannot
+/// leak a retuned global into later tests in the same binary.
 template <class T> class ValueGuard {
 public:
   explicit ValueGuard(T &Ref) : Ref(Ref), Saved(Ref) {}

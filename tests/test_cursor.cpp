@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -588,9 +589,8 @@ TYPED_TEST(CursorTreeTest, LeafWriterAbandonmentMidStreamLeaksNothing) {
   }
 }
 
-TYPED_TEST(CursorTreeTest, FlatFastPathAgreesWithArrayPath) {
+TYPED_TEST(CursorTreeTest, SetOpsMatchStdSetAlgorithms) {
   auto R = test::seeded_rng();
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
   for (int Round = 0; Round < 30; ++Round) {
     size_t Na = R.next(300), Nb = R.next(300);
     std::vector<uint64_t> A(Na), B(Nb);
@@ -599,17 +599,26 @@ TYPED_TEST(CursorTreeTest, FlatFastPathAgreesWithArrayPath) {
     for (auto &K : B)
       K = R.next(1000);
     TypeParam SA(A), SB(B);
-    TypeParam Results[2][3];
-    for (bool Fast : {false, true}) {
-      TypeParam::ops::flat_fastpath() = Fast;
-      Results[Fast][0] = TypeParam::map_union(SA, SB);
-      Results[Fast][1] = TypeParam::map_intersect(SA, SB);
-      Results[Fast][2] = TypeParam::map_difference(SA, SB);
-    }
+    std::sort(A.begin(), A.end());
+    A.erase(std::unique(A.begin(), A.end()), A.end());
+    std::sort(B.begin(), B.end());
+    B.erase(std::unique(B.begin(), B.end()), B.end());
+    std::vector<uint64_t> Want[3];
+    std::set_union(A.begin(), A.end(), B.begin(), B.end(),
+                   std::back_inserter(Want[0]));
+    std::set_intersection(A.begin(), A.end(), B.begin(), B.end(),
+                          std::back_inserter(Want[1]));
+    std::set_difference(A.begin(), A.end(), B.begin(), B.end(),
+                        std::back_inserter(Want[2]));
+    TypeParam Got[3] = {TypeParam::map_union(SA, SB),
+                        TypeParam::map_intersect(SA, SB),
+                        TypeParam::map_difference(SA, SB)};
     for (int OpI = 0; OpI < 3; ++OpI) {
-      ASSERT_EQ(Results[0][OpI].to_vector(), Results[1][OpI].to_vector());
-      ASSERT_EQ(Results[1][OpI].check_invariants(), "");
+      ASSERT_EQ(Got[OpI].to_vector(), Want[OpI]) << "op " << OpI;
+      ASSERT_EQ(Got[OpI].check_invariants(), "");
     }
+    ASSERT_EQ(SA.to_vector(), A) << "left operand changed";
+    ASSERT_EQ(SB.to_vector(), B) << "right operand changed";
   }
 }
 

@@ -9,12 +9,12 @@
 /// remove / union / intersect / difference / multi_insert / multi_delete /
 /// range driven simultaneously against a PaC-tree and a std::map / std::set
 /// oracle, at block sizes B in {0, 8, 128} (PAM baseline, small blocks, the
-/// paper default) and with the flat-leaf streaming fast paths both on and
-/// off in the same binary. After every step the tree must satisfy the
-/// Def. 4.1 invariants and agree elementwise (keys *and* combined values)
-/// with the oracle. PAM (Sun et al.) defines the uncompressed semantics the
-/// compressed fast paths must preserve exactly; this suite is what licenses
-/// the cursor rewrite of the Sec. 8 base cases.
+/// paper default), two seeded episodes per test. After every step the tree
+/// must satisfy the Def. 4.1 invariants and agree elementwise (keys *and*
+/// combined values) with the oracle. PAM (Sun et al.) defines the
+/// uncompressed semantics the compressed block paths must preserve
+/// exactly; this suite is what licenses the cursor rewrite of the Sec. 8
+/// base cases.
 ///
 /// Asymmetric steps pit the collection against an operand 50-1000x smaller
 /// in both argument orders, the shape where the set-operation skeleton
@@ -358,11 +358,9 @@ template <class MapT> void runMapEpisode(Rng R) {
   }
 }
 
-TYPED_TEST(DifferentialMapTest, RandomOpsMatchStdMapBothFastPathSettings) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runMapEpisode<TypeParam>(test::seeded_rng(Fast));
+TYPED_TEST(DifferentialMapTest, RandomOpsMatchStdMap) {
+  for (uint64_t Salt : {0, 1}) {
+    runMapEpisode<TypeParam>(test::seeded_rng(Salt));
     if (this->HasFatalFailure())
       break;
   }
@@ -501,11 +499,10 @@ template <class MapT> void runMapChaosEpisode(Rng R, uint64_t Salt) {
 }
 
 TYPED_TEST(DifferentialMapTest, AllocChaosLeavesOperandsIntact) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runMapChaosEpisode<TypeParam>(test::seeded_rng(Fast ? 55 : 66),
-                                  Fast ? 17 : 29);
+  // (RNG salt, failpoint seed) per episode.
+  const std::pair<uint64_t, uint64_t> Seeds[] = {{66, 29}, {55, 17}};
+  for (auto [Salt, FailSeed] : Seeds) {
+    runMapChaosEpisode<TypeParam>(test::seeded_rng(Salt), FailSeed);
     if (this->HasFatalFailure())
       break;
   }
@@ -645,11 +642,9 @@ template <class SetT> void runSetEpisode(Rng R) {
   }
 }
 
-TYPED_TEST(DifferentialSetTest, RandomOpsMatchStdSetBothFastPathSettings) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runSetEpisode<TypeParam>(test::seeded_rng(Fast));
+TYPED_TEST(DifferentialSetTest, RandomOpsMatchStdSet) {
+  for (uint64_t Salt : {0, 1}) {
+    runSetEpisode<TypeParam>(test::seeded_rng(Salt));
     if (this->HasFatalFailure())
       break;
   }
@@ -765,11 +760,10 @@ template <class SetT> void runSetChaosEpisode(Rng R, uint64_t Salt) {
 }
 
 TYPED_TEST(DifferentialSetTest, AllocChaosLeavesOperandsIntact) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runSetChaosEpisode<TypeParam>(test::seeded_rng(Fast ? 77 : 88),
-                                  Fast ? 41 : 53);
+  // (RNG salt, failpoint seed) per episode.
+  const std::pair<uint64_t, uint64_t> Seeds[] = {{88, 53}, {77, 41}};
+  for (auto [Salt, FailSeed] : Seeds) {
+    runSetChaosEpisode<TypeParam>(test::seeded_rng(Salt), FailSeed);
     if (this->HasFatalFailure())
       break;
   }
@@ -854,11 +848,9 @@ template <class SetT> void runMultiLeafEpisode(Rng R) {
   }
 }
 
-TYPED_TEST(DifferentialSetTest, MultiLeafChunkedResultsBothFastPathSettings) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runMultiLeafEpisode<TypeParam>(test::seeded_rng(Fast ? 11 : 22));
+TYPED_TEST(DifferentialSetTest, MultiLeafChunkedResults) {
+  for (uint64_t Salt : {22, 11}) {
+    runMultiLeafEpisode<TypeParam>(test::seeded_rng(Salt));
     if (this->HasFatalFailure())
       break;
   }
@@ -996,10 +988,8 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
 }
 
 TYPED_TEST(DifferentialSetTest, ParallelMergeMatchesInlineRunAndOracle) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runParallelMergeEpisode<TypeParam>(test::seeded_rng(Fast ? 33 : 44));
+  for (uint64_t Salt : {44, 33}) {
+    runParallelMergeEpisode<TypeParam>(test::seeded_rng(Salt));
     if (this->HasFatalFailure())
       break;
   }
@@ -1014,8 +1004,6 @@ TYPED_TEST(DifferentialSetTest, ParallelMergeMatchesInlineRunAndOracle) {
 /// oracle exactly.
 TYPED_TEST(DifferentialSetTest, DenseInterleavedMergeTriggersRunFallback) {
   using ops = typename TypeParam::ops;
-  test::FlagGuard G(ops::flat_fastpath());
-  ops::flat_fastpath() = true;
   test::ValueGuard<size_t> GKappa(ops::kappa());
   ops::kappa() = size_t{1} << 20;
 

@@ -9,16 +9,14 @@
 /// (owner LIFO semantics, grow-on-overflow, and a one-owner/many-thieves
 /// stress test proving every element is claimed exactly once), then the
 /// scheduler built on it (nested parDo recursion depth, foreign-thread
-/// degradation, park/unpark churn, telemetry). Registered with CTest four
-/// ways: default, 16-worker oversubscribed, and both again with
-/// CPAM_LOCKFREE_SCHED=0 so the legacy mutex path stays covered — all under
-/// the tier1 label, so the ASan leg runs every variant.
+/// degradation, park/unpark churn, telemetry). Registered with CTest twice:
+/// with the default pool and with 16 oversubscribed workers — both under the
+/// tier1 label, so the ASan leg runs both.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -181,13 +179,6 @@ TEST(ChaseLev, StressOneOwnerManyThieves) {
 //===----------------------------------------------------------------------===//
 // Scheduler on top.
 //===----------------------------------------------------------------------===//
-
-TEST(SchedulerRuntime, ModeMatchesEnvironment) {
-  bool Expected = CPAM_LOCKFREE_SCHED != 0;
-  if (const char *Env = std::getenv("CPAM_LOCKFREE_SCHED"))
-    Expected = std::atoi(Env) != 0;
-  EXPECT_EQ(par::lockfree_sched(), Expected);
-}
 
 TEST(SchedulerRuntime, NestedParDoRecursionDepth) {
   // A linear chain of nested parDos: every frame's task object lives on the

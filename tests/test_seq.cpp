@@ -100,15 +100,13 @@ TYPED_TEST(SeqTest, AppendMatchesConcatenation) {
   EXPECT_EQ(liveObjects(), Before);
 }
 
-TYPED_TEST(SeqTest, AppendAndSplitAtBothFastPathSettings) {
+TYPED_TEST(SeqTest, AppendAndSplitAtChunkBoundaries) {
   // append's flat x flat streaming concat and split_at's cursor splice
-  // must agree with the temp_buf paths for sizes around the chunk
+  // must agree with the vector concatenation for sizes around the chunk
   // boundaries (flat + flat results of up to 4B entries span two leaves).
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
   constexpr size_t B = TypeParam::ops::kB > 0 ? TypeParam::ops::kB : 16;
   auto R = test::seeded_rng();
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
+  for (int Round = 0; Round < 2; ++Round) {
     for (size_t Na : {size_t(1), B, 2 * B - 1, 2 * B}) {
       for (size_t Nb : {size_t(1), B - 1, 2 * B}) {
         std::vector<uint64_t> A(Na), Bv(Nb);
@@ -118,8 +116,7 @@ TYPED_TEST(SeqTest, AppendAndSplitAtBothFastPathSettings) {
           X = R.next(1u << 20);
         TypeParam SA(A), SB(Bv);
         TypeParam C = TypeParam::append(SA, SB);
-        ASSERT_EQ(C.check_invariants(), "")
-            << "fast=" << Fast << " " << Na << "+" << Nb;
+        ASSERT_EQ(C.check_invariants(), "") << Na << "+" << Nb;
         std::vector<uint64_t> Expect = A;
         Expect.insert(Expect.end(), Bv.begin(), Bv.end());
         ASSERT_EQ(C.to_vector(), Expect);
@@ -131,7 +128,7 @@ TYPED_TEST(SeqTest, AppendAndSplitAtBothFastPathSettings) {
           ASSERT_EQ(L.size() + Rt.size(), Expect.size());
           auto LV = L.to_vector(), RV = Rt.to_vector();
           LV.insert(LV.end(), RV.begin(), RV.end());
-          ASSERT_EQ(LV, Expect) << "fast=" << Fast << " cut=" << Cut;
+          ASSERT_EQ(LV, Expect) << Na << "+" << Nb << " cut=" << Cut;
         }
       }
     }
@@ -168,11 +165,9 @@ TYPED_TEST(SeqTest, MapFilterReduce) {
   EXPECT_EQ(Max, 4999u);
 }
 
-TYPED_TEST(SeqTest, MapMatchesVectorBothFastPathSettings) {
-  // seq map's flat base case streams through the encoder cursors when the
-  // fast path is on and round-trips through temp_buf when it is off; both
-  // must agree with the plain vector transform, element for element.
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
+TYPED_TEST(SeqTest, MapMatchesVector) {
+  // seq map's flat base case streams through the encoder cursors; it must
+  // agree with the plain vector transform, element for element.
   auto R = test::seeded_rng();
   std::vector<uint64_t> V(3000);
   for (auto &X : V)
@@ -180,14 +175,11 @@ TYPED_TEST(SeqTest, MapMatchesVectorBothFastPathSettings) {
   std::vector<uint64_t> Want(V.size());
   for (size_t I = 0; I < V.size(); ++I)
     Want[I] = V[I] * 7 + 3;
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    TypeParam S(V);
-    TypeParam M = S.map([](uint64_t X) { return X * 7 + 3; });
-    ASSERT_EQ(M.size(), V.size()) << "fastpath=" << Fast;
-    std::vector<uint64_t> Got = M.to_vector();
-    ASSERT_EQ(Got, Want) << "fastpath=" << Fast;
-  }
+  TypeParam S(V);
+  TypeParam M = S.map([](uint64_t X) { return X * 7 + 3; });
+  ASSERT_EQ(M.size(), V.size());
+  ASSERT_EQ(M.to_vector(), Want);
+  ASSERT_EQ(S.to_vector(), V) << "operand changed";
 }
 
 TYPED_TEST(SeqTest, FindFirst) {

@@ -226,59 +226,51 @@ TEST_F(MapSetOps, MultiInsertCombineWithinBatch) {
 }
 
 //===----------------------------------------------------------------------===//
-// Flat-fastpath regressions: the cursor-to-cursor base cases (leaf_reader ->
-// leaf_writer) must preserve the array path's semantics exactly.
+// Flat-block regressions: the cursor-to-cursor base cases (leaf_reader ->
+// leaf_writer) must keep the set semantics and the block invariants exactly.
 //===----------------------------------------------------------------------===//
-
-using test::FlagGuard;
 
 class FlatFastPath : public test::LeakCheckTest {};
 
 // Oversized-leaf folding: splicing a batch into a full 2B leaf (and joining
-// two full leaves) must fold the result back into legal [B,2B] leaves, in
-// both fast-path settings.
+// two full leaves) must fold the result back into legal [B,2B] leaves.
 TEST_F(FlatFastPath, OversizedLeafFolding) {
   auto FoldCase = [](auto SetTag, size_t TwoB) {
     using Set = decltype(SetTag);
-    FlagGuard G(Set::ops::flat_fastpath());
     std::vector<uint64_t> Evens(TwoB), Odds(TwoB);
     for (size_t I = 0; I < TwoB; ++I) {
       Evens[I] = 2 * I;
       Odds[I] = 2 * I + 1;
     }
-    for (bool Fast : {false, true}) {
-      Set::ops::flat_fastpath() = Fast;
-      Set A = Set::from_sorted(Evens);
-      ASSERT_EQ(A.node_count(), 1u) << "a 2B-entry tree must be one leaf";
-      // multi_insert splice: 2B + 2B entries can no longer be one leaf.
-      Set Spliced = A.multi_insert(Odds);
-      ASSERT_EQ(Spliced.check_invariants(), "") << "fast=" << Fast;
-      ASSERT_EQ(Spliced.size(), 2 * TwoB);
-      ASSERT_GT(Spliced.node_count(), 1u);
-      // union of two full leaves folds the same way.
-      Set U = Set::map_union(A, Set::from_sorted(Odds));
-      ASSERT_EQ(U.check_invariants(), "") << "fast=" << Fast;
-      ASSERT_EQ(U.to_vector(), Spliced.to_vector());
-      // Shrinking splice: deleting most of a leaf must leave one small
-      // root block, not an undersized interior leaf.
-      std::vector<uint64_t> Most(Evens.begin(), Evens.end() - 3);
-      Set Small = A.multi_delete(Most);
-      ASSERT_EQ(Small.check_invariants(), "") << "fast=" << Fast;
-      ASSERT_EQ(Small.size(), 3u);
-      // Near-2B splice: total stays within one leaf, so byte-coded
-      // encoders take the single-leaf streaming splice (batches past 2B
-      // instead run the chunked multi-leaf merge — PR 5 removed the old
-      // array-path fallback gate).
-      size_t B2 = TwoB / 2; // == block-size B.
-      Set Partial = Set::from_sorted(
-          std::vector<uint64_t>(Evens.begin(), Evens.begin() + B2 + 2));
-      std::vector<uint64_t> SmallBatch(Odds.begin(), Odds.begin() + B2 - 4);
-      Set NearFull = Partial.multi_insert(SmallBatch);
-      ASSERT_EQ(NearFull.check_invariants(), "") << "fast=" << Fast;
-      ASSERT_EQ(NearFull.size(), TwoB - 2);
-      ASSERT_EQ(NearFull.node_count(), 1u)
-          << "a result of 2B-2 entries must still be a single leaf";
-    }
+    Set A = Set::from_sorted(Evens);
+    ASSERT_EQ(A.node_count(), 1u) << "a 2B-entry tree must be one leaf";
+    // multi_insert splice: 2B + 2B entries can no longer be one leaf.
+    Set Spliced = A.multi_insert(Odds);
+    ASSERT_EQ(Spliced.check_invariants(), "");
+    ASSERT_EQ(Spliced.size(), 2 * TwoB);
+    ASSERT_GT(Spliced.node_count(), 1u);
+    // union of two full leaves folds the same way.
+    Set U = Set::map_union(A, Set::from_sorted(Odds));
+    ASSERT_EQ(U.check_invariants(), "");
+    ASSERT_EQ(U.to_vector(), Spliced.to_vector());
+    // Shrinking splice: deleting most of a leaf must leave one small root
+    // block, not an undersized interior leaf.
+    std::vector<uint64_t> Most(Evens.begin(), Evens.end() - 3);
+    Set Small = A.multi_delete(Most);
+    ASSERT_EQ(Small.check_invariants(), "");
+    ASSERT_EQ(Small.size(), 3u);
+    // Near-2B splice: total stays within one leaf, so byte-coded encoders
+    // take the single-leaf streaming splice (batches past 2B instead run
+    // the chunked multi-leaf merge).
+    size_t B2 = TwoB / 2; // == block-size B.
+    Set Partial = Set::from_sorted(
+        std::vector<uint64_t>(Evens.begin(), Evens.begin() + B2 + 2));
+    std::vector<uint64_t> SmallBatch(Odds.begin(), Odds.begin() + B2 - 4);
+    Set NearFull = Partial.multi_insert(SmallBatch);
+    ASSERT_EQ(NearFull.check_invariants(), "");
+    ASSERT_EQ(NearFull.size(), TwoB - 2);
+    ASSERT_EQ(NearFull.node_count(), 1u)
+        << "a result of 2B-2 entries must still be a single leaf";
   };
   FoldCase(pam_set<uint64_t, 8>(), 16);
   FoldCase(pam_set<uint64_t, 128>(), 256);
@@ -286,43 +278,36 @@ TEST_F(FlatFastPath, OversizedLeafFolding) {
 }
 
 // The combine op must run exactly once per duplicate key in every base-case
-// shape, fast path on or off.
+// shape.
 TEST_F(FlatFastPath, CombineOpInvokedOncePerDuplicateKey) {
   using M = pam_map<uint64_t, uint64_t, 16>;
-  FlagGuard G(M::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    M::ops::flat_fastpath() = Fast;
-    for (auto [Na, Nb, Overlap] : {std::tuple<size_t, size_t, size_t>{32, 32, 16},
-                                   {300, 200, 100},
-                                   {2000, 2000, 777}}) {
-      std::vector<std::pair<uint64_t, uint64_t>> A, B;
-      for (size_t I = 0; I < Na; ++I)
-        A.push_back({I, 1});
-      for (size_t I = Na - Overlap; I < Na - Overlap + Nb; ++I)
-        B.push_back({I, 2});
-      M MA(A), MB(B);
-      // Atomic: parallel union branches invoke the combine op concurrently.
-      std::atomic<int64_t> Calls = 0;
-      auto CountingPlus = [&Calls](uint64_t X, uint64_t Y) {
-        Calls.fetch_add(1, std::memory_order_relaxed);
-        return X + Y;
-      };
-      M U = M::map_union(MA, MB, CountingPlus);
-      ASSERT_EQ(Calls.load(), static_cast<int64_t>(Overlap))
-          << "union fast=" << Fast;
-      ASSERT_EQ(U.size(), Na + Nb - Overlap);
-      ASSERT_EQ(*U.find(Na - Overlap), 3u);
-      Calls = 0;
-      M X = M::map_intersect(MA, MB, CountingPlus);
-      ASSERT_EQ(Calls.load(), static_cast<int64_t>(Overlap))
-          << "intersect fast=" << Fast;
-      ASSERT_EQ(X.size(), Overlap);
-      Calls = 0;
-      M MI = MA.multi_insert(B, CountingPlus);
-      ASSERT_EQ(Calls.load(), static_cast<int64_t>(Overlap))
-          << "multi_insert fast=" << Fast;
-      ASSERT_EQ(MI.to_vector(), U.to_vector());
-    }
+  for (auto [Na, Nb, Overlap] : {std::tuple<size_t, size_t, size_t>{32, 32, 16},
+                                 {300, 200, 100},
+                                 {2000, 2000, 777}}) {
+    std::vector<std::pair<uint64_t, uint64_t>> A, B;
+    for (size_t I = 0; I < Na; ++I)
+      A.push_back({I, 1});
+    for (size_t I = Na - Overlap; I < Na - Overlap + Nb; ++I)
+      B.push_back({I, 2});
+    M MA(A), MB(B);
+    // Atomic: parallel union branches invoke the combine op concurrently.
+    std::atomic<int64_t> Calls = 0;
+    auto CountingPlus = [&Calls](uint64_t X, uint64_t Y) {
+      Calls.fetch_add(1, std::memory_order_relaxed);
+      return X + Y;
+    };
+    M U = M::map_union(MA, MB, CountingPlus);
+    ASSERT_EQ(Calls.load(), static_cast<int64_t>(Overlap)) << "union";
+    ASSERT_EQ(U.size(), Na + Nb - Overlap);
+    ASSERT_EQ(*U.find(Na - Overlap), 3u);
+    Calls = 0;
+    M X = M::map_intersect(MA, MB, CountingPlus);
+    ASSERT_EQ(Calls.load(), static_cast<int64_t>(Overlap)) << "intersect";
+    ASSERT_EQ(X.size(), Overlap);
+    Calls = 0;
+    M MI = MA.multi_insert(B, CountingPlus);
+    ASSERT_EQ(Calls.load(), static_cast<int64_t>(Overlap)) << "multi_insert";
+    ASSERT_EQ(MI.to_vector(), U.to_vector());
   }
 }
 
@@ -357,8 +342,6 @@ struct TrackedEntry {
 
 TEST_F(FlatFastPath, ConsumedBlocksAreMovedNotCopied) {
   using Ops = map_ops<TrackedEntry, raw_encoder, 8>;
-  FlagGuard G(Ops::flat_fastpath());
-  Ops::flat_fastpath() = true;
   constexpr size_t N = 16; // One full leaf per side (B=8, 2B=16).
   auto MakeLeaf = [](uint64_t First) {
     std::vector<Tracked> A(N);
@@ -392,29 +375,25 @@ TEST_F(FlatFastPath, ConsumedBlocksAreMovedNotCopied) {
   }
 }
 
-// Every flat-fastpath result must satisfy the Def. 4.1 invariants, across a
-// randomized mix of shapes and both settings.
+// Every flat-block result must satisfy the Def. 4.1 invariants, across a
+// randomized mix of shapes.
 TEST_F(FlatFastPath, InvariantsHoldOnEveryFastPathResult) {
   auto RunMix = [](auto SetTag, uint64_t Salt) {
     using Set = decltype(SetTag);
-    FlagGuard G(Set::ops::flat_fastpath());
     auto R = test::seeded_rng(Salt);
-    for (bool Fast : {false, true}) {
-      Set::ops::flat_fastpath() = Fast;
-      for (int Round = 0; Round < 25; ++Round) {
-        size_t Na = 1 + R.next(600), Nb = 1 + R.next(600);
-        std::vector<uint64_t> A(Na), B(Nb);
-        for (auto &K : A)
-          K = R.next(2000);
-        for (auto &K : B)
-          K = R.next(2000);
-        Set SA(A), SB(B);
-        for (Set Out : {Set::map_union(SA, SB), Set::map_intersect(SA, SB),
-                        Set::map_difference(SA, SB), SA.multi_insert(B),
-                        SA.multi_delete(B)}) {
-          ASSERT_EQ(Out.check_invariants(), "")
-              << "fast=" << Fast << " Na=" << Na << " Nb=" << Nb;
-        }
+    for (int Round = 0; Round < 50; ++Round) {
+      size_t Na = 1 + R.next(600), Nb = 1 + R.next(600);
+      std::vector<uint64_t> A(Na), B(Nb);
+      for (auto &K : A)
+        K = R.next(2000);
+      for (auto &K : B)
+        K = R.next(2000);
+      Set SA(A), SB(B);
+      for (Set Out : {Set::map_union(SA, SB), Set::map_intersect(SA, SB),
+                      Set::map_difference(SA, SB), SA.multi_insert(B),
+                      SA.multi_delete(B)}) {
+        ASSERT_EQ(Out.check_invariants(), "")
+            << "Na=" << Na << " Nb=" << Nb;
       }
     }
   };

@@ -211,46 +211,39 @@ class AllocBudget : public test::LeakCheckTest {};
 
 // A one-entry union or difference against a one-block set costs the same
 // few allocations however full the block is (an all-regular small result
-// would cost one per entry). Both base-case paths are checked: the flat fast
-// path merges cursor to cursor; without it the operands are flattened into
-// two scratch arrays first.
+// would cost one per entry): the difference merges cursor to cursor, the
+// small union flattens both blocks into scratch arrays first.
 TEST_F(AllocBudget, SmallMergeCostIsIndependentOfBlockFill) {
   if (!pool_enabled())
     GTEST_SKIP() << "pool telemetry only exists in pooled mode";
   using Set = pam_set<uint32_t, 64, diff_encoder>;
-  test::FlagGuard G(Set::ops::flat_fastpath());
-  for (bool Fast : {true, false}) {
-    SCOPED_TRACE(Fast ? "flat fast path" : "array path");
-    Set::ops::flat_fastpath() = Fast;
-    std::vector<uint64_t> Unions, Diffs;
-    for (uint32_t D : {5u, 20u, 50u, 63u}) {
-      std::vector<uint32_t> Keys(D);
-      for (uint32_t I = 0; I < D; ++I)
-        Keys[I] = 2 * I;
-      Set A = Set::from_sorted(Keys), One = Set::from_sorted({D | 1u});
-      ASSERT_EQ(A.node_count(), 1u);
-      ASSERT_EQ(One.node_count(), 1u);
-      Unions.push_back(pool_allocs([&] {
-        Set U = Set::map_union(A, One);
-        ASSERT_EQ(U.size(), D + 1u);
-      }));
-      Diffs.push_back(pool_allocs([&] {
-        Set Df = Set::map_difference(A, One);
-        ASSERT_EQ(Df.size(), D);
-      }));
-    }
-    for (size_t I = 1; I < Unions.size(); ++I) {
-      EXPECT_EQ(Unions[I], Unions[0]) << "union allocations grow with d";
-      EXPECT_EQ(Diffs[I], Diffs[0]) << "difference allocations grow with d";
-    }
-    EXPECT_LE(Unions[0], 4u);
-    EXPECT_LE(Diffs[0], Fast ? 2u : 4u);
+  std::vector<uint64_t> Unions, Diffs;
+  for (uint32_t D : {5u, 20u, 50u, 63u}) {
+    std::vector<uint32_t> Keys(D);
+    for (uint32_t I = 0; I < D; ++I)
+      Keys[I] = 2 * I;
+    Set A = Set::from_sorted(Keys), One = Set::from_sorted({D | 1u});
+    ASSERT_EQ(A.node_count(), 1u);
+    ASSERT_EQ(One.node_count(), 1u);
+    Unions.push_back(pool_allocs([&] {
+      Set U = Set::map_union(A, One);
+      ASSERT_EQ(U.size(), D + 1u);
+    }));
+    Diffs.push_back(pool_allocs([&] {
+      Set Df = Set::map_difference(A, One);
+      ASSERT_EQ(Df.size(), D);
+    }));
   }
+  for (size_t I = 1; I < Unions.size(); ++I) {
+    EXPECT_EQ(Unions[I], Unions[0]) << "union allocations grow with d";
+    EXPECT_EQ(Diffs[I], Diffs[0]) << "difference allocations grow with d";
+  }
+  EXPECT_LE(Unions[0], 4u);
+  EXPECT_LE(Diffs[0], 2u);
 }
 
 // split of a snapshot copies one root-to-leaf path: O(log n) allocations,
-// not one per entry of the small pieces at the leaf. Holds on both leaf
-// split paths (streamed splice, or flatten then re-encode).
+// not one per entry of the small pieces at the leaf.
 TEST_F(AllocBudget, SplitAllocatesLogarithmically) {
   if (!pool_enabled())
     GTEST_SKIP() << "pool telemetry only exists in pooled mode";
@@ -261,31 +254,25 @@ TEST_F(AllocBudget, SplitAllocatesLogarithmically) {
   for (uint64_t I = 0; I < N; ++I)
     E[I] = {3 * I, I};
   Map M = Map::from_sorted(std::move(E));
-  test::FlagGuard G(Ops::flat_fastpath());
-  for (bool Fast : {true, false}) {
-    SCOPED_TRACE(Fast ? "flat fast path" : "array path");
-    Ops::flat_fastpath() = Fast;
-    auto R = test::seeded_rng();
-    uint64_t Worst = 0;
-    for (int I = 0; I < 64; ++I) {
-      uint64_t K = R.next(3 * N);
-      Worst = std::max(Worst, pool_allocs([&] {
-                         auto S = Ops::split(Ops::inc(M.root()), K);
-                         EXPECT_EQ(Ops::size(S.L) + Ops::size(S.R) +
-                                       (S.E ? 1 : 0),
-                                   N);
-                         Ops::dec(S.L);
-                         Ops::dec(S.R);
-                       }));
-    }
-    EXPECT_LE(Worst, 2 * LogN + 8);
+  auto R = test::seeded_rng();
+  uint64_t Worst = 0;
+  for (int I = 0; I < 64; ++I) {
+    uint64_t K = R.next(3 * N);
+    Worst = std::max(Worst, pool_allocs([&] {
+                       auto S = Ops::split(Ops::inc(M.root()), K);
+                       EXPECT_EQ(Ops::size(S.L) + Ops::size(S.R) +
+                                     (S.E ? 1 : 0),
+                                 N);
+                       Ops::dec(S.L);
+                       Ops::dec(S.R);
+                     }));
   }
+  EXPECT_LE(Worst, 2 * LogN + 8);
 }
 
 // range copies at most two partial blocks and shares every whole subtree
 // inside the range with one inc, so its allocations depend on the width W,
-// not on n. It reads no runtime switch, so the budget needs no FlagGuard
-// and holds in both CPAM_FLAT_FASTPATH builds.
+// not on n.
 TEST_F(AllocBudget, RangeAllocationsDependOnWidthNotSize) {
   if (!pool_enabled())
     GTEST_SKIP() << "pool telemetry only exists in pooled mode";
@@ -325,62 +312,56 @@ TEST_F(AllocBudget, RangeAllocationsDependOnWidthNotSize) {
 // the keys land in plus the regular nodes above them: O(k log n)
 // allocations, whichever argument comes first. The keys are new, so the
 // intersection is empty and the difference removes nothing. Measured worst
-// cases, flat fast path / array path: one key 10 / 12 at 2^16 and 14 / 16
-// at 2^20 (intersect 1 / 3); 64 keys at 2^20 788 / 853.
+// cases: one key 10 at 2^16 and 14 at 2^20 (intersect 1); 64 keys at 2^20
+// 788.
 TEST_F(AllocBudget, SparseSetOpsRewriteOnlyTheBlocksTheyTouch) {
   if (!pool_enabled())
     GTEST_SKIP() << "pool telemetry only exists in pooled mode";
   using Map = pam_map<uint64_t, uint64_t, 128, diff_encoder>;
-  using Ops = Map::ops;
-  test::FlagGuard G(Ops::flat_fastpath());
-  for (bool Fast : {true, false}) {
-    SCOPED_TRACE(Fast ? "flat fast path" : "array path");
-    Ops::flat_fastpath() = Fast;
-    // Per path: one key (union, difference, multi_insert), one key
-    // (intersect), 64 keys at 2^20 (union, difference).
-    const uint64_t OneKey = Fast ? 16 : 18, OneKeyIntersect = Fast ? 2 : 4;
-    const uint64_t Keys64 = 900;
-    for (size_t LogN : {16, 20}) {
-      const size_t N = size_t{1} << LogN;
-      std::vector<Map::entry_t> E(N);
-      for (uint64_t I = 0; I < N; ++I)
-        E[I] = {3 * I, I};
-      Map A = Map::from_sorted(std::move(E));
-      auto R = test::seeded_rng(LogN);
-      for (size_t K : {1, 8, 64}) {
-        SCOPED_TRACE("n=2^" + std::to_string(LogN) +
-                     " k=" + std::to_string(K));
-        for (int Trial = 0; Trial < 16; ++Trial) {
-          std::vector<Map::entry_t> New;
-          for (size_t I = 0; I < K; ++I) {
-            uint64_t Key = 3 * R.next(N) + 1;
-            New.push_back({Key, Key});
-          }
-          std::sort(New.begin(), New.end());
-          New.erase(std::unique(New.begin(), New.end()), New.end());
-          Map S = Map::from_sorted(New);
-          const size_t NU = N + New.size();
-          uint64_t UnionAS = pool_allocs(
-              [&] { ASSERT_EQ(Map::map_union(A, S).size(), NU); });
-          uint64_t UnionSA = pool_allocs(
-              [&] { ASSERT_EQ(Map::map_union(S, A).size(), NU); });
-          uint64_t Diff = pool_allocs(
-              [&] { ASSERT_EQ(Map::map_difference(A, S).size(), N); });
-          uint64_t Multi = pool_allocs(
-              [&] { ASSERT_EQ(A.multi_insert(New).size(), NU); });
-          uint64_t Inter = pool_allocs(
-              [&] { ASSERT_EQ(Map::map_intersect(A, S).size(), 0u); });
-          EXPECT_EQ(UnionAS, UnionSA) << "the argument order changes the work";
-          if (K == 1) {
-            EXPECT_LE(UnionAS, OneKey);
-            EXPECT_LE(Diff, OneKey);
-            EXPECT_LE(Multi, OneKey);
-            EXPECT_LE(Inter, OneKeyIntersect);
-          }
-          if (K == 64 && LogN == 20) {
-            EXPECT_LE(UnionAS, Keys64);
-            EXPECT_LE(Diff, Keys64);
-          }
+  // One key (union, difference, multi_insert), one key (intersect), 64 keys
+  // at 2^20 (union, difference).
+  const uint64_t OneKey = 16, OneKeyIntersect = 2;
+  const uint64_t Keys64 = 900;
+  for (size_t LogN : {16, 20}) {
+    const size_t N = size_t{1} << LogN;
+    std::vector<Map::entry_t> E(N);
+    for (uint64_t I = 0; I < N; ++I)
+      E[I] = {3 * I, I};
+    Map A = Map::from_sorted(std::move(E));
+    auto R = test::seeded_rng(LogN);
+    for (size_t K : {1, 8, 64}) {
+      SCOPED_TRACE("n=2^" + std::to_string(LogN) +
+                   " k=" + std::to_string(K));
+      for (int Trial = 0; Trial < 16; ++Trial) {
+        std::vector<Map::entry_t> New;
+        for (size_t I = 0; I < K; ++I) {
+          uint64_t Key = 3 * R.next(N) + 1;
+          New.push_back({Key, Key});
+        }
+        std::sort(New.begin(), New.end());
+        New.erase(std::unique(New.begin(), New.end()), New.end());
+        Map S = Map::from_sorted(New);
+        const size_t NU = N + New.size();
+        uint64_t UnionAS = pool_allocs(
+            [&] { ASSERT_EQ(Map::map_union(A, S).size(), NU); });
+        uint64_t UnionSA = pool_allocs(
+            [&] { ASSERT_EQ(Map::map_union(S, A).size(), NU); });
+        uint64_t Diff = pool_allocs(
+            [&] { ASSERT_EQ(Map::map_difference(A, S).size(), N); });
+        uint64_t Multi = pool_allocs(
+            [&] { ASSERT_EQ(A.multi_insert(New).size(), NU); });
+        uint64_t Inter = pool_allocs(
+            [&] { ASSERT_EQ(Map::map_intersect(A, S).size(), 0u); });
+        EXPECT_EQ(UnionAS, UnionSA) << "the argument order changes the work";
+        if (K == 1) {
+          EXPECT_LE(UnionAS, OneKey);
+          EXPECT_LE(Diff, OneKey);
+          EXPECT_LE(Multi, OneKey);
+          EXPECT_LE(Inter, OneKeyIntersect);
+        }
+        if (K == 64 && LogN == 20) {
+          EXPECT_LE(UnionAS, Keys64);
+          EXPECT_LE(Diff, Keys64);
         }
       }
     }
