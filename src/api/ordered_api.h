@@ -154,6 +154,17 @@ public:
   static Derived map_difference(const Derived &A, const Derived &B) {
     return Derived(Ops::difference(Ops::inc(A.Root), Ops::inc(B.Root)));
   }
+  /// Every entry of A, its value combined as Op(value in A, value in B)
+  /// where B has the key; B's other keys are dropped. The operands are
+  /// taken by value: an rvalue is consumed, so its unshared blocks are
+  /// moved out and freed inside the merge instead of copied.
+  template <class CombineOp = take_right>
+  static Derived map_update(Derived A, Derived B,
+                            const CombineOp &Op = CombineOp()) {
+    node_t *RA = A.Root, *RB = B.Root;
+    A.Root = B.Root = nullptr;
+    return Derived(Ops::update(RA, RB, Op));
+  }
 
   //===--------------------------------------------------------------------===
   // Batch updates.

@@ -8,9 +8,9 @@
 /// Allocation shim for tree nodes. Every allocation and free updates
 /// live-object/live-byte counters, which the tests use to prove the
 /// reference-counting collector reclaims everything, and which the space
-/// benchmarks cross-check against per-structure traversals. Counters are
-/// sharded per thread: a single shared atomic would serialize all 24+
-/// workers on two cache lines during tree construction.
+/// benchmarks cross-check against per-structure traversals. Each thread
+/// counts in its own block with plain single-writer adds (par::counter_bump,
+/// no locked RMW on the allocation path); readers sum the registered blocks.
 ///
 /// Storage comes from the size-class pool allocator (pool_allocator.h) by
 /// default; build with CPAM_POOL_ALLOC=0 (-DCPAM_POOL_ALLOC=OFF) for direct
@@ -23,10 +23,14 @@
 #ifndef CPAM_CORE_ALLOCATOR_H
 #define CPAM_CORE_ALLOCATOR_H
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <new>
+#include <vector>
 
 #ifndef CPAM_POOL_ALLOC
 #define CPAM_POOL_ALLOC 1
@@ -36,6 +40,7 @@
 #include "src/core/pool_allocator.h"
 #endif
 
+#include "src/parallel/scheduler.h"
 #include "src/util/failpoint.h"
 
 namespace cpam {
@@ -43,37 +48,66 @@ namespace cpam {
 /// True when node storage is served by the pooled allocator.
 constexpr bool pool_enabled() { return CPAM_POOL_ALLOC != 0; }
 
-/// Sharded allocation statistics for tree nodes.
+/// Live-object and live-byte counts of tree node storage. Every thread
+/// counts its own tree_alloc/tree_free calls in a registered per-thread
+/// block, written only by that thread; a thread that exits folds its block
+/// into a dead-thread total (the pool's LocalStats discipline). One
+/// thread's counts go negative when it frees what another allocated; only
+/// the sum over all blocks means anything.
 struct alloc_stats {
-  static constexpr int kShards = 64;
-  struct alignas(64) Shard {
+  struct counts {
     std::atomic<int64_t> Objects{0};
     std::atomic<int64_t> Bytes{0};
   };
 
-  static Shard *shards() {
-    static Shard S[kShards];
-    return S;
-  }
+  /// A thread's counter block, registered while the thread lives.
+  struct alignas(64) Local : counts {
+    Local() {
+      Registry &R = registry();
+      std::lock_guard<std::mutex> Lock(R.M);
+      R.Live.push_back(this);
+    }
+    ~Local() {
+      Registry &R = registry();
+      std::lock_guard<std::mutex> Lock(R.M);
+      for (auto F : {&counts::Objects, &counts::Bytes})
+        (R.Dead.*F).fetch_add((this->*F).load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
+      R.Live.erase(std::find(R.Live.begin(), R.Live.end(), this));
+    }
+  };
 
-  static Shard &my_shard() {
-    static std::atomic<unsigned> Next{0};
-    thread_local unsigned Mine = Next.fetch_add(1) % kShards;
-    return shards()[Mine];
+  /// The calling thread's counter block.
+  static Local &local() {
+    thread_local Local L;
+    return L;
   }
 
   /// Total live objects across all threads (exact when quiescent).
-  static int64_t live_object_count() {
-    int64_t N = 0;
-    for (int I = 0; I < kShards; ++I)
-      N += shards()[I].Objects.load(std::memory_order_relaxed);
-    return N;
+  static int64_t live_object_count() { return total(&counts::Objects); }
+
+  static int64_t live_byte_count() { return total(&counts::Bytes); }
+
+private:
+  struct Registry {
+    std::mutex M;
+    std::vector<const Local *> Live;
+    counts Dead; ///< Folded counts of exited threads.
+  };
+
+  /// Allocated once and never destroyed: thread-exit folds may run after
+  /// static destruction has begun.
+  static Registry &registry() {
+    static Registry *R = new Registry;
+    return *R;
   }
 
-  static int64_t live_byte_count() {
-    int64_t N = 0;
-    for (int I = 0; I < kShards; ++I)
-      N += shards()[I].Bytes.load(std::memory_order_relaxed);
+  static int64_t total(std::atomic<int64_t> counts::*F) {
+    Registry &R = registry();
+    std::lock_guard<std::mutex> Lock(R.M);
+    int64_t N = (R.Dead.*F).load(std::memory_order_relaxed);
+    for (const Local *L : R.Live)
+      N += (L->*F).load(std::memory_order_relaxed);
     return N;
   }
 };
@@ -91,23 +125,58 @@ inline void *tree_alloc(size_t Bytes) {
 #else
   void *P = ::operator new(Bytes, std::align_val_t(16));
 #endif
-  alloc_stats::Shard &S = alloc_stats::my_shard();
-  S.Objects.fetch_add(1, std::memory_order_relaxed);
-  S.Bytes.fetch_add(static_cast<int64_t>(Bytes), std::memory_order_relaxed);
+  alloc_stats::Local &L = alloc_stats::local();
+  par::counter_bump(L.Objects, 1);
+  par::counter_bump(L.Bytes, static_cast<int64_t>(Bytes));
   return P;
 }
 
 /// Frees node storage previously obtained from tree_alloc.
 inline void tree_free(void *P, size_t Bytes) {
-  alloc_stats::Shard &S = alloc_stats::my_shard();
-  S.Objects.fetch_sub(1, std::memory_order_relaxed);
-  S.Bytes.fetch_sub(static_cast<int64_t>(Bytes), std::memory_order_relaxed);
+  alloc_stats::Local &L = alloc_stats::local();
+  par::counter_bump(L.Objects, -1);
+  par::counter_bump(L.Bytes, -static_cast<int64_t>(Bytes));
 #if CPAM_POOL_ALLOC
   pool_allocator::deallocate(P, Bytes);
 #else
   ::operator delete(P, std::align_val_t(16));
 #endif
 }
+
+/// Scratch storage whose size is fixed on first use: kept inside the
+/// object up to kInline bytes, else taken from tree_alloc. The limit is 2B
+/// entries of either graph level at B = 64 (4-byte neighbour ids, 16-byte
+/// vertex entries), so a temp_buf or leaf writer over a block that small
+/// costs no allocation and a small merge, splice or fold allocates only its
+/// result block. Neither copyable nor movable: the storage may be the
+/// object itself.
+class scratch_buf {
+public:
+  static constexpr size_t kInline = 2048;
+
+  scratch_buf() = default;
+  scratch_buf(const scratch_buf &) = delete;
+  scratch_buf &operator=(const scratch_buf &) = delete;
+  ~scratch_buf() {
+    if (P != Inline)
+      tree_free(P, Bytes);
+  }
+
+  /// Returns \p N bytes of 16-byte aligned storage; call at most once.
+  uint8_t *reserve(size_t N) {
+    assert(Bytes == 0 && "scratch_buf reserved twice");
+    if (N > kInline) {
+      P = static_cast<uint8_t *>(tree_alloc(N));
+      Bytes = N;
+    }
+    return P;
+  }
+
+private:
+  alignas(16) uint8_t Inline[kInline];
+  uint8_t *P = Inline;
+  size_t Bytes = 0;
+};
 
 } // namespace cpam
 

@@ -393,15 +393,17 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     static constexpr size_t kPendTrigger = 3 * kB + 1;
 
     explicit leaf_chunk_writer(size_t MaxN) {
-      // One pooled allocation carries the encoder staging bytes, the
-      // pending array and (for streams that can span leaves) the
-      // separator and leaf-pointer arrays.
+      // One scratch buffer carries the encoder staging bytes, the pending
+      // array and (for streams that can span leaves) the separator and
+      // leaf-pointer arrays; for a stream of at most 2B small entries it
+      // sits inside the writer, so sealing the result is the only
+      // allocation.
       size_t CursorCap = std::max<size_t>(1, std::min(MaxN, kChunk));
       PendCap = std::max<size_t>(1, std::min(MaxN, kPendTrigger));
       size_t PendOff = align_up(WC::max_bytes(CursorCap), alignof(entry_t));
       size_t SepOff = PendOff + PendCap * sizeof(entry_t);
       size_t LeafOff = SepOff;
-      Bytes = SepOff;
+      size_t Bytes = SepOff;
       if (MaxN > kChunk) {
         // Every sealed leaf covers at least B+1 stream entries (leaf plus
         // separator), which bounds the unit arrays up front.
@@ -410,7 +412,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
                            alignof(node_t *));
         Bytes = LeafOff + MaxUnits * sizeof(node_t *);
       }
-      Buf = static_cast<uint8_t *>(tree_alloc(Bytes));
+      uint8_t *Buf = Mem.reserve(Bytes);
       Pending = reinterpret_cast<entry_t *>(Buf + PendOff);
       if (MaxN > kChunk) {
         Seps = reinterpret_cast<entry_t *>(Buf + SepOff);
@@ -421,7 +423,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     leaf_chunk_writer(const leaf_chunk_writer &) = delete;
     leaf_chunk_writer &operator=(const leaf_chunk_writer &) = delete;
     ~leaf_chunk_writer() {
-      C->release(); // Staged entries live inside Buf; drop them first.
+      C->release(); // Staged entries live inside Mem; drop them first.
       if constexpr (!std::is_trivially_destructible_v<entry_t>) {
         for (size_t I = 0; I < NPend; ++I)
           Pending[I].~entry_t();
@@ -430,7 +432,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       }
       for (size_t I = 0; I < NLeaves; ++I)
         NL::dec(Leaves[I]);
-      tree_free(Buf, Bytes);
     }
 
     void push(entry_t E) {
@@ -677,8 +678,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       return join(L, std::move(Ss[Mid - 1]), R);
     }
 
-    size_t Bytes = 0;
-    uint8_t *Buf = nullptr;
+    scratch_buf Mem; // Declared first: outlives every view into it.
     std::optional<WC> C;
     /// Pending (not yet encoded) entries; the hold-back that keeps every
     /// sealed leaf and tail inside [B, 2B].
@@ -723,27 +723,25 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       if constexpr (kCanStream) {
         CW.emplace(MaxN);
       } else {
-        BufBytes = std::max<size_t>(1, MaxN) * sizeof(entry_t);
-        Buf = static_cast<uint8_t *>(tree_alloc(BufBytes));
+        Cap = std::max<size_t>(1, MaxN);
+        Stage = reinterpret_cast<entry_t *>(
+            Scratch.reserve(Cap * sizeof(entry_t)));
       }
     }
     leaf_writer(const leaf_writer &) = delete;
     leaf_writer &operator=(const leaf_writer &) = delete;
     ~leaf_writer() {
-      if constexpr (!kCanStream) {
-        if constexpr (!std::is_trivially_destructible_v<entry_t>)
-          for (size_t I = 0; I < N; ++I)
-            stage()[I].~entry_t();
-        tree_free(Buf, BufBytes);
-      }
+      if constexpr (!kCanStream && !std::is_trivially_destructible_v<entry_t>)
+        for (size_t I = 0; I < N; ++I)
+          Stage[I].~entry_t();
     }
 
     void push(entry_t E) {
       if constexpr (kCanStream) {
         CW->push(std::move(E));
       } else {
-        assert((N + 1) * sizeof(entry_t) <= BufBytes && "leaf_writer overflow");
-        ::new (static_cast<void *>(stage() + N)) entry_t(std::move(E));
+        assert(N < Cap && "leaf_writer overflow");
+        ::new (static_cast<void *>(Stage + N)) entry_t(std::move(E));
         ++N;
       }
     }
@@ -759,20 +757,18 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       if constexpr (kCanStream)
         return CW->finish();
       else
-        return N ? from_array_move(stage(), N) : nullptr;
+        return N ? from_array_move(Stage, N) : nullptr;
     }
 
   private:
-    entry_t *stage() { return reinterpret_cast<entry_t *>(Buf); }
-
     /// The chunk writer exists only in streaming instantiations, so
-    /// staging-only trees (augmented, B = 0) never instantiate it.
-    struct no_chunk_writer {};
-    size_t BufBytes = 0;
-    uint8_t *Buf = nullptr;
-    std::conditional_t<kCanStream, std::optional<leaf_chunk_writer>,
-                       no_chunk_writer>
-        CW;
+    /// staging-only trees (augmented, B = 0) never instantiate it, and the
+    /// staging scratch only in the others.
+    struct none {};
+    std::conditional_t<kCanStream, none, scratch_buf> Scratch;
+    std::conditional_t<kCanStream, std::optional<leaf_chunk_writer>, none> CW;
+    entry_t *Stage = nullptr;
+    size_t Cap = 0;
     size_t N = 0;
   };
 

@@ -6,15 +6,15 @@
 ///
 /// \file
 /// Join-based algorithms over PaC-trees (Figs. 6, 8, 10): search, insertion
-/// and deletion, the three set operations (union / intersect / difference),
-/// multi_insert / multi_delete, filter, map_reduce, range extraction and
-/// order statistics.
+/// and deletion, the set operations (union / intersect / difference and the
+/// keep-left update), multi_insert / multi_delete, filter, map_reduce, range
+/// extraction and order statistics.
 /// Each algorithm is written against expose/join/split only — plus the
-/// optimized base cases of Sec. 8. union, intersect and difference are one
-/// skeleton (set_op) with a per-op keep policy: it exposes the larger
-/// operand, whose root is a regular node once it holds more than 2B entries
-/// (reading it re-encodes nothing), and splits only the smaller one at that
-/// key, so sparse pairs cost O(m log(n/m)) block edits on the small side
+/// optimized base cases of Sec. 8. The set operations are one skeleton
+/// (set_op) with a per-op keep policy: it exposes the larger operand, whose
+/// root is a regular node once it holds more than 2B entries (reading it
+/// re-encodes nothing), and splits only the smaller one at that key, so
+/// sparse pairs cost O(m log(n/m)) block edits on the small side
 /// instead of a split of the large side per key of the small one. A pair
 /// merges whole (merge_whole) when its larger side is one block, or when it
 /// is dense and fits the base-case granularity kappa (32B; configurable for
@@ -378,13 +378,13 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   }
 
   //===--------------------------------------------------------------------===
-  // Set operations (Fig. 10) with Sec. 8 base cases. union, intersect and
-  // difference are one skeleton (set_op) and one base case (set_base),
-  // parameterized by a keep policy. Two flat operands merge cursor-to-cursor
-  // straight into finished flat nodes (leaf_reader -> leaf_writer, no
-  // temp_buf round trip) when cursor_merge_wins says so; every other
-  // base-case shape flattens into arrays, whose wide union results are
-  // encoded chunk by chunk.
+  // Set operations (Fig. 10) with Sec. 8 base cases. union, intersect,
+  // difference and update are one skeleton (set_op) and one base case
+  // (set_base), parameterized by a keep policy. Two flat operands merge
+  // cursor-to-cursor straight into finished flat nodes (leaf_reader ->
+  // leaf_writer, no temp_buf round trip) when cursor_merge_wins says so;
+  // every other base-case shape flattens into arrays, whose wide union
+  // results are encoded chunk by chunk.
   //===--------------------------------------------------------------------===
 
   /// Keep policy of a set operation over (T1, T2): an entry whose key is
@@ -401,6 +401,8 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using union_policy = keep_policy<true, true, true>;
   using intersect_policy = keep_policy<false, false, true>;
   using difference_policy = keep_policy<true, false, false>;
+  /// Keep-left: every key of T1, combined with T2's value where T2 has it.
+  using update_policy = keep_policy<true, false, true>;
 
   /// Merges the sorted arrays A[0..N1) and B[0..N2) under keep policy \p P
   /// into \p Out's raw storage (survivors moved; \p Op invoked exactly once
@@ -788,9 +790,9 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return set_arrays<P>(B1.data(), N1, B2.data(), N2, Op);
   }
 
-  /// The one join-based skeleton of union, intersect and difference over
-  /// owned T1 and T2 under keep policy \p P (Fig. 10). A pair that
-  /// merge_whole admits is a base case. Otherwise the larger operand is
+  /// The one join-based skeleton of every set operation over owned T1 and
+  /// T2 under keep policy \p P (Fig. 10). A pair that merge_whole admits
+  /// is a base case. Otherwise the larger operand is
   /// exposed — more than 2B entries make its root a regular node, so even a
   /// shared root is read without re-encoding anything — and only the
   /// smaller is split at the exposed key, so the recursion's block
@@ -868,6 +870,16 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   /// Difference T1 \ T2 of two owned trees.
   static node_t *difference(node_t *T1, node_t *T2) {
     return set_op<difference_policy>(T1, T2, take_right());
+  }
+
+  /// Keep-left update of two owned trees: every entry of T1, its value
+  /// replaced by Op(value in T1, value in T2) where T2 has the key; keys
+  /// only in T2 are dropped. The union minus T2's new keys, without the
+  /// membership probe per key of T2 that filtering them first would cost.
+  template <class CombineOp = take_right>
+  static node_t *update(node_t *T1, node_t *T2,
+                        const CombineOp &Op = CombineOp()) {
+    return set_op<update_policy>(T1, T2, Op);
   }
 
   //===--------------------------------------------------------------------===

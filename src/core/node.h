@@ -294,18 +294,19 @@ struct node_layer {
   // Temporary entry buffers (raw storage, destroyed on scope exit).
   //===--------------------------------------------------------------------===
 
+  /// Raw entry storage for \p Cap entries; up to scratch_buf::kInline
+  /// bytes live inside the object.
   class temp_buf {
   public:
-    explicit temp_buf(size_t Cap) : Cap(Cap) {
-      Data = static_cast<entry_t *>(tree_alloc(Cap * sizeof(entry_t)));
-    }
+    explicit temp_buf(size_t Cap)
+        : Data(reinterpret_cast<entry_t *>(Mem.reserve(Cap * sizeof(entry_t)))),
+          Cap(Cap) {}
     temp_buf(const temp_buf &) = delete;
     temp_buf &operator=(const temp_buf &) = delete;
     ~temp_buf() {
       if constexpr (!std::is_trivially_destructible_v<entry_t>)
         for (size_t I = 0; I < Count; ++I)
           Data[I].~entry_t();
-      tree_free(Data, Cap * sizeof(entry_t));
     }
     entry_t *data() { return Data; }
     /// Records that entries [0, N) are now constructed.
@@ -316,6 +317,7 @@ struct node_layer {
     size_t count() const { return Count; }
 
   private:
+    scratch_buf Mem;
     entry_t *Data;
     size_t Count = 0;
     size_t Cap;

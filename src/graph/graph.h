@@ -136,13 +136,13 @@ public:
   /// Inserts a batch of *directed* edges (duplicates and existing edges are
   /// fine). For undirected updates include both directions in the batch.
   /// Work O(m log(n/m + 1)) for a sorted batch (Thm. 7.1's bound shape).
-  sym_graph_t insert_edges(std::vector<edge_pair> Batch) const {
-    return applyBatch(std::move(Batch), /*IsDelete=*/false);
+  sym_graph_t insert_edges(const std::vector<edge_pair> &Batch) const {
+    return applyBatch(Batch, /*IsDelete=*/false);
   }
 
   /// Deletes a batch of directed edges (absent edges are ignored).
-  sym_graph_t delete_edges(std::vector<edge_pair> Batch) const {
-    return applyBatch(std::move(Batch), /*IsDelete=*/true);
+  sym_graph_t delete_edges(const std::vector<edge_pair> &Batch) const {
+    return applyBatch(Batch, /*IsDelete=*/true);
   }
 
   std::string check_invariants() const {
@@ -160,62 +160,61 @@ public:
   const vertex_tree &vertices() const { return VT; }
 
 private:
-  /// Shared batch path: group by source, build per-source deltas, then
-  /// merge into the vertex tree with union / difference on edge trees.
-  sym_graph_t applyBatch(std::vector<edge_pair> Batch, bool IsDelete) const {
+  /// Shared batch path. The edges are packed as src << 32 | dst keys,
+  /// radix-sorted and deduplicated; each source's delta is a slice of one
+  /// neighbour array. An insert unions the delta into the vertex tree (new
+  /// sources join it); a delete applies it with the keep-left update, so
+  /// sources the graph lacks drop out of the same pass and cost no lookup.
+  sym_graph_t applyBatch(const std::vector<edge_pair> &Batch,
+                         bool IsDelete) const {
     sym_graph_t Out;
     Out.NumVertices = NumVertices;
     if (Batch.empty()) {
       Out.VT = VT;
       return Out;
     }
-    par::sort(Batch);
-    size_t M = par::unique(Batch.data(), Batch.size());
-    Batch.resize(M);
+    std::vector<uint64_t> Keys(Batch.size());
+    par::parallel_for(0, Batch.size(), [&](size_t I) {
+      Keys[I] = uint64_t(Batch[I].first) << 32 | Batch[I].second;
+    });
+    par::integer_sort(Keys);
+    size_t M = par::unique(Keys.data(), Keys.size());
+    auto Src = [&](size_t I) { return static_cast<vertex_id>(Keys[I] >> 32); };
     std::vector<size_t> Starts(M);
     size_t NumSrc = par::pack_index(
-        M,
-        [&](size_t I) {
-          return I == 0 || Batch[I].first != Batch[I - 1].first;
-        },
+        M, [&](size_t I) { return I == 0 || Src(I) != Src(I - 1); },
         Starts.data());
-    Starts.resize(NumSrc);
+    std::vector<vertex_id> Ngh(M);
+    par::parallel_for(0, M, [&](size_t I) {
+      Ngh[I] = static_cast<vertex_id>(Keys[I]);
+    });
     std::vector<vertex_entry_t> Delta(NumSrc);
     par::parallel_for(
         0, NumSrc,
         [&](size_t S) {
           size_t Lo = Starts[S];
           size_t Hi = S + 1 < NumSrc ? Starts[S + 1] : M;
-          std::vector<vertex_id> Ngh(Hi - Lo);
-          for (size_t I = Lo; I < Hi; ++I)
-            Ngh[I - Lo] = Batch[I].second;
-          Delta[S] = {Batch[Lo].first,
-                      edge_set::from_sorted(std::move(Ngh))};
+          auto *E = edge_set::ops::from_array_move(Ngh.data() + Lo, Hi - Lo);
+          Delta[S] = {Src(Lo), edge_set::take_root(E)};
         },
         /*Gran=*/1);
+    vertex_tree DeltaT = vertex_tree::from_sorted(std::move(Delta));
+    // The merges consume the delta: its blocks and edge sets are freed
+    // while they are hot instead of in a second pass afterwards.
     if (IsDelete) {
-      // Only existing vertices can lose edges; drop foreign sources, then
-      // subtract per-vertex.
-      std::vector<vertex_entry_t> Kept(Delta.size());
-      size_t K = par::pack(
-          Delta.data(),
-          [&](size_t I) { return VT.contains(Delta[I].first); },
-          Delta.size(), Kept.data());
-      Kept.resize(K);
-      vertex_tree DeltaT = vertex_tree::from_sorted(std::move(Kept));
-      Out.VT = vertex_tree::map_union(
-          VT, DeltaT, [](const edge_set &Old, const edge_set &Del) {
+      Out.VT = vertex_tree::map_update(
+          VT, std::move(DeltaT), [](const edge_set &Old, const edge_set &Del) {
             return edge_set::map_difference(Old, Del);
           });
       return Out;
     }
-    vertex_tree DeltaT = vertex_tree::from_sorted(std::move(Delta));
     Out.VT = vertex_tree::map_union(
-        VT, DeltaT, [](const edge_set &Old, const edge_set &New) {
+        vertex_tree(VT), std::move(DeltaT),
+        [](const edge_set &Old, const edge_set &New) {
           return edge_set::map_union(Old, New);
         });
     // Batches may reference vertices beyond the current bound.
-    size_t MaxV = static_cast<size_t>(Batch.back().first) + 1;
+    size_t MaxV = static_cast<size_t>(Src(M - 1)) + 1;
     if (MaxV > Out.NumVertices)
       Out.NumVertices = MaxV;
     return Out;

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Parallel primitives over contiguous arrays: tabulate, reduce, exclusive
-/// scan, pack/filter, merge and a parallel merge sort. These stand in for
-/// the ParlayLib primitives the original CPAM builds on. All primitives have
-/// the standard work/span bounds (reduce/scan/pack: O(n) work, O(log n)
-/// span; sort: O(n log n) work, O(log^2 n) span).
+/// scan, pack/filter, merge, a parallel merge sort and an integer radix
+/// sort. These stand in for the ParlayLib primitives the original CPAM
+/// builds on. All primitives have the standard work/span bounds
+/// (reduce/scan/pack: O(n) work, O(log n) span; sort: O(n log n) work,
+/// O(log^2 n) span; integer_sort: O(dn) work for d non-zero 8-bit digits).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/parallel/scheduler.h"
@@ -265,6 +267,70 @@ void sort(T *A, size_t N, Less Lt = Less()) {
 template <class T, class Less = std::less<T>>
 void sort(std::vector<T> &V, Less Lt = Less()) {
   sort(V.data(), V.size(), Lt);
+}
+
+/// Stable LSD radix sort of the unsigned integers A[0..N) in place, one
+/// pass per 8-bit digit. A digit that is zero in every key is skipped, so
+/// keys that use few of their bits — packed (source, target) vertex pairs
+/// of a small graph — take few passes. Each pass counts digits per block
+/// of kSeqThreshold keys, prefix-sums the counts digit-major, then
+/// scatters every block into its own slice of each bucket; counting and
+/// scatter are parallel_for over the blocks.
+template <class T> void integer_sort(T *A, size_t N) {
+  static_assert(std::is_unsigned_v<T>, "integer_sort sorts unsigned keys");
+  constexpr size_t kBuckets = 256;
+  if (N <= kBuckets) { // Below one pass's bucket count a comparison sort wins.
+    std::sort(A, A + N);
+    return;
+  }
+  const size_t NumBlocks = (N + kSeqThreshold - 1) / kSeqThreshold;
+  const T Used = reduce(A, N, T(0), [](T X, T Y) { return T(X | Y); });
+  std::vector<T> Tmp(N);
+  std::vector<size_t> Offsets(NumBlocks * kBuckets);
+  T *Src = A, *Dst = Tmp.data();
+  for (unsigned Shift = 0; Shift < 8 * sizeof(T); Shift += 8) {
+    if (((Used >> Shift) & 0xff) == 0)
+      continue;
+    auto Digit = [Shift](T X) {
+      return static_cast<size_t>((X >> Shift) & 0xff);
+    };
+    parallel_for(
+        0, NumBlocks,
+        [&](size_t B) {
+          size_t *C = Offsets.data() + B * kBuckets;
+          std::fill(C, C + kBuckets, size_t(0));
+          for (size_t I = B * kSeqThreshold,
+                      E = std::min(N, I + kSeqThreshold);
+               I < E; ++I)
+            ++C[Digit(Src[I])];
+        },
+        1);
+    size_t Sum = 0;
+    for (size_t D = 0; D < kBuckets; ++D)
+      for (size_t B = 0; B < NumBlocks; ++B) {
+        size_t C = Offsets[B * kBuckets + D];
+        Offsets[B * kBuckets + D] = Sum;
+        Sum += C;
+      }
+    parallel_for(
+        0, NumBlocks,
+        [&](size_t B) {
+          size_t *C = Offsets.data() + B * kBuckets;
+          for (size_t I = B * kSeqThreshold,
+                      E = std::min(N, I + kSeqThreshold);
+               I < E; ++I)
+            Dst[C[Digit(Src[I])]++] = Src[I];
+        },
+        1);
+    std::swap(Src, Dst);
+  }
+  if (Src != A)
+    std::copy(Src, Src + N, A);
+}
+
+/// integer_sort of a vector in place.
+template <class T> void integer_sort(std::vector<T> &V) {
+  integer_sort(V.data(), V.size());
 }
 
 /// Removes adjacent duplicates from sorted A (by Eq); returns new length.

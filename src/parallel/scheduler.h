@@ -35,6 +35,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/parallel/chase_lev.h"
@@ -43,13 +44,15 @@
 namespace cpam {
 namespace par {
 
-/// Single-writer relaxed counter increment: the counter is written by
-/// exactly one thread, so the unsynchronized load+store compiles to a
-/// plain increment (no locked RMW); snapshot readers load it relaxed from
-/// other threads. Shared by the scheduler's and the pool allocator's
-/// telemetry.
-inline void counter_bump(std::atomic<uint64_t> &C) {
-  C.store(C.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+/// Single-writer relaxed counter add: the counter is written by exactly
+/// one thread, so the unsynchronized load+store compiles to a plain add (no
+/// locked RMW); snapshot readers load it relaxed from other threads. Shared
+/// by the scheduler's and the pool allocator's telemetry and the live-node
+/// accounting of tree_alloc/tree_free.
+template <class T>
+inline void counter_bump(std::atomic<T> &C, std::type_identity_t<T> Delta = 1) {
+  C.store(C.load(std::memory_order_relaxed) + Delta,
+          std::memory_order_relaxed);
 }
 
 /// A unit of work produced by a fork. The task object lives on the forking

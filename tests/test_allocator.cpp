@@ -241,6 +241,44 @@ TEST_F(AllocatorTest, CrossThreadAllocFree) {
   // LeakCheckTest::TearDown proves the counters returned to baseline.
 }
 
+TEST_F(AllocatorTest, ExitedThreadsKeepLiveCountsExact) {
+  // Each thread counts its allocations in its own block and folds it into
+  // the dead-thread total when it exits. Threads that build trees and exit
+  // before anyone frees them must leave the live counts exact — the sum
+  // of their trees — and freeing the trees here, on a thread whose own
+  // block then goes negative, must bring the counts back to the baseline.
+  // Runs in both pool modes: nothing here reads pool telemetry.
+  using Set = pam_set<uint64_t, 8>;
+  constexpr int NumThreads = 6;
+  const int64_t Objects0 = alloc_stats::live_object_count();
+  const int64_t Bytes0 = alloc_stats::live_byte_count();
+  std::vector<Set> Sets(NumThreads);
+  std::vector<void *> Raw(NumThreads);
+  std::vector<std::thread> Ts;
+  for (int T = 0; T < NumThreads; ++T)
+    Ts.emplace_back([&, T] {
+      std::vector<uint64_t> Keys(500 + 300 * T);
+      for (size_t I = 0; I < Keys.size(); ++I)
+        Keys[I] = 7 * I + T;
+      Sets[T] = Set(Keys);
+      Raw[T] = tree_alloc(100 + 40 * T);
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  int64_t WantObjects = NumThreads, WantBytes = 0;
+  for (int T = 0; T < NumThreads; ++T) {
+    WantObjects += static_cast<int64_t>(Sets[T].node_count());
+    WantBytes += static_cast<int64_t>(Sets[T].size_in_bytes()) + 100 + 40 * T;
+  }
+  EXPECT_EQ(alloc_stats::live_object_count() - Objects0, WantObjects);
+  EXPECT_EQ(alloc_stats::live_byte_count() - Bytes0, WantBytes);
+  Sets.clear();
+  for (int T = 0; T < NumThreads; ++T)
+    tree_free(Raw[T], 100 + 40 * T);
+  EXPECT_EQ(alloc_stats::live_object_count(), Objects0);
+  EXPECT_EQ(alloc_stats::live_byte_count(), Bytes0);
+}
+
 TEST_F(AllocatorTest, SixteenThreadOversubscribedChurn) {
   // 16 threads (more than this machine's cores) hammer the same classes
   // concurrently: allocate a burst, hand it to a neighbor via a shared

@@ -7,10 +7,11 @@
 /// \file
 /// The chaos suite: semantics of the deterministic failpoint registry
 /// (src/util/failpoint.h) and fault-injection episodes driving every armed
-/// failure path — allocation throws mid-merge, mid-filter or mid-splice of
-/// a sequence (alloc.node, leaf.seal), fork refusal degrading to inline
-/// execution (sched.fork), and the serving failure paths (queue-full
-/// rejection, wedged applies, stalled readers tripping the watchdog).
+/// failure path — allocation throws mid-merge, mid-filter, mid-splice of
+/// a sequence or mid graph batch update (alloc.node, leaf.seal), fork
+/// refusal degrading to inline execution (sched.fork), and the serving
+/// failure paths (queue-full rejection, wedged applies, stalled readers
+/// tripping the watchdog).
 /// Episodes assert the exception contract end to end: a failed op leaves
 /// its operands untouched, leaks nothing (LeakCheckTest fixtures), and the
 /// structure still satisfies the Def. 4.1 invariants. Runs in the ASan
@@ -21,6 +22,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <new>
 #include <set>
 #include <string>
@@ -34,6 +36,7 @@
 #include "src/api/pam_set.h"
 #include "src/encoding/diff_encoder.h"
 #include "src/encoding/gamma_encoder.h"
+#include "src/graph/graph.h"
 #include "src/serving/version_chain.h"
 #include "src/util/failpoint.h"
 #include "tests/test_common.h"
@@ -415,6 +418,84 @@ TEST_F(ChaosLeakTest, SeqOpsChaosLeakNothing) {
   if (HasFatalFailure())
     return;
   runSeqChaos<pam_seq<uint64_t, 64, diff_encoder>, /*CanReverse=*/false>(37);
+}
+
+/// Graph batch updates under "alloc.node" and "leaf.seal" failures. An
+/// insert unions per-source edge sets inside the vertex-tree union and a
+/// delete runs edge-set differences inside the keep-left update, so a
+/// failure can land in the nested combine, in a vertex-level merge or in
+/// building the delta; every failed batch must leave its graph exactly as
+/// it was and leak nothing, and every surviving batch must match the
+/// reference adjacency.
+TEST_F(ChaosLeakTest, GraphBatchChaosLeavesGraphIntact) {
+  using AdjRef = std::map<vertex_id, std::set<vertex_id>>;
+  auto Check = [](const sym_graph &G, const AdjRef &Ref, const char *What) {
+    ASSERT_EQ(G.check_invariants(), "") << What;
+    size_t Edges = 0;
+    for (const auto &[U, Ns] : Ref) {
+      Edges += Ns.size();
+      std::vector<vertex_id> Want(Ns.begin(), Ns.end());
+      ASSERT_EQ(G.neighbors(U).to_vector(), Want) << What << ": vertex " << U;
+    }
+    ASSERT_EQ(G.num_edges(), Edges) << What;
+  };
+  constexpr int LogN = 9;
+  auto Edges = rmat_graph(LogN, 6000);
+  AdjRef Ref;
+  for (auto [U, V] : Edges)
+    Ref[U].insert(V);
+  sym_graph G = sym_graph::from_edges(Edges, size_t{1} << LogN);
+  fail::scoped_arm Arm("alloc.node", "p=3000/seed=23");
+  fail::scoped_arm Seal("leaf.seal", "every=10");
+  Rng R = test::seeded_rng(41);
+  uint64_t Survived = 0, Died = 0;
+  for (int Step = 0; Step < 40; ++Step) {
+    bool IsDelete = Step % 2;
+    std::vector<edge_pair> Batch;
+    if (IsDelete) {
+      // Half present edges, half random ones (mostly absent).
+      for (size_t I = 0; I < 200; ++I) {
+        const edge_pair &E = Edges[R.next(Edges.size())];
+        Batch.push_back(E);
+        Batch.push_back({static_cast<vertex_id>(R.next(1 << LogN)),
+                         static_cast<vertex_id>(R.next(1 << LogN))});
+      }
+    } else {
+      // rMAT edges plus a star of 150 at one low vertex: merging the star
+      // into that vertex's edge set is wide enough to seal chunks.
+      RmatParams P;
+      P.Seed = R.next();
+      Batch = rmat_edges(LogN, 400, P);
+      vertex_id Hub = static_cast<vertex_id>(R.next(8));
+      for (size_t I = 0; I < 150; ++I)
+        Batch.push_back({Hub, static_cast<vertex_id>(R.next(1 << LogN))});
+    }
+    size_t N = Batch.size();
+    for (size_t I = 0; I < N; ++I)
+      Batch.push_back({Batch[I].second, Batch[I].first});
+    try {
+      sym_graph Next = IsDelete ? G.delete_edges(Batch) : G.insert_edges(Batch);
+      for (auto [U, V] : Batch) {
+        if (!IsDelete)
+          Ref[U].insert(V);
+        else if (auto It = Ref.find(U); It != Ref.end())
+          It->second.erase(V);
+      }
+      G = std::move(Next);
+      ++Survived;
+      Check(G, Ref, "graph-chaos survivor");
+    } catch (const std::bad_alloc &) {
+      ++Died;
+      Check(G, Ref, "graph after a failed batch");
+    }
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  EXPECT_GT(Survived, 0u);
+  EXPECT_GT(Died, 0u);
+  EXPECT_GT(fail::fires("alloc.node"), 0u);
+  EXPECT_GT(fail::fires("leaf.seal"), 0u)
+      << "no edge-set merge wide enough to seal a chunk";
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Differential testing layer: random interleaved sequences of insert /
-/// remove / union / intersect / difference / multi_insert / multi_delete /
-/// range driven simultaneously against a PaC-tree and a std::map / std::set
-/// oracle, at block sizes B in {0, 8, 128} (PAM baseline, small blocks, the
-/// paper default), two seeded episodes per test. After every step the tree
+/// remove / union / intersect / difference / update / multi_insert /
+/// multi_delete / range driven simultaneously against a PaC-tree and a
+/// std::map / std::set oracle, at block sizes B in {0, 8, 128} (PAM
+/// baseline, small blocks, the paper default), two seeded episodes per
+/// test. After every step the tree
 /// must satisfy the Def. 4.1 invariants and agree elementwise (keys *and*
 /// combined values) with the oracle. PAM (Sun et al.) defines the
 /// uncompressed semantics the compressed block paths must preserve
@@ -154,6 +155,15 @@ Oracle oracleIntersect(const Oracle &A, const Oracle &B, F Op) {
   for (const auto &[K, V] : A)
     if (auto It = B.find(K); It != B.end())
       Out.emplace(K, Op(V, It->second));
+  return Out;
+}
+/// Keep-left update: every entry of A, its value Op(value in A, value in
+/// B) where B has the key.
+template <class F> Oracle oracleUpdate(const Oracle &A, const Oracle &B, F Op) {
+  Oracle Out = A;
+  for (auto &[K, V] : Out)
+    if (auto It = B.find(K); It != B.end())
+      V = Op(V, It->second);
   return Out;
 }
 template <class OracleT>
@@ -338,6 +348,11 @@ template <class MapT> void runMapEpisode(Rng R) {
                          "lopsided difference");
       checkAgainstOracle(MapT::map_difference(MS, M), oracleDifference(OS, O),
                          "lopsided difference, small first");
+      checkAgainstOracle(MapT::map_update(M, MS, kLopsided),
+                         oracleUpdate(O, OS, kLopsided), "lopsided update");
+      checkAgainstOracle(MapT::map_update(MS, M, kLopsided),
+                         oracleUpdate(OS, O, kLopsided),
+                         "lopsided update, small first");
       checkAgainstOracle(M, O, "lopsided: large input unchanged");
       checkAgainstOracle(MS, OS, "lopsided: small input unchanged");
       M = MapT::map_union(M, MS, kLopsided);
@@ -364,6 +379,35 @@ TYPED_TEST(DifferentialMapTest, RandomOpsMatchStdMap) {
     if (this->HasFatalFailure())
       break;
   }
+}
+
+// map_update keeps every key of its first operand and combines the values
+// of the keys both hold. The skeleton exposes the larger operand and splits
+// the smaller, so the two size orders take different branches of its
+// middle-entry rule; sizes reach the parallel forks and the quantile-split
+// base cases, and the ctest variants run the suite at 1, 4 and 16 workers.
+TYPED_TEST(DifferentialMapTest, MapUpdateMatchesStdMap) {
+  using MapT = TypeParam;
+  auto Plus = std::plus<uint64_t>();
+  auto R = test::seeded_rng();
+  const size_t Sizes[] = {0, 1, 40, 700, 6000, 40000};
+  for (size_t NA : Sizes)
+    for (size_t NB : Sizes) {
+      SCOPED_TRACE("|A|=" + std::to_string(NA) + " |B|=" + std::to_string(NB));
+      // A shared key space twice the larger side: the operands overlap on
+      // about a quarter to a half of their keys.
+      uint64_t Universe = 2 * std::max<uint64_t>({NA, NB, 1});
+      EntryVec A = randomEntries(R, NA, Universe);
+      EntryVec B = randomEntries(R, NB, Universe);
+      MapT MA(A, Plus), MB(B, Plus);
+      Oracle OA = toOracle(A), OB = toOracle(B);
+      checkAgainstOracle(MapT::map_update(MA, MB, kLopsided),
+                         oracleUpdate(OA, OB, kLopsided), "update");
+      checkAgainstOracle(MA, OA, "update: first input unchanged");
+      checkAgainstOracle(MB, OB, "update: second input unchanged");
+      if (::testing::Test::HasFatalFailure())
+        return;
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -463,6 +507,12 @@ template <class MapT> void runMapChaosEpisode(Rng R, uint64_t Salt) {
         checkAgainstOracle(MapT::map_difference(MS, M),
                            oracleDifference(OS, O),
                            "chaos lopsided difference, small first");
+        checkAgainstOracle(MapT::map_update(M, MS, kLopsided),
+                           oracleUpdate(O, OS, kLopsided),
+                           "chaos lopsided update");
+        checkAgainstOracle(MapT::map_update(MS, M, kLopsided),
+                           oracleUpdate(OS, O, kLopsided),
+                           "chaos lopsided update, small first");
         MapT Next = MapT::map_union(M, MS, kLopsided);
         M = std::move(Next);
         O = oracleUnion(O, OS, kLopsided);

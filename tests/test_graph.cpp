@@ -71,53 +71,115 @@ TEST(SymGraph, BuildMatchesReference) {
     ASSERT_EQ(Snap[U].size(), Ns.size());
 }
 
+/// Asserts that \p G holds exactly the adjacency \p Ref: the same sorted
+/// neighbour list at every vertex of Ref, and (through the edge count) no
+/// edges anywhere else.
+void expectAdjacency(const sym_graph &G, const AdjRef &Ref, const char *What) {
+  ASSERT_EQ(G.check_invariants(), "") << What;
+  size_t Edges = 0;
+  for (auto &[U, Ns] : Ref) {
+    Edges += Ns.size();
+    std::vector<vertex_id> Want(Ns.begin(), Ns.end());
+    ASSERT_EQ(G.neighbors(U).to_vector(), Want) << What << ": vertex " << U;
+  }
+  ASSERT_EQ(G.num_edges(), Edges) << What;
+}
+
+/// Both directions of every edge in \p Edges.
+std::vector<edge_pair> symmetrize(const std::vector<edge_pair> &Edges) {
+  std::vector<edge_pair> Out;
+  for (auto &[U, V] : Edges) {
+    Out.push_back({U, V});
+    Out.push_back({V, U});
+  }
+  return Out;
+}
+
 TEST(SymGraph, InsertAndDeleteEdges) {
   auto Edges = rmat_graph(9, 2000);
   size_t N = 1 << 9;
   sym_graph G = sym_graph::from_edges(Edges, N);
   AdjRef Ref = toRef(Edges);
+  expectAdjacency(G, Ref, "build");
 
   // Insert a random batch (symmetrized).
   auto Raw = rmat_edges(9, 500, {0.5, 0.1, 0.1, 99});
   std::vector<edge_pair> Batch;
-  for (auto &[U, V] : Raw) {
-    if (U == V)
-      continue;
-    Batch.push_back({U, V});
-    Batch.push_back({V, U});
+  for (auto &[U, V] : Raw)
+    if (U != V)
+      Batch.push_back({U, V});
+  Batch = symmetrize(Batch);
+  for (auto &[U, V] : Batch)
     Ref[U].insert(V);
-    Ref[V].insert(U);
-  }
   sym_graph G2 = G.insert_edges(Batch);
-  EXPECT_EQ(G2.check_invariants(), "");
-  size_t RefEdges = 0;
-  for (auto &[U, Ns] : Ref)
-    RefEdges += Ns.size();
-  EXPECT_EQ(G2.num_edges(), RefEdges);
-  for (auto &[U, Ns] : Ref) {
-    auto ES = G2.neighbors(U);
-    ASSERT_EQ(ES.size(), Ns.size()) << "vertex " << U;
-  }
+  expectAdjacency(G2, Ref, "insert");
   // The old snapshot is untouched (multiversioning).
-  EXPECT_EQ(G.num_edges(), Edges.size());
+  expectAdjacency(G, toRef(Edges), "snapshot after insert");
 
   // Delete the same batch.
   sym_graph G3 = G2.delete_edges(Batch);
-  EXPECT_EQ(G3.check_invariants(), "");
   AdjRef Ref3 = toRef(Edges);
   for (auto &[U, V] : Batch)
     Ref3[U].erase(V);
-  size_t Ref3Edges = 0;
+  expectAdjacency(G3, Ref3, "delete");
+  expectAdjacency(G2, Ref, "snapshot after delete");
+
+  // A batch that empties a vertex: every edge at the highest-degree one.
+  vertex_id Hub = 0;
+  size_t HubDegree = 0;
   for (auto &[U, Ns] : Ref3)
-    Ref3Edges += Ns.size();
-  EXPECT_EQ(G3.num_edges(), Ref3Edges);
+    if (Ns.size() > HubDegree) {
+      Hub = U;
+      HubDegree = Ns.size();
+    }
+  ASSERT_GT(HubDegree, 0u);
+  std::vector<edge_pair> HubEdges;
+  for (vertex_id V : Ref3[Hub])
+    HubEdges.push_back({Hub, V});
+  HubEdges = symmetrize(HubEdges);
+  for (auto &[U, V] : HubEdges)
+    Ref3[U].erase(V);
+  sym_graph G4 = G3.delete_edges(HubEdges);
+  expectAdjacency(G4, Ref3, "delete every edge of a vertex");
+  EXPECT_EQ(G4.degree(Hub), 0u);
+  EXPECT_EQ(G4.num_vertices(), N);
+
+  // Duplicate edges in a batch count once, on insert and on delete; the
+  // delete also names sources the graph has never had.
+  std::vector<edge_pair> Dups;
+  for (size_t I = 0; I < 40; ++I) {
+    vertex_id U = static_cast<vertex_id>(7 * I % N);
+    vertex_id V = static_cast<vertex_id>((13 * I + 5) % N);
+    if (U == V)
+      continue;
+    for (int Copy = 0; Copy < 3; ++Copy)
+      Dups.push_back({U, V});
+  }
+  Dups = symmetrize(Dups);
+  for (auto &[U, V] : Dups)
+    Ref3[U].insert(V);
+  sym_graph G5 = G4.insert_edges(Dups);
+  expectAdjacency(G5, Ref3, "insert with duplicate edges");
+  std::vector<edge_pair> DelDups(Dups.begin(), Dups.begin() + Dups.size() / 2);
+  DelDups.push_back({static_cast<vertex_id>(N + 3), 1});
+  DelDups.push_back({static_cast<vertex_id>(N + 3), 1});
+  for (auto &[U, V] : DelDups)
+    if (auto It = Ref3.find(U); It != Ref3.end())
+      It->second.erase(V);
+  sym_graph G6 = G5.delete_edges(DelDups);
+  expectAdjacency(G6, Ref3, "delete with duplicate and foreign edges");
+  EXPECT_EQ(G6.num_vertices(), N);
+  EXPECT_EQ(G6.vertices().size(), G5.vertices().size());
 }
 
 TEST(SymGraph, DeleteForeignVerticesIsNoop) {
   auto Edges = rmat_graph(8, 500);
   sym_graph G = sym_graph::from_edges(Edges, 1 << 8);
   sym_graph G2 = G.delete_edges({{100000, 5}, {100001, 7}});
+  EXPECT_EQ(G2.check_invariants(), "");
   EXPECT_EQ(G2.num_edges(), G.num_edges());
+  EXPECT_EQ(G2.num_vertices(), G.num_vertices());
+  EXPECT_EQ(G2.vertices().size(), G.vertices().size());
 }
 
 TEST(Bfs, MatchesReferenceOnRmat) {

@@ -172,6 +172,39 @@ TEST(Primitives, SortRandom) {
   }
 }
 
+// integer_sort runs one pass per 8-bit digit that some key uses: full
+// 64-bit keys take all eight, packed (source, target) pairs below 2^16 take
+// four (the digit mask has holes), and keys with one used digit take one,
+// an odd count that ends in the scratch array and is copied back. Sizes
+// cover the comparison-sort cutoff, one block and many blocks.
+TEST(Primitives, IntegerSortMatchesStdSort) {
+  Rng R(17);
+  auto Full = [&](size_t I) { return R.ith(I); };
+  auto Packed = [&](size_t I) {
+    uint64_t X = R.ith(I);
+    return (X >> 48) << 32 | (X & 0xffff);
+  };
+  auto OneDigit = [&](size_t I) { return (R.ith(I) & 0xff) << 24; };
+  for (size_t N : {0u, 1u, 256u, 257u, 2048u, 8192u, 100003u}) {
+    for (int Shape = 0; Shape < 3; ++Shape) {
+      std::vector<uint64_t> V(N);
+      for (size_t I = 0; I < N; ++I)
+        V[I] = Shape == 0 ? Full(I) : Shape == 1 ? Packed(I) : OneDigit(I);
+      auto Expect = V;
+      std::sort(Expect.begin(), Expect.end());
+      par::integer_sort(V);
+      ASSERT_EQ(V, Expect) << "N=" << N << " shape=" << Shape;
+    }
+  }
+  std::vector<uint32_t> Small(5000);
+  for (size_t I = 0; I < Small.size(); ++I)
+    Small[I] = static_cast<uint32_t>(R.ith(I) % 1000);
+  auto Expect = Small;
+  std::sort(Expect.begin(), Expect.end());
+  par::integer_sort(Small);
+  EXPECT_EQ(Small, Expect);
+}
+
 TEST(Primitives, SortCustomComparator) {
   auto V = par::tabulate(100000, [](size_t I) { return (int)hash64(I); });
   par::sort(V, std::greater<int>());
