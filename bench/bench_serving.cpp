@@ -15,10 +15,10 @@
 //
 // Reported per reader count (default sweep 1/4/16): acquire p50/p99, BFS
 // p50/p99, sustained ingest throughput (directed edges/s), versions
-// published/reclaimed. Readers are foreign threads to the scheduler pool,
-// so their BFS runs on the scheduler's sequential degradation path while
-// the writer's batch unions still use the pool — the intended serving
-// split. Emits cpam-perf-v1 JSON (--json=...); BENCH_PR8.json records the
+// published/reclaimed. Readers and the pipeline's writer are foreign
+// threads to the scheduler pool, so both the readers' BFS and the writer's
+// batch unions run on the scheduler's sequential degradation path.
+// Emits cpam-perf-v1 JSON (--json=...); BENCH_PR8.json records the
 // reference run.
 //
 // Flags: --logn=14 --secs=2 --readers=R (0 = sweep 1/4/16) --batch=4096

@@ -46,7 +46,7 @@ void runGraph(const char *Name, int LogN, size_t Deg) {
   auto NTree = [&](vertex_id U, auto f) {
     auto E = G.vertices().find_entry(U);
     if (E)
-      E->second.foreach_seq([&](vertex_id V) { f(V); });
+      E->second.foreach_seq(f);
   };
   auto SnapA = A.flat_snapshot();
   auto NAspen = [&](vertex_id U, auto f) {

@@ -23,6 +23,7 @@
 #include "src/core/aug_ops.h"
 #include "src/core/invariants.h"
 #include "src/core/map_ops.h"
+#include "src/util/visit.h"
 
 namespace cpam {
 
@@ -203,14 +204,8 @@ public:
 
   /// Sequential in-order visit; F returns false to stop early.
   template <class F> void foreach_seq(const F &f) const {
-    Ops::foreach_seq(Root, [&](const entry_t &E) {
-      if constexpr (std::is_void_v<decltype(f(E))>) {
-        f(E);
-        return true;
-      } else {
-        return f(E);
-      }
-    });
+    Ops::foreach_seq(Root,
+                     [&](const entry_t &E) { return visit_continue(f, E); });
   }
   /// Parallel visit with in-order index: f(I, E).
   template <class F> void foreach_index(const F &f) const {

@@ -20,6 +20,7 @@
 #include "src/encoding/varint.h"
 #include "src/parallel/primitives.h"
 #include "src/util/datagen.h"
+#include "src/util/visit.h"
 
 namespace cpam {
 
@@ -73,7 +74,8 @@ public:
   size_t num_edges() const { return NumEdges; }
   size_t degree(vertex_id V) const { return Degrees[V]; }
 
-  /// Sequential visit of V's sorted neighbors.
+  /// Sequential visit of V's sorted neighbors; \p f returns false to stop
+  /// early.
   template <class F> void foreach_neighbor(vertex_id V, const F &f) const {
     const uint8_t *In = Data.data() + Offsets[V];
     uint64_t Prev = 0;
@@ -81,7 +83,8 @@ public:
       uint64_t Delta;
       In = varint_decode(In, Delta);
       Prev = I == 0 ? Delta : Prev + Delta;
-      f(static_cast<vertex_id>(Prev));
+      if (!visit_continue(f, static_cast<vertex_id>(Prev)))
+        return;
     }
   }
 

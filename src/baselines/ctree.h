@@ -25,6 +25,7 @@
 #include "src/api/pam_map.h"
 #include "src/encoding/varint.h"
 #include "src/parallel/random.h"
+#include "src/util/visit.h"
 
 namespace cpam {
 
@@ -99,19 +100,13 @@ public:
 
   size_t size() const { return Size; }
 
-  /// In-order visit of all keys.
+  /// In-order visit of all keys; \p f returns false to stop early.
   template <class F> void foreach_seq(const F &f) const {
-    Prefix.foreach_while([&](uint32_t K) {
-      f(K);
-      return true;
-    });
+    auto Visit = [&](uint32_t K) { return visit_continue(f, K); };
+    if (!Prefix.foreach_while(Visit))
+      return;
     Heads.foreach_seq([&](const typename head_tree::entry_t &E) {
-      f(E.first);
-      E.second.foreach_while([&](uint32_t K) {
-        f(K);
-        return true;
-      });
-      return true;
+      return Visit(E.first) && E.second.foreach_while(Visit);
     });
   }
 

@@ -36,7 +36,7 @@ std::vector<double> bc_from_source(const NeighborFn &Neighbors,
     Levels.push_back(Frontier.Vs);
     ++D;
     Frontier = edge_map(
-        Neighbors, Frontier,
+        Neighbors, NumVertices, Frontier,
         [&](vertex_id, vertex_id V) {
           uint32_t Expect = kUnset;
           return Dist[V].compare_exchange_strong(Expect, D);

@@ -32,7 +32,7 @@ std::vector<vertex_id> bfs(const NeighborFn &Neighbors, size_t NumVertices,
   Frontier.Vs = {Src};
   while (!Frontier.empty()) {
     Frontier = edge_map(
-        Neighbors, Frontier,
+        Neighbors, NumVertices, Frontier,
         [&](vertex_id U, vertex_id V) {
           vertex_id Expect = kBfsUnvisited;
           return Parents[V].compare_exchange_strong(Expect, U);

@@ -10,11 +10,18 @@
 /// written against this interface, identically for CPAM graphs and the
 /// C-tree (Aspen) baseline — both only need "iterate my neighbors".
 ///
+/// A NeighborFn is any callable Neighbors(U, Visit) that calls Visit(V) for
+/// the neighbours V of U in order and stops once Visit returns false. An
+/// adapter that ignores the result (or a Visit returning void) only loses
+/// the early stop. Graphs must be symmetric: a pull round reads V's own
+/// list to find the edges into V.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CPAM_GRAPH_LIGRA_H
 #define CPAM_GRAPH_LIGRA_H
 
+#include <cstdint>
 #include <vector>
 
 #include "src/parallel/primitives.h"
@@ -29,42 +36,114 @@ struct vertex_subset {
   bool empty() const { return Vs.empty(); }
 };
 
-/// Applies f(u, v) over all edges (u, v) with u in \p Frontier and
-/// cond(v); v is added to the result frontier when f returns true.
-/// \p Lists is any indexable neighbor container with
-/// `foreach_seq(f: v -> void)` semantics via a callback: we require
-/// Lists[u] to provide `template foreach(F)` — adapted below for edge_set.
+/// edge_map pulls when the frontier holds more than 1/kPullFrontierDivisor
+/// of the vertices, and pushes otherwise. Ligra compares the frontier's
+/// out-degree sum with m/20; the frontier's size against n/20 needs no
+/// degrees from the neighbour adapters.
+inline constexpr size_t kPullFrontierDivisor = 20;
+
+namespace detail {
+
+/// Push round: each frontier vertex U offers every neighbour V with cond(V)
+/// to f(U, V), and V joins the output when f returns true. Discoveries
+/// gather in one buffer per parallel chunk, or in the output itself when
+/// forks run inline.
 template <class NeighborFn, class F, class Cond>
-vertex_subset edge_map(const NeighborFn &Neighbors,
+vertex_subset edge_map_push(const NeighborFn &Neighbors,
+                            const vertex_subset &Frontier, const F &f,
+                            const Cond &cond) {
+  auto Visit = [&](vertex_id U, std::vector<vertex_id> &Out) {
+    Neighbors(U, [&](vertex_id V) {
+      if (cond(V) && f(U, V))
+        Out.push_back(V);
+    });
+  };
+  size_t N = Frontier.size();
+  size_t NumChunks =
+      par::forks_inline()
+          ? 1
+          : std::min(N, par::kParallelForOversub *
+                            static_cast<size_t>(par::num_workers()));
+  vertex_subset Next;
+  if (NumChunks <= 1) {
+    for (vertex_id U : Frontier.Vs)
+      Visit(U, Next.Vs);
+    return Next;
+  }
+  std::vector<std::vector<vertex_id>> Bufs(NumChunks);
+  par::parallel_for(
+      0, NumChunks,
+      [&](size_t C) {
+        for (size_t I = N * C / NumChunks; I < N * (C + 1) / NumChunks; ++I)
+          Visit(Frontier.Vs[I], Bufs[C]);
+      },
+      /*Gran=*/1);
+  std::vector<size_t> Offsets(NumChunks + 1, 0);
+  for (size_t C = 0; C < NumChunks; ++C)
+    Offsets[C + 1] = Offsets[C] + Bufs[C].size();
+  Next.Vs.resize(Offsets[NumChunks]);
+  par::parallel_for(
+      0, NumChunks,
+      [&](size_t C) {
+        std::copy(Bufs[C].begin(), Bufs[C].end(),
+                  Next.Vs.begin() + Offsets[C]);
+      },
+      /*Gran=*/1);
+  return Next;
+}
+
+/// Pull round: every vertex V with cond(V) scans its neighbours for
+/// frontier members U, calling f(U, V) on each until cond(V) fails, and
+/// joins the output (sorted) if any call returned true. Only V's own task
+/// calls f(·, V).
+template <class NeighborFn, class F, class Cond>
+vertex_subset edge_map_pull(const NeighborFn &Neighbors, size_t NumVertices,
+                            const vertex_subset &Frontier, const F &f,
+                            const Cond &cond) {
+  // Bytes, not std::vector<bool>: workers write neighbouring flags.
+  std::vector<uint8_t> InFrontier(NumVertices), Hit(NumVertices);
+  par::parallel_for(0, Frontier.size(),
+                    [&](size_t I) { InFrontier[Frontier.Vs[I]] = 1; });
+  par::parallel_for(0, NumVertices, [&](size_t I) {
+    vertex_id V = static_cast<vertex_id>(I);
+    if (!cond(V))
+      return;
+    bool Done = false;
+    Neighbors(V, [&](vertex_id U) {
+      if (Done || !InFrontier[U])
+        return !Done;
+      if (f(U, V))
+        Hit[I] = 1;
+      Done = !cond(V);
+      return !Done;
+    });
+  });
+  vertex_subset Next;
+  Next.Vs.resize(NumVertices);
+  Next.Vs.resize(par::pack_index(
+      NumVertices, [&](size_t I) { return Hit[I] != 0; }, Next.Vs.data()));
+  return Next;
+}
+
+} // namespace detail
+
+/// Applies f(U, V) over the edges (U, V) with U in \p Frontier and cond(V)
+/// over a graph of \p NumVertices vertices; V joins the result when f
+/// returns true. Each round pushes from the frontier or pulls into the
+/// vertices that pass cond, by kPullFrontierDivisor. In a push round
+/// several frontier vertices may call f(·, V) at once, so f must admit V
+/// at most once (BFS claims V with a CAS); in a pull round only V's own
+/// task calls f(·, V), for one frontier neighbour after another until
+/// cond(V) fails.
+template <class NeighborFn, class F, class Cond>
+vertex_subset edge_map(const NeighborFn &Neighbors, size_t NumVertices,
                        const vertex_subset &Frontier, const F &f,
                        const Cond &cond) {
-  size_t N = Frontier.size();
-  std::vector<std::vector<vertex_id>> Local(N);
-  par::parallel_for(
-      0, N,
-      [&](size_t I) {
-        vertex_id U = Frontier.Vs[I];
-        Neighbors(U, [&](vertex_id V) {
-          if (cond(V) && f(U, V))
-            Local[I].push_back(V);
-        });
-      },
-      /*Gran=*/1);
-  // Concatenate the per-vertex outputs.
-  std::vector<size_t> Sizes(N);
-  par::parallel_for(0, N, [&](size_t I) { Sizes[I] = Local[I].size(); });
-  std::vector<size_t> Offsets(N);
-  size_t Total = par::scan_exclusive(Sizes.data(), N, Offsets.data());
-  vertex_subset Out;
-  Out.Vs.resize(Total);
-  par::parallel_for(
-      0, N,
-      [&](size_t I) {
-        std::copy(Local[I].begin(), Local[I].end(),
-                  Out.Vs.begin() + Offsets[I]);
-      },
-      /*Gran=*/1);
-  return Out;
+  if (Frontier.empty())
+    return {};
+  if (Frontier.size() > NumVertices / kPullFrontierDivisor)
+    return detail::edge_map_pull(Neighbors, NumVertices, Frontier, f, cond);
+  return detail::edge_map_push(Neighbors, Frontier, f, cond);
 }
 
 /// Adapts a flat snapshot (vector of edge trees) to the NeighborFn shape.
@@ -72,7 +151,7 @@ template <class EdgeSet> struct snapshot_neighbors {
   const std::vector<EdgeSet> &Snap;
   template <class F> void operator()(vertex_id U, const F &f) const {
     if (U < Snap.size())
-      Snap[U].foreach_seq([&](vertex_id V) { f(V); });
+      Snap[U].foreach_seq(f);
   }
 };
 

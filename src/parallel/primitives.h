@@ -195,11 +195,11 @@ size_t pack(const T *A, const Flags &Keep, size_t N, T *Out) {
 
 /// Writes the indices I in [0, N) with Keep(I) set into Out (compacted);
 /// returns the number written. Equivalent to pack over the identity array
-/// without materializing it.
-template <class Flags>
-size_t pack_index(size_t N, const Flags &Keep, size_t *Out) {
-  return detail::pack_blocks(N, Keep,
-                             [&](size_t K, size_t I) { Out[K] = I; });
+/// without materializing it. \p Idx must hold every index below N.
+template <class Flags, class Idx>
+size_t pack_index(size_t N, const Flags &Keep, Idx *Out) {
+  return detail::pack_blocks(
+      N, Keep, [&](size_t K, size_t I) { Out[K] = static_cast<Idx>(I); });
 }
 
 /// filter: pack with a predicate over element values.

@@ -302,6 +302,15 @@ inline int num_workers() { return Scheduler::get().numWorkers(); }
 /// Id of the calling worker in [0, num_workers()), or -1 off-pool.
 inline int worker_id() { return Scheduler::workerId(); }
 
+/// True when par_do from the calling thread runs both branches inline (the
+/// pool-shape test at the top of Scheduler::parDo: a thread outside the
+/// pool, a one-worker pool, or sequential mode), so a caller can skip setup
+/// that only a parallel run needs.
+inline bool forks_inline() {
+  return worker_id() < 0 || num_workers() == 1 ||
+         Scheduler::sequentialMode().load(std::memory_order_relaxed);
+}
+
 /// Stable dense slot id for any thread (worker id for pool workers). Cheap:
 /// does not construct the scheduler.
 inline int thread_slot() { return Scheduler::threadSlot(); }

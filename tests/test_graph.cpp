@@ -4,9 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <algorithm>
+#include <atomic>
 #include <deque>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "gtest/gtest.h"
 
@@ -17,6 +20,7 @@
 #include "src/graph/bfs.h"
 #include "src/graph/graph.h"
 #include "src/graph/mis.h"
+#include "src/parallel/random.h"
 
 using namespace cpam;
 
@@ -182,27 +186,236 @@ TEST(SymGraph, DeleteForeignVerticesIsNoop) {
   EXPECT_EQ(G2.vertices().size(), G.vertices().size());
 }
 
+/// Both directions of every pair in \p Pairs, sorted and deduplicated: the
+/// edge list of an undirected graph.
+std::vector<edge_pair> undirected(const std::vector<edge_pair> &Pairs) {
+  std::vector<edge_pair> Out = symmetrize(Pairs);
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  return Out;
+}
+
+/// Asserts that \p Parents is a BFS tree from \p Src: the reached set and
+/// every level match refBfs, and every parent edge is in \p Ref.
+void expectBfsTree(const AdjRef &Ref, size_t N, vertex_id Src,
+                   const std::vector<vertex_id> &Parents) {
+  ASSERT_EQ(Parents.size(), N);
+  ASSERT_EQ(Parents[Src], Src);
+  std::vector<int64_t> Level = refBfs(Ref, N, Src);
+  for (size_t V = 0; V < N; ++V) {
+    ASSERT_EQ(Parents[V] != kBfsUnvisited, Level[V] >= 0) << "vertex " << V;
+    if (Parents[V] == kBfsUnvisited || V == Src)
+      continue;
+    vertex_id P = Parents[V];
+    ASSERT_LT(P, N) << "vertex " << V;
+    auto It = Ref.find(P);
+    ASSERT_TRUE(It != Ref.end() &&
+                It->second.count(static_cast<vertex_id>(V)))
+        << "parent edge " << P << "->" << V;
+    ASSERT_EQ(Level[V], Level[P] + 1) << "vertex " << V;
+  }
+}
+
+/// BFS over the flat snapshot of the graph on \p Edges from each source,
+/// checked against the reference.
+void checkBfs(const std::vector<edge_pair> &Edges, size_t N,
+              std::initializer_list<vertex_id> Sources) {
+  sym_graph G = sym_graph::from_edges(Edges, N);
+  auto Snap = G.flat_snapshot();
+  AdjRef Ref = toRef(Edges);
+  for (vertex_id Src : Sources) {
+    SCOPED_TRACE(testing::Message() << "source " << Src);
+    expectBfsTree(Ref, N, Src, bfs(make_neighbors(Snap), N, Src));
+  }
+}
+
 TEST(Bfs, MatchesReferenceOnRmat) {
-  auto Edges = rmat_graph(11, 8000);
+  checkBfs(rmat_graph(11, 8000), 1 << 11, {0u, 1u, 37u});
+}
+
+TEST(Bfs, StarPullsFromItsLeaves) {
+  // From the hub the second frontier holds every leaf, from a leaf the
+  // third holds all other leaves: both far above N / kPullFrontierDivisor.
+  constexpr size_t N = 200;
+  static_assert(N - 2 > N / kPullFrontierDivisor);
+  std::vector<edge_pair> Star;
+  for (vertex_id V = 1; V < N; ++V)
+    Star.push_back({0, V});
+  checkBfs(undirected(Star), N, {0u, 17u, 199u});
+}
+
+TEST(Bfs, SpiderSwitchesBetweenPushAndPull) {
+  // A hub with 40 legs of 3 vertices and one tail of 30. Frontiers along
+  // the legs hold 41 vertices (pull); along the tail, one (push). From the
+  // hub the rounds go push, pull, pull, pull, push...; from the tail's end,
+  // push along the tail and then pull.
+  constexpr vertex_id Legs = 40, LegLen = 3, Tail = 30;
+  constexpr size_t N = 1 + Legs * LegLen + Tail;
+  static_assert(Legs > N / kPullFrontierDivisor &&
+                1 <= N / kPullFrontierDivisor);
+  std::vector<edge_pair> E;
+  vertex_id Next = 1;
+  auto Chain = [&](vertex_id Len) { // A path of Len new vertices off 0.
+    for (vertex_id I = 0, Prev = 0; I < Len; ++I, Prev = Next++)
+      E.push_back({Prev, Next});
+  };
+  for (vertex_id L = 0; L < Legs; ++L)
+    Chain(LegLen);
+  Chain(Tail);
+  ASSERT_EQ(Next, N);
+  checkBfs(undirected(E), N, {0u, 1u, static_cast<vertex_id>(N - 1)});
+}
+
+TEST(Bfs, PathPushesOnly) {
+  // No frontier on a path holds more than two vertices.
+  constexpr size_t N = 100;
+  static_assert(2 <= N / kPullFrontierDivisor);
+  std::vector<edge_pair> Path;
+  for (vertex_id V = 0; V + 1 < N; ++V)
+    Path.push_back({V, V + 1});
+  checkBfs(undirected(Path), N, {0u, 50u, 99u});
+}
+
+TEST(Bfs, ComponentsAndIsolatedVertices) {
+  // A star on 0..49 (its leaves pull), a cycle on 50..89, and vertices
+  // 90..119 in no edge. Pull rounds scan the other component's vertices
+  // too; they must stay unvisited.
+  constexpr size_t N = 120;
+  std::vector<edge_pair> E;
+  for (vertex_id V = 1; V < 50; ++V)
+    E.push_back({0, V});
+  for (vertex_id V = 50; V < 90; ++V)
+    E.push_back({V, V + 1 < 90 ? V + 1 : 50});
+  auto Edges = undirected(E);
+  AdjRef Ref = toRef(Edges);
+  sym_graph G = sym_graph::from_edges(Edges, N);
+  auto Snap = G.flat_snapshot();
+  for (vertex_id Src : {0u, 7u, 60u, 95u, 119u}) {
+    SCOPED_TRACE(testing::Message() << "source " << Src);
+    auto Parents = bfs(make_neighbors(Snap), N, Src);
+    expectBfsTree(Ref, N, Src, Parents);
+    size_t Reached = N - std::count(Parents.begin(), Parents.end(),
+                                     kBfsUnvisited);
+    EXPECT_EQ(Reached, Src < 50 ? 50u : Src < 90 ? 40u : 1u);
+  }
+}
+
+TEST(Bfs, SourceAtHighestVertexId) {
+  constexpr size_t N = 1 << 10;
+  auto E = rmat_graph(10, 6000);
+  constexpr vertex_id Last = N - 1;
+  for (vertex_id V : {0u, 1u, 2u})
+    E.push_back({Last, V});
+  checkBfs(undirected(E), N, {Last});
+}
+
+TEST(Bfs, RunsOnNonPoolThread) {
+  // graph_stream's readers are std::threads outside the pool, where every
+  // round runs inline: push into one vector, pull in one loop.
+  auto Edges = rmat_graph(12, 30000);
+  size_t N = 1 << 12;
+  sym_graph G = sym_graph::from_edges(Edges, N);
+  auto Snap = G.flat_snapshot();
+  vertex_id Src = Edges[0].first;
+  std::vector<vertex_id> Parents;
+  bool OffPool = false;
+  std::thread Reader([&] {
+    OffPool = par::forks_inline();
+    Parents = bfs(make_neighbors(Snap), N, Src);
+  });
+  Reader.join();
+  EXPECT_TRUE(OffPool);
+  expectBfsTree(toRef(Edges), N, Src, Parents);
+}
+
+TEST(Bfs, AdapterThatIgnoresFalse) {
+  // A NeighborFn that drops the visitor's result scans whole lists; a pull
+  // round must still admit each vertex once, through one parent.
+  auto Edges = rmat_graph(11, 12000);
   size_t N = 1 << 11;
   sym_graph G = sym_graph::from_edges(Edges, N);
   auto Snap = G.flat_snapshot();
-  auto Neighbors = make_neighbors(Snap);
+  auto NoStop = [&](vertex_id U, const auto &f) {
+    Snap[U].foreach_seq([&](vertex_id V) { f(V); });
+  };
+  vertex_id Src = Edges[0].first;
+  expectBfsTree(toRef(Edges), N, Src, bfs(NoStop, N, Src));
+}
+
+TEST(EdgeMap, PushAndPullAdmitTheSameVertices) {
+  // One round from frontiers on both sides of N / kPullFrontierDivisor.
+  // The output must be every neighbour of the frontier that f admits,
+  // exactly once; f admits V through any frontier neighbour, or only
+  // through even ones (so a pull scan must go past refused neighbours).
+  auto Edges = rmat_graph(11, 16000);
+  constexpr size_t N = 1 << 11;
+  sym_graph G = sym_graph::from_edges(Edges, N);
+  auto Snap = G.flat_snapshot();
   AdjRef Ref = toRef(Edges);
-  for (vertex_id Src : {0u, 1u, 37u}) {
-    if (!Ref.count(Src))
-      continue;
-    auto Expect = refBfs(Ref, N, Src);
-    auto Parents = bfs(Neighbors, N, Src);
-    // Reached sets agree; parent edges exist and shorten distance by 1.
-    for (size_t V = 0; V < N; ++V) {
-      ASSERT_EQ(Parents[V] != kBfsUnvisited, Expect[V] >= 0) << V;
-      if (Parents[V] != kBfsUnvisited && V != Src) {
-        ASSERT_TRUE(Ref[Parents[V]].count(static_cast<vertex_id>(V)));
-        ASSERT_EQ(Expect[V], Expect[Parents[V]] + 1);
+  Rng R(3);
+  for (size_t Size : {size_t(1), N / kPullFrontierDivisor,
+                      N / kPullFrontierDivisor + 1, N / 2})
+    for (bool EvenOnly : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "frontier " << Size << (EvenOnly ? " even-only" : ""));
+      std::vector<uint8_t> InFrontier(N, 0);
+      vertex_subset Frontier;
+      while (Frontier.size() < Size) {
+        vertex_id V = static_cast<vertex_id>(R.next(N));
+        if (!InFrontier[V]) {
+          InFrontier[V] = 1;
+          Frontier.Vs.push_back(V);
+        }
       }
+      std::vector<std::atomic<uint8_t>> Claimed(N);
+      for (size_t V = 0; V < N; ++V)
+        Claimed[V].store(InFrontier[V]);
+      vertex_subset Out = edge_map(
+          make_neighbors(Snap), N, Frontier,
+          [&](vertex_id U, vertex_id V) {
+            uint8_t Expect = 0;
+            return (!EvenOnly || U % 2 == 0) &&
+                   Claimed[V].compare_exchange_strong(Expect, 1);
+          },
+          [&](vertex_id V) { return Claimed[V].load() == 0; });
+      std::set<vertex_id> Want;
+      for (vertex_id U : Frontier.Vs)
+        if (auto It = Ref.find(U);
+            It != Ref.end() && (!EvenOnly || U % 2 == 0))
+          for (vertex_id V : It->second)
+            if (!InFrontier[V])
+              Want.insert(V);
+      std::vector<vertex_id> Got = Out.Vs;
+      if (Size > N / kPullFrontierDivisor) {
+        EXPECT_TRUE(std::is_sorted(Got.begin(), Got.end()))
+            << "a pull round lists its output in vertex order";
+      }
+      std::sort(Got.begin(), Got.end());
+      EXPECT_EQ(Got, std::vector<vertex_id>(Want.begin(), Want.end()));
     }
+}
+
+TEST(SnapshotNeighbors, FalseStopsTheScan) {
+  // Vertex 0 has 300 neighbours, more than one 2B-entry block.
+  std::vector<edge_pair> Star;
+  for (vertex_id V = 1; V <= 300; ++V)
+    Star.push_back({0, V});
+  sym_graph G = sym_graph::from_edges(undirected(Star), 301);
+  auto Snap = G.flat_snapshot();
+  auto Neighbors = make_neighbors(Snap);
+  for (size_t StopAt : {1, 5, 64, 65, 128, 129, 200, 300}) {
+    std::vector<vertex_id> Seen;
+    Neighbors(0, [&](vertex_id V) {
+      Seen.push_back(V);
+      return Seen.size() < StopAt;
+    });
+    ASSERT_EQ(Seen.size(), StopAt);
+    for (size_t I = 0; I < StopAt; ++I)
+      ASSERT_EQ(Seen[I], I + 1);
   }
+  size_t Visited = 0;
+  Neighbors(0, [&](vertex_id) { ++Visited; });
+  EXPECT_EQ(Visited, 300u);
 }
 
 TEST(Bfs, MeshDiameter) {
@@ -281,6 +494,34 @@ std::vector<double> refBc(const AdjRef &Ref, size_t N, vertex_id Src) {
   return Delta;
 }
 
+/// bc_from_source over the flat snapshot of the graph on \p Edges from
+/// each source, against refBc (relative tolerance: the sums run in a
+/// different order).
+void checkBc(const std::vector<edge_pair> &Edges, size_t N,
+             std::initializer_list<vertex_id> Sources) {
+  sym_graph G = sym_graph::from_edges(Edges, N);
+  auto Snap = G.flat_snapshot();
+  AdjRef Ref = toRef(Edges);
+  for (vertex_id Src : Sources) {
+    auto Got = bc_from_source(make_neighbors(Snap), N, Src);
+    auto Expect = refBc(Ref, N, Src);
+    for (size_t V = 0; V < N; ++V)
+      ASSERT_NEAR(Got[V], Expect[V], 1e-9 * std::max(1.0, Expect[V]))
+          << "src " << Src << " v " << V;
+  }
+}
+
+TEST(Bc, StarAndRmatPullLevels) {
+  // Levels of more than N / kPullFrontierDivisor vertices come from pull
+  // rounds: every leaf of the star, the middle levels of the rMAT graph.
+  constexpr size_t N = 200;
+  std::vector<edge_pair> Star;
+  for (vertex_id V = 1; V < N; ++V)
+    Star.push_back({0, V});
+  checkBc(undirected(Star), N, {0u, 5u});
+  checkBc(rmat_graph(11, 12000), 1 << 11, {0u, 1u, 100u});
+}
+
 TEST(Bc, MatchesReferenceBrandes) {
   auto Edges = rmat_graph(8, 1500);
   size_t N = 1 << 8;
@@ -314,11 +555,27 @@ TEST(CsrGraph, MatchesReference) {
     ASSERT_EQ(Got, Expect);
   }
   // BFS over CSR through the shared Ligra layer.
-  auto Parents = bfs(G, N, Edges[0].first);
-  EXPECT_EQ(Parents[Edges[0].first], Edges[0].first);
-  EXPECT_EQ(Parents[Edges[0].second], Edges[0].first);
+  expectBfsTree(Ref, N, Edges[0].first, bfs(G, N, Edges[0].first));
   // Space: smaller than raw 8-byte edge pairs.
   EXPECT_LT(G.size_in_bytes(), Edges.size() * 8);
+}
+
+TEST(CsrGraph, FalseStopsTheScan) {
+  auto Edges = rmat_graph(10, 5000);
+  csr_graph G = csr_graph::from_edges(Edges, 1 << 10);
+  AdjRef Ref = toRef(Edges);
+  auto Hub = std::max_element(Ref.begin(), Ref.end(), [](auto &A, auto &B) {
+    return A.second.size() < B.second.size();
+  });
+  std::vector<vertex_id> All(Hub->second.begin(), Hub->second.end());
+  for (size_t StopAt : {size_t(1), size_t(3), All.size() / 2, All.size()}) {
+    std::vector<vertex_id> Seen;
+    G.foreach_neighbor(Hub->first, [&](vertex_id V) {
+      Seen.push_back(V);
+      return Seen.size() < StopAt;
+    });
+    ASSERT_EQ(Seen, std::vector<vertex_id>(All.begin(), All.begin() + StopAt));
+  }
 }
 
 TEST(CTree, BuildForeachContains) {
@@ -332,6 +589,25 @@ TEST(CTree, BuildForeachContains) {
   std::set<uint32_t> Ref(K32.begin(), K32.end());
   for (uint32_t K = 0; K < 2000; ++K)
     ASSERT_EQ(C.contains(K), Ref.count(K) == 1) << K;
+}
+
+TEST(CTree, FalseStopsTheScan) {
+  // Every stop point in the first 40 keys (the prefix, heads and the
+  // blocks after them) and a few later ones.
+  auto Keys = random_keys_sorted(5000, 100000, 41);
+  std::vector<uint32_t> K32(Keys.begin(), Keys.end());
+  ctree_set<16> C = ctree_set<16>::from_sorted(K32);
+  std::vector<size_t> Stops = {2500, 4999, 5000};
+  for (size_t S = 1; S <= 40; ++S)
+    Stops.push_back(S);
+  for (size_t StopAt : Stops) {
+    std::vector<uint32_t> Seen;
+    C.foreach_seq([&](uint32_t K) {
+      Seen.push_back(K);
+      return Seen.size() < StopAt;
+    });
+    ASSERT_EQ(Seen, std::vector<uint32_t>(K32.begin(), K32.begin() + StopAt));
+  }
 }
 
 TEST(CTree, UnionMatchesStdSet) {
