@@ -1,26 +1,25 @@
-//===- bench_merge.cpp - Parallel flat-merge and fallback benchmarks -------===//
+//===- bench_merge.cpp - Dense and parallel flat-merge benchmarks ---------===//
 //
 // Part of the CPAM reproduction of PaC-trees (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 //
-// The PR 6 merge benchmarks, two families:
+// Two families of flat-merge rows:
 //
-//  dense_*: the dense 50%-interleaved union shape that regressed under the
-//  streamed galloping merge (winner runs of length ~1 defeat galloping, and
-//  byte-coded leaves pay per-entry encode overhead on top). Measured two
-//  ways per (B, encoding): the run-length-adaptive merge (default) and the
-//  same merge with the fallback probe disabled (merge_probe_window=0 — the
-//  pre-PR6 behavior).
+//  dense_*: many independent leaf-sized unions of the dense 50%-interleaved
+//  shape (winner runs of length ~1, half the keys colliding), one row per
+//  (B, encoding). Each pair of flat blocks merges block to block through
+//  the one merge loop (map_ops::merge), so the row prices its per-entry
+//  decode/compare/encode chain on the worst-case shape.
 //
 //  scale_*: one large flat-by-flat union driven through tree_ops::
 //  parallel_flat_merge (kappa raised so the whole operands reach the flat
 //  base case), with the quantile split disabled (parallel_merge_grain=0 ->
-//  one sequential streamed merge, the PR 5 single-worker encode bottleneck)
-//  vs enabled (default grain -> up to kMaxMergeChunks chunk merges under
-//  parDo forks). Run under CPAM_NUM_THREADS=1/2/4 to record the scaling
-//  profile; chunk boundaries depend only on operand sizes, so the output
-//  tree is identical across all of them.
+//  one sequential merge over the whole arrays) vs enabled (default grain
+//  -> up to kMaxMergeChunks chunk merges under parDo forks). Run under
+//  CPAM_NUM_THREADS=1/2/4 to record the scaling profile; chunk boundaries
+//  depend only on operand sizes, so the output tree is identical across
+//  all of them.
 //
 // Emits machine-readable JSON with --json=<path> (cpam-perf-v1 schema).
 // Deterministic inputs, median of --reps runs after one warmup.
@@ -97,44 +96,29 @@ void runDense(size_t NPairs, JsonReport &Report, const char *Tag = "") {
     Bs[P] = Set(KB);
   }
 
-  Restore<size_t> GProbe(Set::ops::merge_probe_window());
   size_t Ops = NPairs * 2 * kLeaf;
   std::vector<Set> Outs(NPairs);
   uint64_t Sink = 0;
-  auto TimeUnion = [&] {
-    return medianPrepared(
-        g_reps, [&] { std::fill(Outs.begin(), Outs.end(), Set()); },
-        [&] {
-          for (size_t P = 0; P < NPairs; ++P) {
-            Outs[P] = Set::map_union(As[P], Bs[P]);
-            Sink ^= Outs[P].size();
-          }
-        });
-  };
-
-  struct Mode {
-    const char *Name;
-    size_t ProbeW;
-  } Modes[] = {{"fallback", GProbe.saved()}, {"nofallback", 0}};
-  double Times[2];
+  double Time = medianPrepared(
+      g_reps, [&] { std::fill(Outs.begin(), Outs.end(), Set()); },
+      [&] {
+        for (size_t P = 0; P < NPairs; ++P) {
+          Outs[P] = Set::map_union(As[P], Bs[P]);
+          Sink ^= Outs[P].size();
+        }
+      });
   char Name[64];
-  for (int M = 0; M < 2; ++M) {
-    Set::ops::merge_probe_window() = Modes[M].ProbeW;
-    Times[M] = TimeUnion();
-    std::snprintf(Name, sizeof(Name), "dense_union%s_%s", Tag, Modes[M].Name);
-    Report.add(Name, B, Ops, Times[M]);
-    print_time_row(Name, Times[M], Times[M]);
-  }
+  std::snprintf(Name, sizeof(Name), "dense_union%s", Tag);
+  Report.add(Name, B, Ops, Time);
+  print_time_row(Name, Time, Time);
   if (Sink == 0xdeadbeef)
     std::printf("(sink)\n");
-  std::printf("   fallback vs nofallback %.2fx\n",
-              Times[0] > 0 ? Times[1] / Times[0] : 0.0);
 }
 
 /// One large flat-by-flat union through the quantile-split parallel merge:
 /// kappa is raised past 2N so map_union flattens both whole trees and runs
 /// a single set_arrays call, measured with the chunk split disabled
-/// (grain=0: the sequential streamed merge) and at the default grain (up
+/// (grain=0: one sequential merge) and at the default grain (up
 /// to kMaxMergeChunks chunk merges forked via parDo).
 template <int B, template <class> class Enc = raw_encoder>
 void runScale(size_t N, JsonReport &Report, const char *Tag = "",
@@ -144,10 +128,8 @@ void runScale(size_t N, JsonReport &Report, const char *Tag = "",
   std::printf("-- merge scaling B=%d%s%s (n=%zu per side, threads=%d) --\n",
               B, Tag, Runs ? " [runs]" : "", N, par::num_workers());
 
-  // Entry-interleaved (runs of length 1: every chunk merge bails to the
-  // array path via the probe) or block-interleaved in 512-entry runs (the
-  // galloping streamed merge runs inside every chunk — the shape whose
-  // encode was the single-worker bottleneck).
+  // Entry-interleaved (winner runs of length 1) or block-interleaved in
+  // 512-entry runs (long runs from one side).
   std::vector<uint64_t> KA(N), KB(N);
   constexpr size_t kBlk = 512;
   for (size_t I = 0; I < N; ++I) {
@@ -203,7 +185,7 @@ int main(int argc, char **argv) {
   g_reps = std::max(1, static_cast<int>(arg_size(argc, argv, "reps", 3)));
   std::string JsonPath = arg_str(argc, argv, "json");
 
-  print_header("merge: dense-interleaved fallback + parallel scaling");
+  print_header("merge: dense-interleaved unions + parallel scaling");
   std::printf("n=%zu reps=%d pool_alloc=%s\n", N, g_reps,
               pool_enabled() ? "on" : "off");
 
@@ -212,8 +194,8 @@ int main(int argc, char **argv) {
   // exactly the rows above it (graph build included).
   obs::reset_all();
 
-  // Dense-interleaved regression rows: the same pair volume as perf_smoke's
-  // flat rows, at a small and the default block size for each encoding.
+  // Dense-interleaved rows: the same pair volume as perf_smoke's flat rows,
+  // at a small and the default block size for each encoding.
   size_t Pairs = std::max<size_t>(1, N / 512);
   runDense<8>(Pairs * 16, Report);
   runDense<8, diff_encoder>(Pairs * 16, Report, "_diff");

@@ -143,8 +143,8 @@ template <int B> void runSuite(size_t N, JsonReport &Report) {
 /// rows measure the expose path as a control. Two key shapes: interleaved
 /// (50% overlap, so union, intersect and difference all have real merge
 /// work and combine traffic) and — when \p Runs is set — range-disjoint
-/// operands, the sorted-run/batch-append pattern the galloping batch merge
-/// targets (union only; intersections of disjoint ranges are empty). Union
+/// operands, the sorted-run/batch-append pattern of long winner runs
+/// (union only; intersections of disjoint ranges are empty). Union
 /// results (~3B-4B entries per pair) span multiple leaves, driving the
 /// chunked streaming writer.
 template <int B, template <class> class Enc = cpam::raw_encoder>

@@ -29,12 +29,10 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
   using key_t = typename MO::key_t;
   using aug_t = typename Entry::aug_t;
   using exposed = typename MO::exposed;
-  using node_guard = typename MO::node_guard;
   using MO::aug_of;
   using MO::dec;
   using MO::entry_key;
   using MO::expose;
-  using MO::from_array_move;
   using MO::is_flat;
   using MO::join;
   using MO::join2;
@@ -148,22 +146,9 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
       dec(T);
       return nullptr;
     }
-    if (is_flat(T)) {
-      size_t N = T->Size;
-      node_guard G(T); // Covers a throw from either buffer allocation.
-      typename MO::temp_buf Buf(N), Out(N);
-      MO::flatten(G.release(), Buf.data());
-      Buf.set_count(N);
-      size_t K = 0;
-      for (size_t I = 0; I < N; ++I) {
-        if (!P(Entry::aug_from_entry(Buf.data()[I])))
-          continue;
-        ::new (static_cast<void *>(Out.data() + K++))
-            entry_t(std::move(Buf.data()[I]));
-        Out.set_count(K);
-      }
-      return from_array_move(Out.data(), K);
-    }
+    if (is_flat(T))
+      return MO::filter(
+          T, [&P](const entry_t &E) { return P(Entry::aug_from_entry(E)); });
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;
     try {

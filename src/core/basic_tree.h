@@ -7,12 +7,13 @@
 /// \file
 /// The join-based primitive layer of Figs. 5 and 9: `node_join` (the
 /// invariant-enforcing `node()`), `expose`, `join` with weight-balanced
-/// rotations, `split`, `split_last`/`join2`, and array<->tree conversion.
-/// All higher-level algorithms (union, filter, maps, sequences, augmented
-/// queries) are written against exactly these primitives, which is the
-/// paper's central software-design claim: redesigning join and expose lets
-/// the whole PAM algorithm suite run unchanged over compressed leaves.
-/// Splitting inside a block streams it through leaf_reader -> leaf_writer,
+/// rotations, `split`, `split_last`/`join2`, array<->tree conversion, and
+/// the one `filter` that maps, sets and sequences share. All higher-level
+/// algorithms (union, maps, sequences, augmented queries) are written
+/// against exactly these primitives, which is the paper's central
+/// software-design claim: redesigning join and expose lets the whole PAM
+/// algorithm suite run unchanged over compressed leaves. Splitting or
+/// filtering inside a block streams it through leaf_reader -> leaf_writer,
 /// one code path for every encoder, augmented trees included.
 ///
 //===----------------------------------------------------------------------===//
@@ -440,111 +441,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       if (++NPend == kPendTrigger && PendCap == kPendTrigger)
         drain_chunk();
     }
-    /// Entries accepted so far — push() mode only (push_ahead callers
-    /// drive the writer from arrays and track their own counts).
-    size_t count() const { return Total + NPend; }
-
-    /// Direct-encode push for producers that know their remaining length
-    /// (the fused array merges): the entry goes straight into the encoder
-    /// cursor — no pending staging — and a full chunk is sealed on the
-    /// spot, with this entry as its separator. The caller must guarantee
-    /// that at least B+1 entries still follow every push_ahead() (exact
-    /// operand remainders make that a two-compare loop guard), which is
-    /// what keeps every later tail legal. Close the stream with
-    /// finish_tail(); do not mix with push().
-    void push_ahead(entry_t E) {
-      if (C->count() == kChunk) {
-        seal(kChunk);
-        new_separator(std::move(E));
-        return;
-      }
-      C->push(std::move(E));
-    }
-
-    /// Batch push_ahead: encodes a whole run of \p Count entries from
-    /// \p A through push_n, sealing full chunks as they complete (their
-    /// separators come from the run). Long sorted runs — the CPMA-style
-    /// batch-merge pattern — become single batch encodes. The push_ahead
-    /// caller guarantee applies to the end of the run.
-    void push_ahead_n(entry_t *A, size_t Count) {
-      while (Count) {
-        size_t Room = kChunk - C->count();
-        if (Room == 0) {
-          seal(kChunk);
-          new_separator(std::move(*A));
-          ++A;
-          --Count;
-          continue;
-        }
-        size_t Take = std::min(Room, Count);
-        C->push_n(A, Take);
-        A += Take;
-        Count -= Take;
-      }
-    }
-
-    /// Closes a push_ahead() stream: the already-merged remaining entries
-    /// \p A[0..R) plus the open cursor chunk become the final one or two
-    /// leaves. R < B+2 per operand side at switchover bounds R <= 2B+2.
-    node_t *finish_tail(entry_t *A, size_t R) {
-      size_t Cc = C->count();
-      size_t Tail = Cc + R;
-      Total = 0;
-      if (Tail == 0)
-        return nullptr; // Nothing sealed either (hold-back keeps tails > 0).
-      if (Tail <= kChunk) {
-        // One final legal leaf.
-        C->push_n(A, R);
-        if (NLeaves == 0) {
-          typename NL::flat_t *F = NL::alloc_flat(Tail, C->bytes());
-          C->cut(NL::payload(F));
-          return F;
-        }
-        seal(Tail);
-        return close_top();
-      }
-      // More than one final leaf. The first must absorb the open chunk
-      // (sealed bytes cannot move) plus enough tail entries to leave a
-      // legal remainder; the push_ahead guard makes that feasible except
-      // in a rare corner (open chunk near 2B meeting a dup-shortened
-      // tail). Whatever follows the first leaf is a pure array problem:
-      // one more leaf when it fits, from_array_move when it spans several
-      // (the tail can reach ~4B when the chunk and both kept-back operand
-      // remainders meet).
-      size_t S1lo = std::max(Cc, kB);
-      size_t S1hi = std::min(kChunk, Tail - 1 - kB);
-      if (S1lo <= S1hi) {
-        size_t S1 = std::min(std::max(Tail / 2, S1lo), S1hi);
-        C->push_n(A, S1 - Cc);
-        seal(S1);
-        new_separator(std::move(A[S1 - Cc]));
-        size_t Off = (S1 - Cc) + 1;
-        size_t Rest = Tail - 1 - S1; // >= B by the S1hi bound.
-        if (Rest <= kChunk) {
-          C->push_n(A + Off, Rest);
-          seal(Rest);
-        } else {
-          assert(NLeaves < MaxUnits && "leaf unit array overflow");
-          Leaves[NLeaves++] = from_array_move(A + Off, Rest);
-        }
-        return close_top();
-      }
-      // Corner: decode the open chunk once and rebuild this last unit from
-      // entries — the only decode bounce left, rare and bounded by 2B.
-      temp_buf All(Tail);
-      C->drain(All.data());
-      All.set_count(Cc);
-      for (size_t I = 0; I < R; ++I)
-        ::new (static_cast<void *>(All.data() + Cc + I))
-            entry_t(std::move(A[I]));
-      All.set_count(Tail);
-      node_t *Sub = from_array_move(All.data(), Tail);
-      if (NLeaves == 0)
-        return Sub;
-      Leaves[NLeaves++] = Sub;
-      return close_top();
-    }
-
     /// Builds the result tree (nullptr when nothing was pushed) and resets.
     node_t *finish() {
       node_t *Out;
@@ -578,7 +474,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       }
       destroy_pending(); // Every branch leaves only movable husks behind.
       NPend = 0;
-      Total = 0;
       return Out;
     }
 
@@ -625,7 +520,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       feed(0, kChunk);
       seal(kChunk);
       new_separator(std::move(Pending[kChunk]));
-      Total += kChunk + 1;
       size_t Rest = NPend - kChunk - 1; // == kB
       if constexpr (std::is_trivially_copyable_v<entry_t>) {
         std::memcpy(static_cast<void *>(Pending),
@@ -692,7 +586,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     size_t MaxUnits = 0;
     size_t NLeaves = 0;
     size_t NSeps = 0;
-    size_t Total = 0; // Entries already drained out of Pending.
   };
 
   /// Streaming writer assembling a result tree from entries pushed in order
@@ -745,13 +638,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
         ++N;
       }
     }
-    size_t count() const {
-      if constexpr (kCanStream)
-        return CW->count();
-      else
-        return N;
-    }
-
     /// Builds the result tree (nullptr when nothing was pushed).
     node_t *finish() {
       if constexpr (kCanStream)
@@ -771,41 +657,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     size_t Cap = 0;
     size_t N = 0;
   };
-
-  /// Measured break-even for the cursor merge, in combined operand
-  /// *entries*. Entries are the one unit every call site can measure
-  /// exactly: encoded payload bytes undercount a raw batch array by the
-  /// compression factor, which is how multi_insert's accounting drifted
-  /// from the set ops' (it mixed encoded bytes of the tree with
-  /// `N * sizeof(entry_t)` of the batch). The default is the measured
-  /// crossover for the byte-coded encoders (bench_merge / perf_smoke flat
-  /// rows): at ~32 merged entries (B=8 leaf pairs) the cursor machinery's
-  /// per-merge setup loses ~15% to the array path even on sorted-run
-  /// shapes, while at ~512 entries (B=128 pairs) streaming wins 13-26% on
-  /// those shapes; 128 splits the gap at the scale where the two paths
-  /// measured even. Entry-staging encodings ignore this (their staging
-  /// array already is the output). Runtime-mutable (single-threaded setup
-  /// code only) for A/B benchmarks and hosts that measure differently.
-  static constexpr size_t kFlatStreamMinEntriesDefault = 128;
-  static size_t &flat_stream_min_entries() {
-    static size_t V = kFlatStreamMinEntriesDefault;
-    return V;
-  }
-
-  /// True when the cursor merge beats the array base case for flat operands
-  /// carrying \p OperandEntries entries in total (both operands summed, a
-  /// batch array counting each element as one entry). Since the chunked
-  /// writer emits any number of finished leaves from one stream, this is a
-  /// pure measured break-even, not a capability gate: entry-staging
-  /// encodings always win (the staging area doubles as the output),
-  /// byte-coded encodings win from flat_stream_min_entries() up. Augmented
-  /// trees keep the array path (aggregates need the entries materialized).
-  static bool flat_merge_wins(size_t OperandEntries) {
-    if (NL::encoder::write_cursor::stages_entries)
-      return true;
-    return leaf_writer::kCanStream &&
-           OperandEntries >= flat_stream_min_entries();
-  }
 
   //===--------------------------------------------------------------------===
   // parallel_flat_merge: quantile-split chunked merges.
@@ -1050,6 +901,41 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     node_guard GR(R);
     auto [Rest, Last] = split_last(L);
     return join(Rest, std::move(Last), GR.release());
+  }
+
+  /// Keeps the entries satisfying \p P, in order (maps, sets and
+  /// sequences alike). Consumes \p T.
+  template <class Pred> static node_t *filter(node_t *T, const Pred &P) {
+    if (!T)
+      return nullptr;
+    if (is_flat(T)) {
+      // Stream the block through the cursor pair: each kept entry is
+      // decoded once on its way out, nothing is materialized for the
+      // dropped ones (|result| <= |T| <= 2B always fits one leaf).
+      leaf_reader C(T);
+      leaf_writer W(C.remaining());
+      while (!C.done()) {
+        if (P(C.peek()))
+          W.push(C.take());
+        else
+          C.skip();
+      }
+      return W.finish();
+    }
+    exposed X = expose(T);
+    node_t *L = nullptr, *R = nullptr;
+    try {
+      par::par_do_if(
+          size(X.L) + size(X.R) >= par_gran(), [&] { L = filter(X.L, P); },
+          [&] { R = filter(X.R, P); });
+    } catch (...) {
+      dec(L);
+      dec(R);
+      throw;
+    }
+    if (P(X.E))
+      return join(L, std::move(X.E), R);
+    return join2(L, R);
   }
 };
 

@@ -18,13 +18,13 @@
 /// instead of a split of the large side per key of the small one. A pair
 /// merges whole (merge_whole) when its larger side is one block, or when it
 /// is dense and fits the base-case granularity kappa (32B; configurable for
-/// the ablation study). Base cases whose operands are both flat blocks
-/// merge encoded block to encoded block through streaming cursors
-/// (tree_ops::leaf_reader and leaf_writer) with no intermediate arrays when
-/// their size says the cursors win; other shapes flatten into arrays and
-/// merge. Single-block splices (insert, remove, filter, map_values) always
-/// stream. Updates consume their operand trees; the queries and range()
-/// only read theirs.
+/// the ablation study). Every base case that walks two sorted inputs — the
+/// set operations, multi_insert/multi_delete and the point insert/remove
+/// splices — is one loop, merge<P>, over two sources: a flat block read
+/// through tree_ops::leaf_reader, a slice of an entry array, or a slice of
+/// a key array. It writes through one tree_ops::leaf_writer, which encodes
+/// each survivor once into finished leaves. Updates consume their operand
+/// trees; the queries and range() only read theirs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,11 +32,9 @@
 #define CPAM_CORE_MAP_OPS_H
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 
 #include "src/core/basic_tree.h"
-#include "src/obs/metrics.h"
 #include "src/parallel/primitives.h"
 
 namespace cpam {
@@ -317,21 +315,12 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return NL::singleton(std::move(E));
     if (is_flat(T)) {
-      // Leaf splice: copy-prefix / splice / copy-suffix through the cursor
-      // pair — no whole-block materialization for a one-entry change. A
-      // 2B+1-entry result chunks into two leaves. The reader adopts T first
-      // so a throwing writer constructor releases it.
+      // Leaf splice: the block merged with a one-entry source, with no
+      // whole-block materialization; a 2B+1-entry result chunks into two
+      // leaves.
       leaf_reader C(T);
-      leaf_writer W(C.remaining() + 1);
-      while (!C.done() && key_less(C.key(), entry_key(E)))
-        W.push(C.take());
-      if (!C.done() && !key_less(entry_key(E), C.key()))
-        W.push(combine_entries(C.take(), E, Op));
-      else
-        W.push(std::move(E));
-      while (!C.done())
-        W.push(C.take());
-      return W.finish();
+      array_source S(&E, 1);
+      return merge<union_policy>(C, S, Op);
     }
     exposed X = expose(T);
     if (key_less(entry_key(E), entry_key(X.E))) {
@@ -352,16 +341,10 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return nullptr;
     if (is_flat(T)) {
-      // Leaf splice: stream everything but the matching entry.
+      // Leaf splice: the block minus a one-key source.
       leaf_reader C(T);
-      leaf_writer W(C.remaining());
-      while (!C.done() && key_less(C.key(), K))
-        W.push(C.take());
-      if (!C.done() && !key_less(K, C.key()))
-        C.skip();
-      while (!C.done())
-        W.push(C.take());
-      return W.finish();
+      key_source S(&K, 1);
+      return merge<difference_policy>(C, S, take_right());
     }
     exposed X = expose(T);
     if (key_less(K, entry_key(X.E))) {
@@ -380,11 +363,9 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   //===--------------------------------------------------------------------===
   // Set operations (Fig. 10) with Sec. 8 base cases. union, intersect,
   // difference and update are one skeleton (set_op) and one base case
-  // (set_base), parameterized by a keep policy. Two flat operands merge
-  // cursor-to-cursor straight into finished flat nodes (leaf_reader ->
-  // leaf_writer, no temp_buf round trip) when cursor_merge_wins says so;
-  // every other base-case shape flattens into arrays, whose wide union
-  // results are encoded chunk by chunk.
+  // (set_base), parameterized by a keep policy. Every base case that walks
+  // two sorted inputs, the point and batch splices included, is one call
+  // of merge<P> over two sources.
   //===--------------------------------------------------------------------===
 
   /// Keep policy of a set operation over (T1, T2): an entry whose key is
@@ -404,329 +385,45 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   /// Keep-left: every key of T1, combined with T2's value where T2 has it.
   using update_policy = keep_policy<true, false, true>;
 
-  /// Merges the sorted arrays A[0..N1) and B[0..N2) under keep policy \p P
-  /// into \p Out's raw storage (survivors moved; \p Op invoked exactly once
-  /// per kept duplicate key) and returns the kept count. Out must have
-  /// capacity P::max_out(N1, N2); its count is kept current so unwinding
-  /// destroys exactly the constructed prefix.
-  template <class P, class CombineOp>
-  static size_t merge_move(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                           temp_buf &Out, const CombineOp &Op) {
-    entry_t *O = Out.data();
-    size_t I = 0, J = 0, K = 0;
-    auto Emit = [&](entry_t &&E) {
-      ::new (static_cast<void *>(O + K)) entry_t(std::move(E));
-      Out.set_count(++K);
-    };
-    while (I < N1 && J < N2) {
-      if (key_less(entry_key(A[I]), entry_key(B[J]))) {
-        if constexpr (P::KeepL)
-          Emit(std::move(A[I]));
-        ++I;
-      } else if (key_less(entry_key(B[J]), entry_key(A[I]))) {
-        if constexpr (P::KeepR)
-          Emit(std::move(B[J]));
-        ++J;
-      } else {
-        if constexpr (P::KeepBoth)
-          Emit(combine_entries(std::move(A[I]), B[J], Op));
-        ++I;
-        ++J;
-      }
-    }
-    if constexpr (P::KeepL)
-      for (; I < N1; ++I)
-        Emit(std::move(A[I]));
-    if constexpr (P::KeepR)
-      for (; J < N2; ++J)
-        Emit(std::move(B[J]));
-    return K;
-  }
+  /// Merge source over the sorted entries A[0..N); take() moves an entry
+  /// out, leaving a destructible husk for the array's owner.
+  class array_source {
+  public:
+    array_source(entry_t *A, size_t N) : A(A), End(A + N) {}
+    bool done() const { return A == End; }
+    size_t remaining() const { return static_cast<size_t>(End - A); }
+    const entry_t &peek() const { return *A; }
+    const key_t &key() const { return entry_key(*A); }
+    entry_t take() { return std::move(*A++); }
+    void skip() { ++A; }
 
-  /// Probe window, in emitted entries, of the run-length-adaptive fallback
-  /// inside merge_arrays_streamed: after each window of output the merge
-  /// compares emissions against winner-run count and, when runs have
-  /// degenerated toward length 1, abandons per-entry streaming for one
-  /// decoded-array merge plus one batch encode of the remainder. 0
-  /// disables the fallback. Runtime-mutable (single-threaded setup code
-  /// only) for the A/B benches and the fallback-trigger tests.
-  static constexpr size_t kMergeProbeWindowDefault = 64;
-  static size_t &merge_probe_window() {
-    static size_t W = kMergeProbeWindowDefault;
-    return W;
-  }
-
-  /// How many streamed merges have bailed out through the run-length
-  /// fallback since process start — up front via probe_runs_degenerate or
-  /// mid-merge via the window check (test and bench telemetry; relaxed —
-  /// readers quiesce the scheduler before asserting on it). Shim over the
-  /// obs registry's "merge.fallbacks" raw cell: every map_ops
-  /// instantiation (any Entry/encoder/B) shares the one process-wide
-  /// counter, it shows up in obs::export_json(), and obs::reset_all()
-  /// zeroes it along with everything else.
-  static std::atomic<uint64_t> &merge_fallback_count() {
-    static std::atomic<uint64_t> &C =
-        obs::registry::get().raw_counter("merge.fallbacks");
-    return C;
-  }
-
-  /// Zeroes merge_fallback_count() so a telemetry assertion sees only the
-  /// episodes it triggers itself, not earlier merges in the same process.
-  /// Call while quiescent (no merges in flight), like the reader side.
-  static void merge_fallback_count_reset() {
-    merge_fallback_count().store(0, std::memory_order_relaxed);
-  }
-
-  /// Dry-run of the merge's first probe-window of output: pure compares
-  /// over the decoded operand prefixes, counting winner runs, no writer
-  /// and no moves. Returns true when the average run length is already
-  /// below 2 — dense interleave or heavy duplication — where per-entry
-  /// streaming measures slower than one array merge plus one batch
-  /// encode, so the caller should skip the streamed path entirely (and
-  /// save its cursor setup too). Merges whose prefix looks runs-y but
-  /// degenerates later are caught by the same check windowed inside
-  /// merge_arrays_streamed.
-  static bool probe_runs_degenerate(const entry_t *A, size_t N1,
-                                    const entry_t *B, size_t N2) {
-    size_t W = merge_probe_window();
-    if (W == 0)
-      return false;
-    // Fully degenerate shapes announce themselves fast, so bail at a
-    // quarter window; only marginal shapes pay for the whole probe.
-    size_t Check = std::max<size_t>(W / 4, 1);
-    size_t I = 0, J = 0, Emit = 0, Runs = 0;
-    while (Emit < W && I < N1 && J < N2) {
-      // Each gallop stops at the window's edge: a run longer than the
-      // remaining window proves the shape non-degenerate all by itself,
-      // and scanning past W would bill every probe a full-operand walk on
-      // exactly the disjoint/long-run shapes that should pay nothing.
-      if (key_less(entry_key(A[I]), entry_key(B[J]))) {
-        size_t R = I + 1, Cap = std::min(N1, I + (W - Emit));
-        while (R < Cap && key_less(entry_key(A[R]), entry_key(B[J])))
-          ++R;
-        Emit += R - I;
-        I = R;
-      } else if (key_less(entry_key(B[J]), entry_key(A[I]))) {
-        size_t R = J + 1, Cap = std::min(N2, J + (W - Emit));
-        while (R < Cap && key_less(entry_key(B[R]), entry_key(A[I])))
-          ++R;
-        Emit += R - J;
-        J = R;
-      } else {
-        ++Emit;
-        ++I;
-        ++J;
-      }
-      ++Runs;
-      if (Emit >= Check) {
-        if (Emit < 2 * Runs)
-          return true;
-        Check = W;
-      }
-    }
-    return Emit < 2 * Runs;
-  }
-
-  /// Fused two-array merge+encode into the chunked leaf writer, for
-  /// results that can span leaves: each winning entry is byte-coded on the
-  /// spot (push_ahead — no staging pass, no encoded_size pass) while the
-  /// exact operand remainders guarantee every sealed chunk a legal
-  /// successor; once fewer than B+2 entries remain on each side, the rest
-  /// merges into a small tail array that finish_tail() closes as the final
-  /// one or two leaves. Entries are moved out of \p A and \p B; duplicate
-  /// keys invoke \p Op exactly once. Callers gate on
-  /// leaf_writer::kCanStream (augmented trees need their entries
-  /// materialized; entry-staging schemes build faster from staging).
-  template <class CombineOp>
-  static node_t *merge_arrays_streamed(entry_t *A, size_t N1, entry_t *B,
-                                       size_t N2, const CombineOp &Op) {
-    static_assert(TO::leaf_writer::kCanStream,
-                  "streamed merges are byte-coded, blocked, unaugmented");
-    size_t I = 0, J = 0;
-    leaf_chunk_writer W(N1 + N2);
-    // Run-length probe state: every ProbeW emitted entries the loop checks
-    // the average winner-run length; dense interleave and heavy
-    // duplication degrade it toward 1, where the gallop is a per-entry
-    // compare/encode chain and the decoded-array path (one merge pass, one
-    // batch encode) measures faster. The window is scaled down for small
-    // merges so leaf-sized dense merges can still bail out early.
-    size_t ProbeW = std::min(merge_probe_window(), (N1 + N2) / 4);
-    size_t WinEmit = 0, WinRuns = 0;
-    // Galloping batch merge: a pure compare scan finds each run of
-    // consecutive winners from one side, then a single push_ahead_n
-    // batch-encodes it — compares and encodes run in separate tight
-    // loops, and long sorted runs become single batch encodes. Runs
-    // are clamped so the push_ahead guarantee (>= B+1 entries follow
-    // every seal) always holds against the exact remainders.
-    while (I < N1 && J < N2 && (N1 - I >= kB + 2 || N2 - J >= kB + 2)) {
-      if (ProbeW != 0 && WinEmit >= ProbeW) {
-        if (WinEmit < 2 * WinRuns) {
-          // Runs degenerated (average < 2): merge the remainders in one
-          // array pass and batch-encode, handing finish_tail its B+1
-          // hold-back so every chunk sealed here keeps a legal successor.
-          merge_fallback_count().fetch_add(1, std::memory_order_relaxed);
-          temp_buf Rest((N1 - I) + (N2 - J));
-          size_t K = merge_move<union_policy>(A + I, N1 - I, B + J, N2 - J,
-                                              Rest, Op);
-          if (K > kB + 1) {
-            W.push_ahead_n(Rest.data(), K - (kB + 1));
-            return W.finish_tail(Rest.data() + (K - (kB + 1)), kB + 1);
-          }
-          return W.finish_tail(Rest.data(), K);
-        }
-        WinEmit = WinRuns = 0;
-      }
-      if (key_less(entry_key(A[I]), entry_key(B[J]))) {
-        size_t R = I + 1;
-        while (R < N1 && key_less(entry_key(A[R]), entry_key(B[J])))
-          ++R;
-        if (N2 - J < kB + 2) {
-          size_t Lim = N1 - (kB + 2); // Only A's remainder backs the
-          if (R > Lim)                // guarantee: keep B+2 of it.
-            R = Lim;
-          if (R <= I)
-            break;
-        }
-        W.push_ahead_n(A + I, R - I);
-        WinEmit += R - I;
-        ++WinRuns;
-        I = R;
-      } else if (key_less(entry_key(B[J]), entry_key(A[I]))) {
-        size_t R = J + 1;
-        while (R < N2 && key_less(entry_key(B[R]), entry_key(A[I])))
-          ++R;
-        if (N1 - I < kB + 2) {
-          size_t Lim = N2 - (kB + 2);
-          if (R > Lim)
-            R = Lim;
-          if (R <= J)
-            break;
-        }
-        W.push_ahead_n(B + J, R - J);
-        WinEmit += R - J;
-        ++WinRuns;
-        J = R;
-      } else {
-        W.push_ahead(combine_entries(std::move(A[I++]), B[J], Op));
-        ++J;
-        ++WinEmit;
-        ++WinRuns;
-      }
-    }
-    // A side whose partner is exhausted batch-encodes all but the B+1
-    // entries the tail phase keeps for the hold-back.
-    if (J == N2 && N1 - I > kB + 1) {
-      size_t Take = (N1 - I) - (kB + 1);
-      W.push_ahead_n(A + I, Take);
-      I += Take;
-    }
-    if (I == N1 && N2 - J > kB + 1) {
-      size_t Take = (N2 - J) - (kB + 1);
-      W.push_ahead_n(B + J, Take);
-      J += Take;
-    }
-    // Merge the short remainder (< B+2 per side) into the tail array.
-    temp_buf TailB((N1 - I) + (N2 - J));
-    size_t K =
-        merge_move<union_policy>(A + I, N1 - I, B + J, N2 - J, TailB, Op);
-    return W.finish_tail(TailB.data(), K);
-  }
-
-  //===--------------------------------------------------------------------===
-  // Array-merge dispatchers: every sorted-array merge base case funnels
-  // through one of these, which splits the work at key quantiles
-  // (tree_ops::parallel_flat_merge) whenever merge_chunk_count — a pure
-  // function of the operand sizes — says the operands carry at least two
-  // chunks' worth, and otherwise runs the single-stream chunk merge
-  // inline. Chunk boundaries never depend on the worker count, so the
-  // output tree is identical at any thread count.
-  //===--------------------------------------------------------------------===
-
-  /// One chunk of a set-operation merge over sorted entry arrays (moved
-  /// out) under keep policy \p P. A union result that can span leaves takes
-  /// the fused stream+encode when the encoding supports it (with the
-  /// run-length fallback inside); everything else merges into an array and
-  /// builds — both the production fallback and the entry-staging build,
-  /// itself one batch encode.
-  template <class P, class CombineOp>
-  static node_t *set_chunk(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                           const CombineOp &Op) {
-    if constexpr (P::KeepL && P::KeepR && TO::leaf_writer::kCanStream) {
-      if (N1 + N2 > 2 * kB && TO::flat_merge_wins(N1 + N2)) {
-        if (!probe_runs_degenerate(A, N1, B, N2))
-          return merge_arrays_streamed(A, N1, B, N2, Op);
-        merge_fallback_count().fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    temp_buf Out(P::max_out(N1, N2));
-    size_t K = merge_move<P>(A, N1, B, N2, Out, Op);
-    return from_array_move(Out.data(), K);
-  }
-
-  /// One multi_delete chunk: keeps entries of B whose keys are absent from
-  /// the sorted, distinct key array A.
-  static node_t *erase_chunk(entry_t *B, size_t Nt, const key_t *A,
-                             size_t N) {
-    temp_buf Out(Nt);
-    entry_t *O = Out.data();
-    size_t I = 0, J = 0, K = 0;
-    while (I < Nt) {
-      while (J < N && key_less(A[J], entry_key(B[I])))
-        ++J;
-      if (J < N && !key_less(entry_key(B[I]), A[J])) {
-        ++I;
-        continue;
-      }
-      ::new (static_cast<void *>(O + K++)) entry_t(std::move(B[I++]));
-      Out.set_count(K);
-    }
-    return from_array_move(O, K);
-  }
-
-  /// Key extractor for entry arrays (parallel_flat_merge's KeyOfB).
-  struct key_of_entry_t {
-    const key_t &operator()(const entry_t &E) const {
-      return Entry::get_key(E);
-    }
+  private:
+    entry_t *A, *End;
   };
 
-  /// Set-operation merge of two sorted entry arrays (survivors moved out)
-  /// into a tree under keep policy \p P, parallel above the quantile-split
-  /// threshold.
-  template <class P, class CombineOp>
-  static node_t *set_arrays(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                            const CombineOp &Op) {
-    size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
-    auto Chunk = [&Op](entry_t *CA, size_t Cn1, entry_t *CB, size_t Cn2) {
-      return set_chunk<P>(CA, Cn1, CB, Cn2, Op);
-    };
-    if (C >= 2)
-      return TO::parallel_flat_merge(A, N1, B, N2, key_of_entry_t{}, C,
-                                     Chunk);
-    return Chunk(A, N1, B, N2);
-  }
+  /// Merge source over the sorted, distinct keys K[0..N): the right side
+  /// of a difference (remove, multi_delete), which only reads keys.
+  class key_source {
+  public:
+    key_source(const key_t *K, size_t N) : K(K), End(K + N) {}
+    bool done() const { return K == End; }
+    size_t remaining() const { return static_cast<size_t>(End - K); }
+    const key_t &key() const { return *K; }
+    void skip() { ++K; }
 
-  /// Erases the sorted, distinct keys K[0..N) from the sorted entry array
-  /// B (survivors moved out), parallel above the quantile-split threshold.
-  static node_t *erase_arrays(entry_t *B, size_t Nt, const key_t *K,
-                              size_t N) {
-    size_t C = TO::merge_chunk_count(Nt + N, std::max(Nt, N));
-    auto KeyOfKey = [](const key_t &Key) -> const key_t & { return Key; };
-    auto Chunk = [](entry_t *CB, size_t Cn, const key_t *CK, size_t Cm) {
-      return erase_chunk(CB, Cn, CK, Cm);
-    };
-    if (C >= 2)
-      return TO::parallel_flat_merge(B, Nt, K, N, KeyOfKey, C, Chunk);
-    return Chunk(B, Nt, K, N);
-  }
+  private:
+    const key_t *K, *End;
+  };
 
-  /// Merges two encoded blocks cursor to cursor under keep policy \p P:
-  /// each entry is decoded once on its way into the output stream (uniquely
-  /// owned inputs moved out, never copied) and \p Op is invoked exactly once
-  /// per kept duplicate key.
-  template <class P, class CombineOp>
-  static node_t *set_flat(node_t *T1, node_t *T2, const CombineOp &Op) {
-    leaf_reader A(T1), B(T2);
+  /// The merge loop of every sorted base case: walks the sources \p A and
+  /// \p B (a leaf_reader, array_source or key_source each) in key order
+  /// under keep policy \p P into one leaf_writer and returns the finished
+  /// tree. Survivors are taken once (moved out of arrays and uniquely
+  /// owned blocks), and \p Op runs exactly once per kept duplicate key, as
+  /// Op(value in A, value in B). The caller constructs the sources first,
+  /// so a throwing writer still releases the blocks they adopted.
+  template <class P, class SrcA, class SrcB, class CombineOp>
+  static node_t *merge(SrcA &A, SrcB &B, const CombineOp &Op) {
     leaf_writer W(P::max_out(A.remaining(), B.remaining()));
     while (!A.done() && !B.done()) {
       if (key_less(A.key(), B.key())) {
@@ -756,31 +453,68 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return W.finish();
   }
 
-  /// Whether two flat operands with \p N entries in total merge cursor to
-  /// cursor (set_flat) rather than through decoded arrays. Intersect and
-  /// difference are single-pass splices whose result fits the inputs, so
-  /// they always stream (BENCH_PR5: diff B=8 intersect/difference 1.26x/
-  /// 1.39x over the arrays). A union pays the per-merge cursor setup
-  /// (flat_merge_wins), and a byte-coded union result that spans leaves
-  /// batch-decodes both blocks for the fused merge+encode instead: batch
-  /// pipelines beat a per-entry decode/compare/encode interleave, whose
-  /// serial dependency chain measured ~1.5x slower there.
-  template <class P> static bool cursor_merge_wins(size_t N) {
-    if constexpr (!(P::KeepL && P::KeepR))
-      return true;
-    if (TO::leaf_writer::kCanStream && N > 2 * kB)
-      return false;
-    return TO::flat_merge_wins(N);
+  //===--------------------------------------------------------------------===
+  // Array merges: a base case reads a flat block straight through a
+  // leaf_reader only while its pair (a flat block or a batch) fits one
+  // chunk; any other tree operand is flattened into an array. When
+  // merge_chunk_count — a pure function of the operand sizes — gives at
+  // least two chunks, the arrays are split at key quantiles
+  // (tree_ops::parallel_flat_merge) and each chunk is one merge; otherwise
+  // the whole pair is one merge. Chunk boundaries never depend on the
+  // worker count, so the output tree is identical at any thread count.
+  //===--------------------------------------------------------------------===
+
+  /// Key extractor for entry arrays (parallel_flat_merge's KeyOfB).
+  struct key_of_entry_t {
+    const key_t &operator()(const entry_t &E) const {
+      return Entry::get_key(E);
+    }
+  };
+
+  /// Set-operation merge of two sorted entry arrays (survivors moved out)
+  /// into a tree under keep policy \p P, parallel above the quantile-split
+  /// threshold.
+  template <class P, class CombineOp>
+  static node_t *set_arrays(entry_t *A, size_t N1, entry_t *B, size_t N2,
+                            const CombineOp &Op) {
+    auto Chunk = [&Op](entry_t *CA, size_t Cn1, entry_t *CB, size_t Cn2) {
+      array_source SA(CA, Cn1), SB(CB, Cn2);
+      return merge<P>(SA, SB, Op);
+    };
+    size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
+    if (C >= 2)
+      return TO::parallel_flat_merge(A, N1, B, N2, key_of_entry_t{}, C,
+                                     Chunk);
+    return Chunk(A, N1, B, N2);
   }
 
-  /// Base case of set_op: merges the whole pair in one pass.
+  /// Erases the sorted, distinct keys K[0..N) from the sorted entry array
+  /// B (survivors moved out), parallel above the quantile-split threshold.
+  static node_t *erase_arrays(entry_t *B, size_t Nt, const key_t *K,
+                              size_t N) {
+    auto KeyOfKey = [](const key_t &Key) -> const key_t & { return Key; };
+    auto Chunk = [](entry_t *CB, size_t Cn, const key_t *CK, size_t Cm) {
+      array_source SB(CB, Cn);
+      key_source SK(CK, Cm);
+      return merge<difference_policy>(SB, SK, take_right());
+    };
+    size_t C = TO::merge_chunk_count(Nt + N, std::max(Nt, N));
+    if (C >= 2)
+      return TO::parallel_flat_merge(B, Nt, K, N, KeyOfKey, C, Chunk);
+    return Chunk(B, Nt, K, N);
+  }
+
+  /// Base case of set_op: merges the whole pair in one pass. Two flat
+  /// blocks that fit one chunk are read block to block; any other pair is
+  /// flattened into arrays.
   template <class P, class CombineOp>
   static node_t *set_base(node_t *T1, node_t *T2, const CombineOp &Op) {
     size_t N1 = size(T1), N2 = size(T2);
     if (is_flat(T1) && is_flat(T2) &&
-        TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        cursor_merge_wins<P>(N1 + N2))
-      return set_flat<P>(T1, T2, Op);
+        TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2) {
+      leaf_reader A(T1), B(T2);
+      return merge<P>(A, B, Op);
+    }
     node_guard G1(T1), G2(T2);
     temp_buf B1(N1), B2(N2);
     flatten(G1.release(), B1.data());
@@ -899,36 +633,11 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     // A flat T is merged whole even against a much larger batch: exposing
     // it would unfold the block.
     if (is_flat(T) || merge_whole(Nt, N)) {
-      // The same break-even gates every base case now: total operand
-      // entries (the batch counts one per element — the old gate priced
-      // it in raw bytes, which meant a different threshold here than on
-      // the set ops).
-      if (is_flat(T) && TO::flat_merge_wins(Nt + N) && Nt + N <= 2 * kB) {
-        // Leaf splice: stream the block against the sorted batch (result
-        // fits one leaf; anything wider goes through set_arrays below).
+      if (is_flat(T) && TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2) {
         leaf_reader C(T);
-        leaf_writer W(Nt + N);
-        size_t J = 0;
-        while (!C.done() && J < N) {
-          if (key_less(C.key(), entry_key(A[J]))) {
-            W.push(C.take());
-          } else if (key_less(entry_key(A[J]), C.key())) {
-            W.push(std::move(A[J++]));
-          } else {
-            W.push(combine_entries(C.take(), A[J], Op));
-            ++J;
-          }
-        }
-        while (!C.done())
-          W.push(C.take());
-        for (; J < N; ++J)
-          W.push(std::move(A[J]));
-        return W.finish();
+        array_source S(A, N);
+        return merge<union_policy>(C, S, Op);
       }
-      // Flatten + merge base case (also folds oversized leaves
-      // correctly). set_arrays picks the fused stream+encode, the
-      // quantile-split parallel driver, or the plain array merge — so a
-      // large batch against a flat root no longer encodes on one worker.
       node_guard G(T);
       temp_buf Bt(Nt);
       flatten(G.release(), Bt.data());
@@ -964,27 +673,11 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return T;
     size_t Nt = size(T);
     if (is_flat(T) || merge_whole(Nt, N)) {
-      if (TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2 &&
-          is_flat(T) && TO::flat_merge_wins(Nt + N)) {
-        // Leaf splice: keys in A are sorted and distinct, so each can match
-        // at most one block entry.
+      if (is_flat(T) && TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2) {
         leaf_reader C(T);
-        leaf_writer W(Nt);
-        size_t J = 0;
-        while (!C.done()) {
-          while (J < N && key_less(A[J], C.key()))
-            ++J;
-          if (J < N && !key_less(C.key(), A[J])) {
-            C.skip();
-            ++J;
-            continue;
-          }
-          W.push(C.take());
-        }
-        return W.finish();
+        key_source S(A, N);
+        return merge<difference_policy>(C, S, take_right());
       }
-      // Flatten + erase base case; erase_arrays splits a large delete
-      // batch against a flat root into parallel quantile chunks.
       node_guard G(T);
       temp_buf Bt(Nt);
       flatten(G.release(), Bt.data());
@@ -1021,40 +714,6 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   //===--------------------------------------------------------------------===
   // Bulk traversals.
   //===--------------------------------------------------------------------===
-
-  /// Keeps entries satisfying \p P. Consumes \p T.
-  template <class Pred> static node_t *filter(node_t *T, const Pred &P) {
-    if (!T)
-      return nullptr;
-    if (is_flat(T)) {
-      // Stream the block through the cursor pair: each kept entry is
-      // decoded once on its way out, nothing is materialized for the
-      // dropped ones (|result| <= |T| <= 2B always fits one leaf).
-      leaf_reader C(T);
-      leaf_writer W(C.remaining());
-      while (!C.done()) {
-        if (P(C.peek()))
-          W.push(C.take());
-        else
-          C.skip();
-      }
-      return W.finish();
-    }
-    exposed X = expose(T);
-    node_t *L = nullptr, *R = nullptr;
-    try {
-      par::par_do_if(
-          size(X.L) + size(X.R) >= par_gran(), [&] { L = filter(X.L, P); },
-          [&] { R = filter(X.R, P); });
-    } catch (...) {
-      dec(L);
-      dec(R);
-      throw;
-    }
-    if (P(X.E))
-      return join(L, std::move(X.E), R);
-    return join2(L, R);
-  }
 
   /// Transforms every value in place structurally (same entry type),
   /// preserving keys. Consumes \p T.

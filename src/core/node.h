@@ -248,11 +248,10 @@ struct node_layer {
   }
 
   /// Allocates a flat node whose payload the caller fills with exactly
-  /// \p Bytes of encoded data for \p N entries (e.g. from an encoder
-  /// write_cursor's cut()/finish() — tree_ops::leaf_chunk_writer seals one
-  /// of these per streamed chunk). The augmented value is \p Aug; the
-  /// streaming leaf paths are only taken for unaugmented trees, where it
-  /// is empty.
+  /// \p Bytes of encoded data for \p N entries: tree_ops::leaf_chunk_writer
+  /// seals one of these per streamed chunk through the write cursor's
+  /// cut(). The augmented value is \p Aug; the chunk writer only runs for
+  /// unaugmented trees, where it is empty.
   static flat_t *alloc_flat(size_t N, size_t Bytes, aug_t Aug = aug_t{}) {
     assert(kBlocked && "flat nodes only exist in blocked trees");
     assert(N >= 1 && N <= 2 * kB && "flat node size out of range");

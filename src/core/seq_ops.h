@@ -230,42 +230,6 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return find_first_rec(T, P, Index) ? Index : size_npos(T);
   }
 
-  /// Keeps elements satisfying \p P, in order. Consumes \p T.
-  template <class Pred> static node_t *filter(node_t *T, const Pred &P) {
-    if (!T)
-      return nullptr;
-    if (is_flat(T)) {
-      size_t N = T->Size;
-      node_guard G(T); // Covers a throw from the buffer allocations.
-      temp_buf Buf(N), Out(N);
-      flatten(G.release(), Buf.data());
-      Buf.set_count(N);
-      size_t K = 0;
-      for (size_t I = 0; I < N; ++I) {
-        if (!P(Buf.data()[I]))
-          continue;
-        ::new (static_cast<void *>(Out.data() + K++))
-            entry_t(std::move(Buf.data()[I]));
-        Out.set_count(K);
-      }
-      return from_array_move(Out.data(), K);
-    }
-    exposed X = expose(T);
-    node_t *L = nullptr, *R = nullptr;
-    try {
-      par::par_do_if(
-          size(X.L) + size(X.R) >= par_gran(), [&] { L = filter(X.L, P); },
-          [&] { R = filter(X.R, P); });
-    } catch (...) {
-      dec(L);
-      dec(R);
-      throw;
-    }
-    if (P(X.E))
-      return join(L, std::move(X.E), R);
-    return join2(L, R);
-  }
-
   /// Monotone check: true iff the sequence is sorted under \p Less.
   /// Implemented as a tree reduction carrying (first, last, ok).
   template <class Less>

@@ -248,10 +248,6 @@ template <class Entry, bool ValsByteCoded> struct diff_encoder_impl {
       release();
     }
     void finish(uint8_t *Dst) { cut(Dst); }
-    void drain(entry_t *DstEntries) {
-      decode(Base, N, DstEntries);
-      release();
-    }
     void release() {
       Out = Base;
       N = 0;

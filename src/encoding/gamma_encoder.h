@@ -285,10 +285,6 @@ template <class Entry> struct gamma_encoder {
       release();
     }
     void finish(uint8_t *Dst) { cut(Dst); }
-    void drain(entry_t *DstEntries) {
-      decode(Base, N, DstEntries);
-      release();
-    }
     void release() {
       N = 0;
       Bits = 0;

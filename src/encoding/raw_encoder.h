@@ -51,9 +51,6 @@
 ///                 delta chain, so one chunk-sized buffer can emit any
 ///                 number of finished leaves from a single entry stream
 ///     finish(Out) cut() under its end-of-stream name
-///     drain(Out)  moves the staged chunk into raw entry storage Out
-///                 instead (the fallback when the tail of a stream is too
-///                 short to be a legal leaf) and resets the cursor
 ///     release()   drops staged entries; also run by the destructor.
 ///   stages_entries is true when the staged bytes are themselves a plain
 ///   entry array exposed via staged() (raw encoding), letting callers build
@@ -240,16 +237,6 @@ template <class Entry> struct raw_encoder {
       release();
     }
     void finish(uint8_t *Out) { cut(Out); }
-    void drain(entry_t *Out) {
-      if constexpr (is_trivial) {
-        if (N)
-          std::memcpy(static_cast<void *>(Out), A, N * sizeof(entry_t));
-      } else {
-        for (size_t I = 0; I < N; ++I)
-          ::new (static_cast<void *>(Out + I)) entry_t(std::move(A[I]));
-      }
-      release();
-    }
     void release() {
       if constexpr (!std::is_trivially_destructible_v<entry_t>)
         for (size_t I = 0; I < N; ++I)

@@ -28,24 +28,17 @@
 ///    overstates it by at most one sub-bucket width.
 ///
 ///  - raw_counter(name): a single named std::atomic<uint64_t> cell for
-///    pre-existing telemetry that hands out a raw atomic reference
-///    (tree_ops::merge_fallback_count). Always compiled, even when the
-///    metric record paths are compiled out.
+///    telemetry that hands out a raw atomic reference (the serving layer's
+///    retired-backlog high-water mark and stalled-reader count).
 ///  - register_source(name, json_fn, reset_fn): adopts an external
 ///    telemetry surface (scheduler stats, pool-allocator stats) into the
 ///    registry's export and reset_all() without moving its storage.
 ///
 /// reset() semantics are uniform and deliberately simple: quiescent use
-/// only, like every pre-existing telemetry reset in the repo
-/// (par::scheduler_stats_reset, merge_fallback_count_reset). reset_all()
-/// resets every owned metric, every raw cell and every source in one call
-/// so benches cannot forget one surface.
-///
-/// Compile gate: -DCPAM_METRICS=OFF compiles every record path (inc/add/
-/// record and the trace spans of trace.h) to nothing — the classes become
-/// empty and reads return zero — while the registry core (names, raw
-/// cells, sources, export, reset) stays live so the substrate telemetry
-/// that predates this layer keeps working.
+/// only, like every other telemetry reset in the repo
+/// (par::scheduler_stats_reset). reset_all() resets every owned metric,
+/// every raw cell and every source in one call so benches cannot forget
+/// one surface.
 ///
 /// Export: export_json() renders the whole registry as one JSON object
 /// (schema "cpam-metrics-v1") that perf_smoke/bench_merge/bench_serving
@@ -71,13 +64,6 @@
 
 #include "src/parallel/scheduler.h"
 
-/// Build-time gate for the metric record paths (CMake option CPAM_METRICS).
-/// OFF turns counter::inc / gauge::add / histogram::record / trace spans
-/// into no-ops that compile to nothing; the registry itself stays live.
-#ifndef CPAM_METRICS
-#define CPAM_METRICS 1
-#endif
-
 namespace cpam {
 namespace obs {
 
@@ -95,18 +81,11 @@ inline uint64_t now_ns() {
 
 /// Deterministic per-thread sampling for hot paths that cannot afford a
 /// clock read per event: true on every 2^Shift-th call from each thread
-/// (starting with the first, so single-shot tests still record). Compiles
-/// to `false` under CPAM_METRICS=OFF, deleting the sampled block entirely.
+/// (starting with the first, so single-shot tests still record).
 template <int Shift> inline bool sampled() {
-#if CPAM_METRICS
   thread_local uint64_t N = 0;
   return (N++ & ((uint64_t(1) << Shift) - 1)) == 0;
-#else
-  return false;
-#endif
 }
-
-#if CPAM_METRICS
 
 /// Monotone event counter, sharded per thread slot. Writers from any
 /// thread; exact at all times (relaxed RMW per cell), though a read racing
@@ -276,48 +255,6 @@ private:
   std::atomic<uint64_t> Max{0};
 };
 
-#else // !CPAM_METRICS — record paths compile to nothing; reads are zero.
-
-class counter {
-public:
-  static constexpr size_t kShards = 1;
-  void inc(uint64_t = 1) {}
-  uint64_t read() const { return 0; }
-  void reset() {}
-};
-
-class gauge {
-public:
-  static constexpr size_t kShards = 1;
-  void add(int64_t) {}
-  void sub(int64_t) {}
-  int64_t read() const { return 0; }
-  void reset() {}
-};
-
-class histogram {
-public:
-  static constexpr int kSubBits = 4;
-  static constexpr uint64_t kSub = uint64_t(1) << kSubBits;
-  static constexpr size_t kBuckets = 1;
-  static size_t bucket_index(uint64_t) { return 0; }
-  static uint64_t bucket_lo(size_t) { return 0; }
-  static uint64_t bucket_hi(size_t) { return 0; }
-  void record(uint64_t) {}
-  uint64_t count() const { return 0; }
-  uint64_t sum() const { return 0; }
-  uint64_t max() const { return 0; }
-  uint64_t percentile(double) const { return 0; }
-  struct snapshot_t {
-    uint64_t Count = 0, Sum = 0, Max = 0;
-    uint64_t P50 = 0, P90 = 0, P99 = 0;
-  };
-  snapshot_t snapshot() const { return {}; }
-  void reset() {}
-};
-
-#endif // CPAM_METRICS
-
 /// The process-wide metric registry. Lookup (get_*) is mutexed and meant
 /// for setup code — hot paths hold the returned reference, which stays
 /// valid for the process lifetime (node-based map storage; the registry
@@ -346,10 +283,9 @@ public:
     return Hists[Name];
   }
 
-  /// Named raw atomic cell (always live, even under CPAM_METRICS=OFF):
-  /// the adoption path for pre-existing telemetry whose accessors hand out
-  /// std::atomic references. Exported alongside the counters and zeroed by
-  /// reset_all().
+  /// Named raw atomic cell: the adoption path for telemetry whose
+  /// accessors hand out std::atomic references. Exported alongside the
+  /// counters and zeroed by reset_all().
   std::atomic<uint64_t> &raw_counter(const std::string &Name) {
     std::lock_guard<std::mutex> L(M);
     auto &P = Raw[Name];
@@ -394,10 +330,8 @@ public:
   std::string export_json() const {
     std::lock_guard<std::mutex> L(M);
     std::string Out = "{\n    \"schema\": \"cpam-metrics-v1\",\n"
-                      "    \"metrics_compiled\": ";
-    Out += CPAM_METRICS ? "true" : "false";
+                      "    \"counters\": {";
     char Buf[256];
-    Out += ",\n    \"counters\": {";
     bool First = true;
     auto Emit = [&](const std::string &N, unsigned long long V) {
       std::snprintf(Buf, sizeof(Buf), "%s\n      \"%s\": %llu",

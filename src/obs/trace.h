@@ -13,8 +13,7 @@
 /// lane.
 ///
 /// Cost model: tracing is a diagnostic mode, off by default. Disabled, a
-/// span site is one relaxed atomic load and a branch (and compiles to
-/// nothing entirely under -DCPAM_METRICS=OFF, same gate as metrics.h).
+/// span site is one relaxed atomic load and a branch.
 /// Enabled, a span costs two steady_clock reads plus one uncontended
 /// mutex-guarded ring append (~tens of ns) — the per-ring mutex is what
 /// keeps concurrent flush TSan-clean without an ordering protocol.
@@ -119,11 +118,7 @@ inline void emit(const char *Name, const char *Cat, char Ph, uint64_t TsNs,
 /// Current trace level (0 = off). One relaxed load — the whole cost of a
 /// span site while tracing is disabled.
 inline int level() {
-#if CPAM_METRICS
   return detail::state().Level.load(std::memory_order_relaxed);
-#else
-  return 0;
-#endif
 }
 inline bool enabled() { return level() > 0; }
 
@@ -135,16 +130,10 @@ inline void disable() { set_level(0); }
 
 /// Zero-duration marker ('i' phase). \p Name/\p Cat: string literals.
 inline void instant(const char *Name, const char *Cat = "cpam") {
-#if CPAM_METRICS
   if (enabled())
     detail::emit(Name, Cat, 'i', now_ns(), 0);
-#else
-  (void)Name;
-  (void)Cat;
-#endif
 }
 
-#if CPAM_METRICS
 /// RAII complete-span ('X' phase): records [construction, destruction) on
 /// the calling thread's lane. Captures the enabled state at construction,
 /// so a span straddling enable/disable is dropped whole, never half-timed.
@@ -164,14 +153,6 @@ private:
   const char *Cat;
   uint64_t T0Plus1; // Start + 1; 0 means "tracing was off at entry".
 };
-#else
-class span {
-public:
-  explicit span(const char *, const char * = "cpam") {}
-  span(const span &) = delete;
-  span &operator=(const span &) = delete;
-};
-#endif
 
 /// Drops every recorded event (takes each ring's mutex; rings stay
 /// registered). For tests that want a fresh window.

@@ -88,11 +88,8 @@ public:
                                                std::memory_order_seq_cst)) {
           // Wall-clock stamp for the stall watchdog. Relaxed: it feeds
           // telemetry only, and the kIdle filter in stalled_readers()
-          // screens out released slots with stale stamps. Compiled out
-          // with the rest of the metrics layer (CPAM_METRICS=0), where
-          // stalled_readers() then reports 0 via the P != 0 filter.
-          if (CPAM_METRICS)
-            Slots[S].PinNs.store(obs::now_ns(), std::memory_order_relaxed);
+          // screens out released slots with stale stamps.
+          Slots[S].PinNs.store(obs::now_ns(), std::memory_order_relaxed);
           Pins.fetch_add(1, std::memory_order_relaxed);
           return S;
         }

@@ -167,7 +167,7 @@ public:
     assert(!WriterActive.exchange(true) && "version_chain: second writer");
     obs::trace::span S("publish", "serve");
     // Unsampled timing: one publish per batch, the clock reads are noise.
-    const uint64_t T0 = CPAM_METRICS ? obs::now_ns() : 0;
+    const uint64_t T0 = obs::now_ns();
     version_node *Old = Current.load(std::memory_order_relaxed);
     version_node *N = new version_node{std::move(Next), Old->Seq + 1};
     Current.store(N, std::memory_order_seq_cst);
@@ -188,10 +188,8 @@ public:
                                        std::memory_order_relaxed)) {
       }
     }
-    if (CPAM_METRICS) {
-      serving_metrics().PublishNs.record(obs::now_ns() - T0);
-      serving_metrics().Published.inc();
-    }
+    serving_metrics().PublishNs.record(obs::now_ns() - T0);
+    serving_metrics().Published.inc();
     reclaimLocked();
     WriterActive.store(false);
   }
@@ -239,7 +237,7 @@ private:
     if (!RetiredHead)
       return 0;
     obs::trace::span S("reclaim", "serve");
-    const uint64_t T0 = CPAM_METRICS ? obs::now_ns() : 0;
+    const uint64_t T0 = obs::now_ns();
     uint64_t MinActive = Epochs.min_active();
     version_node **Link = &RetiredHead;
     size_t Freed = 0;
@@ -255,10 +253,8 @@ private:
     }
     NumRetired -= Freed;
     NumReclaimed += Freed;
-    if (CPAM_METRICS) {
-      serving_metrics().ReclaimNs.record(obs::now_ns() - T0);
-      serving_metrics().Reclaimed.inc(Freed);
-    }
+    serving_metrics().ReclaimNs.record(obs::now_ns() - T0);
+    serving_metrics().Reclaimed.inc(Freed);
     return Freed;
   }
 
@@ -502,10 +498,9 @@ private:
       // Watchdog sweep, once per batch off the reader path: publish the
       // current stalled-reader count so export_json / bench_serving can
       // surface wedged pins without scanning the slot table themselves.
-      if (CPAM_METRICS)
-        serving_metrics().StalledReaders.store(
-            Chain.epochs().stalled_readers(Opts.StallAgeNs),
-            std::memory_order_relaxed);
+      serving_metrics().StalledReaders.store(
+          Chain.epochs().stalled_readers(Opts.StallAgeNs),
+          std::memory_order_relaxed);
       Batch.clear();
       {
         std::lock_guard<std::mutex> L(M);

@@ -5,7 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <map>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -117,6 +120,91 @@ TYPED_TEST(AugSumTest, AugMaintainedThroughSetOps) {
   EXPECT_EQ(X.aug_val(), 500u * 11);
   TypeParam D = TypeParam::map_difference(MA, MB);
   EXPECT_EQ(D.aug_val(), 500u * 1);
+}
+
+// Random operand pairs at three scales: one block per operand, several
+// blocks, and more than kappa entries in total (the pair recurses before
+// it reaches a base case). Every set operation, batch update and point
+// update must match std::map in its entries, its aggregate and its
+// invariants, and leave its operands intact.
+TYPED_TEST(AugSumTest, AugMaintainedThroughRandomSetOps) {
+  using Entries = std::vector<std::pair<uint64_t, uint64_t>>;
+  using Oracle = std::map<uint64_t, uint64_t>;
+  using ops = typename TypeParam::ops;
+  auto Check = [](const TypeParam &Got, const Oracle &Want, const char *What,
+                  size_t Size, int Round) {
+    uint64_t Sum = 0;
+    for (const auto &KV : Want)
+      Sum += KV.second;
+    ASSERT_EQ(Got.check_invariants(), "")
+        << What << " size " << Size << " round " << Round;
+    ASSERT_EQ(Got.to_vector(), Entries(Want.begin(), Want.end()))
+        << What << " size " << Size << " round " << Round;
+    ASSERT_EQ(Got.aug_val(), Sum)
+        << What << " size " << Size << " round " << Round;
+  };
+  auto Build = [](const Oracle &O) {
+    return TypeParam::from_sorted(Entries(O.begin(), O.end()));
+  };
+  constexpr size_t kB = ops::kB;
+  const size_t Sizes[] = {std::max<size_t>(2 * kB, 4),
+                          8 * std::max<size_t>(kB, 8),
+                          ops::kappa() + 16 * std::max<size_t>(kB, 8)};
+  Rng R(11);
+  uint64_t Draws = 0;
+  auto Next = [&](uint64_t Bound) { return R.ith(Draws++, Bound); };
+  for (size_t Size : Sizes) {
+    // Each side holds Size/2..Size distinct keys out of 2 * Size, so about
+    // half of the keys collide.
+    auto Draw = [&] {
+      Oracle O;
+      size_t N = Size / 2 + Next(Size / 2 + 1);
+      while (O.size() < N)
+        O[Next(2 * Size)] = Next(100);
+      return O;
+    };
+    for (int Round = 0; Round < 4; ++Round) {
+      Oracle OA = Draw(), OB = Draw();
+      TypeParam MA = Build(OA), MB = Build(OB);
+      Oracle U = OA, X, D = OA, Up = OA;
+      for (const auto &[K, V] : OB) {
+        U[K] += V;
+        D.erase(K);
+        if (OA.count(K)) {
+          X[K] = OA.at(K) + V;
+          Up[K] = OA.at(K) + V;
+        }
+      }
+      std::plus<uint64_t> Plus;
+      Check(TypeParam::map_union(MA, MB, Plus), U, "union", Size, Round);
+      Check(TypeParam::map_intersect(MA, MB, Plus), X, "intersect", Size,
+            Round);
+      Check(TypeParam::map_difference(MA, MB), D, "difference", Size, Round);
+      // Unshared operands: the merge moves entries out of their blocks.
+      Check(TypeParam::map_update(Build(OA), Build(OB), Plus), Up, "update",
+            Size, Round);
+      Check(MA.multi_insert(Entries(OB.begin(), OB.end()), Plus), U,
+            "multi_insert", Size, Round);
+      std::vector<uint64_t> Dels;
+      for (const auto &KV : OB)
+        Dels.push_back(KV.first);
+      Check(MA.multi_delete(Dels), D, "multi_delete", Size, Round);
+      uint64_t K = Next(2 * Size), V = Next(100);
+      Oracle OI = OA;
+      OI[K] = V;
+      Check(MA.insert(K, V), OI, "insert", Size, Round);
+      // Odd rounds remove a present key, even rounds an absent one.
+      uint64_t KR = Round % 2 ? std::next(OA.begin(), Next(OA.size()))->first
+                              : 2 * Size + 1;
+      Oracle OR = OA;
+      OR.erase(KR);
+      Check(MA.remove(KR), OR, "remove", Size, Round);
+      Check(MA, OA, "left operand", Size, Round);
+      Check(MB, OB, "right operand", Size, Round);
+      if (this->HasFatalFailure())
+        return;
+    }
+  }
 }
 
 // filter, multi_insert and multi_delete splice single blocks; over an

@@ -175,12 +175,9 @@ std::vector<uint64_t> randomKeys(Rng &R, size_t N, uint64_t Universe) {
 /// the oracle. Typed over the diff- and gamma-compressed block layouts —
 /// the two byte-coded encoders that stream through seal (raw blocks stage
 /// entries and finish via from_array_move, so seal never runs for them).
+/// Every B=8 base-case merge writes through the chunk writer, so the
+/// failpoint fires without any tuning.
 template <class SetT> void runLeafSealChaos(uint64_t Salt) {
-  // At B=8 every leaf-pair merge is under the 128-entry streaming
-  // break-even and would take the array path; pin the break-even to zero
-  // so the chunk writer (the code under test) runs for every base case.
-  test::ValueGuard<size_t> MG(SetT::ops::flat_stream_min_entries());
-  SetT::ops::flat_stream_min_entries() = 0;
   fail::scoped_arm Arm("leaf.seal", "every=50");
   Rng R = test::seeded_rng(Salt);
   constexpr uint64_t kUniverse = 200000;
@@ -249,8 +246,6 @@ TEST_F(ChaosLeakTest, CombinedChaosEpisode) {
   fail::scoped_arm A2("leaf.seal", "every=400");
   fail::scoped_arm A3("sched.fork", "p=3/seed=72");
   using SetT = pam_set<uint64_t, 8>;
-  test::ValueGuard<size_t> MG(SetT::ops::flat_stream_min_entries());
-  SetT::ops::flat_stream_min_entries() = 0;
   Rng R = test::seeded_rng(9);
   constexpr uint64_t kUniverse = 100000;
   SetT S;

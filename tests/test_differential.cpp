@@ -1046,13 +1046,12 @@ TYPED_TEST(DifferentialSetTest, ParallelMergeMatchesInlineRunAndOracle) {
   par::set_sequential(false);
 }
 
-/// The dense 50%-interleaved shape that regressed the streamed merge in
-/// PR 5: even keys against odd-shifted keys, so the winner alternates
-/// every entry and half the pairs collide. The run-length probe must
-/// abandon streaming mid-merge on byte-coded types — asserted through the
-/// fallback telemetry counter — and the result must still match the
-/// oracle exactly.
-TYPED_TEST(DifferentialSetTest, DenseInterleavedMergeTriggersRunFallback) {
+/// The dense 50%-interleaved shape: even keys against odd-shifted keys, so
+/// the winner alternates every entry and half the pairs collide. With
+/// kappa raised past the operand sizes the pair reaches the base case
+/// whole and is split at key quantiles into parallel chunk merges; every
+/// set operation must still match the oracle exactly.
+TYPED_TEST(DifferentialSetTest, DenseInterleavedMergeMatchesOracle) {
   using ops = typename TypeParam::ops;
   test::ValueGuard<size_t> GKappa(ops::kappa());
   ops::kappa() = size_t{1} << 20;
@@ -1062,19 +1061,22 @@ TYPED_TEST(DifferentialSetTest, DenseInterleavedMergeTriggersRunFallback) {
     A.push_back(2 * I);
     B.push_back(2 * I + (I % 2 ? 0 : 1)); // 50% dups, 50% interleave.
   }
-  // Start the telemetry from zero so this assertion counts only the
-  // merges below — earlier episodes in the same process (other tests,
-  // the fixture's own setup) cannot mask a fallback that never fires.
-  ops::merge_fallback_count_reset();
   TypeParam SA(A), SB(B);
-  TypeParam U = TypeParam::map_union(SA, SB);
-  std::set<uint64_t> O(A.begin(), A.end());
-  O.insert(B.begin(), B.end());
-  checkSetAgainstOracle(U, O, "dense-interleaved union");
-  if constexpr (ops::leaf_writer::kCanStream) {
-    EXPECT_GT(ops::merge_fallback_count().load(), 0u)
-        << "run-length fallback never fired on a degenerate-run merge";
-  }
+  std::set<uint64_t> OA(A.begin(), A.end()), OB(B.begin(), B.end());
+  std::set<uint64_t> U = OA, X, D;
+  U.insert(B.begin(), B.end());
+  std::set_intersection(OA.begin(), OA.end(), OB.begin(), OB.end(),
+                        std::inserter(X, X.end()));
+  std::set_difference(OA.begin(), OA.end(), OB.begin(), OB.end(),
+                      std::inserter(D, D.end()));
+  checkSetAgainstOracle(TypeParam::map_union(SA, SB), U,
+                        "dense-interleaved union");
+  checkSetAgainstOracle(TypeParam::map_intersect(SA, SB), X,
+                        "dense-interleaved intersect");
+  checkSetAgainstOracle(TypeParam::map_difference(SA, SB), D,
+                        "dense-interleaved difference");
+  checkSetAgainstOracle(SA, OA, "dense-interleaved: left input unchanged");
+  checkSetAgainstOracle(SB, OB, "dense-interleaved: right input unchanged");
 }
 
 } // namespace

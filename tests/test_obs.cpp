@@ -10,11 +10,11 @@
 /// bounds on a known distribution (the log-bucket scheme guarantees a
 /// reported percentile in [true, true * (1 + 1/16)]), reset coherence
 /// through obs::reset_all() across every surface (owned metrics, raw
-/// cells, scheduler source), the merge-fallback shim identity (every
-/// map_ops instantiation shares the one registry cell), and a trace-span
-/// round trip: force a chunked parallel merge under tracing and assert the
-/// flushed Chrome trace JSON parses structurally and contains the
-/// merge-chunk spans. Runs in the CI TSan leg (concurrent record/flush).
+/// cells, scheduler source), the serving metrics recorded through the
+/// registry, and a trace-span round trip: force a chunked parallel merge
+/// under tracing and assert the flushed Chrome trace JSON parses
+/// structurally and contains the merge-chunk spans. Runs in the CI TSan
+/// leg (concurrent record/flush).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,6 @@
 #include "gtest/gtest.h"
 
 #include "src/api/pam_set.h"
-#include "src/encoding/diff_encoder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/parallel/primitives.h"
@@ -36,11 +35,6 @@
 using namespace cpam;
 
 namespace {
-
-// Value-bearing assertions only make sense when the record paths are
-// compiled; under -DCPAM_METRICS=OFF they skip (the structural tests —
-// identity, export, reset plumbing — still run).
-constexpr bool kMetricsOn = CPAM_METRICS != 0;
 
 //===----------------------------------------------------------------------===//
 // Counters and gauges.
@@ -56,8 +50,6 @@ TEST(ObsCounter, SameNameSameObject) {
 }
 
 TEST(ObsCounter, ExactUnderConcurrentIncrement) {
-  if (!kMetricsOn)
-    GTEST_SKIP() << "record paths compiled out";
   obs::counter &C = obs::registry::get().get_counter("test.counter.exact");
   C.reset();
   constexpr int kThreads = 16;
@@ -78,8 +70,6 @@ TEST(ObsCounter, ExactUnderConcurrentIncrement) {
 }
 
 TEST(ObsGauge, BalancedAddSubReturnsToZero) {
-  if (!kMetricsOn)
-    GTEST_SKIP() << "record paths compiled out";
   obs::gauge &G = obs::registry::get().get_gauge("test.gauge.balance");
   G.reset();
   constexpr int kThreads = 8;
@@ -105,8 +95,6 @@ TEST(ObsGauge, BalancedAddSubReturnsToZero) {
 //===----------------------------------------------------------------------===//
 
 TEST(ObsHistogram, BucketIndexMonotoneAndBoundsTight) {
-  if (!kMetricsOn)
-    GTEST_SKIP() << "record paths compiled out";
   using H = obs::histogram;
   // Every probed value lands inside its bucket's [lo, hi] range, indices
   // are monotone in the value, and octave buckets are at most 1/16 wide
@@ -134,8 +122,6 @@ TEST(ObsHistogram, BucketIndexMonotoneAndBoundsTight) {
 }
 
 TEST(ObsHistogram, ExactCountSumMaxUnderConcurrentRecord) {
-  if (!kMetricsOn)
-    GTEST_SKIP() << "record paths compiled out";
   obs::histogram &H = obs::registry::get().get_histogram("test.hist.exact");
   H.reset();
   constexpr int kThreads = 16;
@@ -157,8 +143,6 @@ TEST(ObsHistogram, ExactCountSumMaxUnderConcurrentRecord) {
 }
 
 TEST(ObsHistogram, PercentilesWithinOneSubBucketOfTruth) {
-  if (!kMetricsOn)
-    GTEST_SKIP() << "record paths compiled out";
   obs::histogram &H = obs::registry::get().get_histogram("test.hist.pct");
   H.reset();
   // Uniform 1..100000, once each: the true quantile q is q*100000, and the
@@ -182,8 +166,6 @@ TEST(ObsHistogram, PercentilesWithinOneSubBucketOfTruth) {
 }
 
 TEST(ObsHistogram, ResetLeavesNoResidue) {
-  if (!kMetricsOn)
-    GTEST_SKIP() << "record paths compiled out";
   obs::histogram &H = obs::registry::get().get_histogram("test.hist.reset");
   H.record(17);
   H.record(1 << 20);
@@ -250,39 +232,16 @@ TEST(ObsRegistry, ExportJsonCarriesAllSurfaces) {
     ASSERT_GE(Depth, 0);
   }
   EXPECT_EQ(Depth, 0);
-  if (kMetricsOn) {
-    EXPECT_NE(J.find("\"test.export.counter\": 2"), std::string::npos);
-    EXPECT_NE(J.find("\"test.export.gauge\": -4"), std::string::npos);
-  }
-  EXPECT_NE(J.find("\"test.export.raw\": 9"), std::string::npos)
-      << "raw cells must stay live even under CPAM_METRICS=OFF";
+  EXPECT_NE(J.find("\"test.export.counter\": 2"), std::string::npos);
+  EXPECT_NE(J.find("\"test.export.gauge\": -4"), std::string::npos);
+  EXPECT_NE(J.find("\"test.export.raw\": 9"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
 // Adoption shims.
 //===----------------------------------------------------------------------===//
 
-TEST(ObsShims, MergeFallbackSharedAcrossInstantiations) {
-  // Pre-PR 9 each map_ops instantiation had its own fallback counter; the
-  // shim must alias every instantiation onto the one registry cell.
-  using Ops8 = typename pam_set<uint64_t, 8>::ops;
-  using Ops128 = typename pam_set<uint64_t, 128>::ops;
-  using OpsDiff = typename pam_set<uint64_t, 128, diff_encoder>::ops;
-  std::atomic<uint64_t> &Cell =
-      obs::registry::get().raw_counter("merge.fallbacks");
-  EXPECT_EQ(&Ops8::merge_fallback_count(), &Cell);
-  EXPECT_EQ(&Ops128::merge_fallback_count(), &Cell);
-  EXPECT_EQ(&OpsDiff::merge_fallback_count(), &Cell);
-  Ops8::merge_fallback_count_reset();
-  EXPECT_EQ(Cell.load(std::memory_order_relaxed), 0u);
-  Ops128::merge_fallback_count().fetch_add(2, std::memory_order_relaxed);
-  EXPECT_EQ(Ops8::merge_fallback_count().load(std::memory_order_relaxed), 2u);
-  Ops8::merge_fallback_count_reset();
-}
-
 TEST(ObsShims, ServingMetricsRecordThroughRegistry) {
-  if (!kMetricsOn)
-    GTEST_SKIP() << "record paths compiled out";
   obs::reset_all();
   serving::serving_metrics_t &M = serving::serving_metrics();
   serving::version_chain<int> VC(1);
@@ -305,8 +264,6 @@ TEST(ObsShims, ServingMetricsRecordThroughRegistry) {
 //===----------------------------------------------------------------------===//
 
 TEST(ObsTrace, ChunkedMergeSpansFlushAsLoadableJson) {
-  if (!kMetricsOn)
-    GTEST_SKIP() << "trace spans compiled out";
   using SetT = pam_set<uint64_t, 128>;
   using ops = typename SetT::ops;
   // Force the quantile-split path on test-sized inputs, exactly like the
