@@ -68,7 +68,7 @@ public:
 
   /// Element at index I. O(log n + B) work (vs O(1) for arrays — the nth
   /// tradeoff discussed with Fig. 2).
-  T nth(size_t I) const { return Ops::nth(Root, I); }
+  T nth(size_t I) const { return Ops::select(Root, I); }
 
   pam_seq take(size_t N) const { return pam_seq(Ops::take(copy_root(), N)); }
   pam_seq drop(size_t N) const { return pam_seq(Ops::drop(copy_root(), N)); }

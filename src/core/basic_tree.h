@@ -8,7 +8,8 @@
 /// The join-based primitive layer of Figs. 5 and 9: `node_join` (the
 /// invariant-enforcing `node()`), `expose`, `join` with weight-balanced
 /// rotations, `split`, `split_last`/`join2`, array<->tree conversion, and
-/// the one `filter` that maps, sets and sequences share. All higher-level
+/// the one copy of each traversal that maps, sets and sequences share
+/// (`select`, `map_reduce`, `map`, `filter`). All higher-level
 /// algorithms (union, maps, sequences, augmented queries) are written
 /// against exactly these primitives, which is the paper's central
 /// software-design claim: redesigning join and expose lets the whole PAM
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "src/core/node.h"
@@ -693,34 +695,44 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     return C < 2 ? 1 : C;
   }
 
+  /// Key of an element of a sorted array: an entry's key, or the element
+  /// itself in a key array (the batch of a difference).
+  template <class Elt> static const key_t &key_of(const Elt &X) {
+    if constexpr (std::is_same_v<Elt, key_t>)
+      return X;
+    else
+      return Entry::get_key(X);
+  }
+
+  /// Index of the first element of the sorted array A[0..N) (entries or
+  /// keys) whose key is not less than \p K.
+  template <class Elt>
+  static size_t lower_bound(const Elt *A, size_t N, const key_t &K) {
+    return static_cast<size_t>(
+        std::lower_bound(A, A + N, K,
+                         [](const Elt &X, const key_t &Key) {
+                           return Entry::comp(key_of(X), Key);
+                         }) -
+        A);
+  }
+
   /// Quantile-split parallel merge driver. Splits the sorted inputs
-  /// A[0..N1) (entries) and B[0..N2) (any sorted key-carrying elements,
-  /// keys read via \p KB) into \p C aligned chunk pairs at key quantiles
-  /// of the larger side, runs \p MC(AChunk, An, BChunk, Bn) -> node_t* on
-  /// each pair under scheduler forks, and joins the per-chunk trees
-  /// weight-balanced. A boundary key starts the *right* chunk on both
-  /// sides (lower_bound), so equal-key pairs land in the same chunk and
-  /// every chunk merge sees a self-contained key range.
-  template <class EltB, class KeyOfB, class ChunkMerge>
+  /// A[0..N1) (entries) and B[0..N2) (entries or keys) into \p C aligned
+  /// chunk pairs at key quantiles of the larger side, runs
+  /// \p MC(AChunk, An, BChunk, Bn) -> node_t* on each pair under scheduler
+  /// forks, and joins the per-chunk trees weight-balanced. A boundary key
+  /// starts the *right* chunk on both sides (lower_bound), so equal-key
+  /// pairs land in the same chunk and every chunk merge sees a
+  /// self-contained key range.
+  template <class EltB, class ChunkMerge>
   static node_t *parallel_flat_merge(entry_t *A, size_t N1, EltB *B,
-                                     size_t N2, const KeyOfB &KB, size_t C,
+                                     size_t N2, size_t C,
                                      const ChunkMerge &MC) {
     assert(C >= 2 && C <= kMaxMergeChunks && "merge_chunk_count sizes C");
     size_t IA[kMaxMergeChunks + 1], IB[kMaxMergeChunks + 1];
     IA[0] = IB[0] = 0;
     IA[C] = N1;
     IB[C] = N2;
-    auto LbB = [&](const key_t &K) {
-      size_t Lo = 0, Hi = N2;
-      while (Lo < Hi) {
-        size_t Mid = Lo + (Hi - Lo) / 2;
-        if (Entry::comp(KB(B[Mid]), K))
-          Lo = Mid + 1;
-        else
-          Hi = Mid;
-      }
-      return Lo;
-    };
     for (size_t I = 1; I < C; ++I) {
       // Quantile ranks on the larger side are exact boundaries (keys are
       // distinct within a side); the smaller side splits by binary search
@@ -728,10 +740,10 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       // pure function of the inputs.
       if (N1 >= N2) {
         IA[I] = I * N1 / C;
-        IB[I] = LbB(Entry::get_key(A[IA[I]]));
+        IB[I] = lower_bound(B, N2, key_of(A[IA[I]]));
       } else {
         IB[I] = I * N2 / C;
-        IA[I] = lower_bound_idx(A, N1, KB(B[IB[I]]));
+        IA[I] = lower_bound(A, N1, key_of(B[IB[I]]));
       }
     }
     // Zero-initialized so a throwing chunk merge leaves its slot (and any
@@ -788,19 +800,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     node_t *R = nullptr;
     std::optional<entry_t> E; // Set iff the key was present.
   };
-
-  /// Binary search: index of the first entry in A[0..N) with key >= K.
-  static size_t lower_bound_idx(const entry_t *A, size_t N, const key_t &K) {
-    size_t Lo = 0, Hi = N;
-    while (Lo < Hi) {
-      size_t Mid = Lo + (Hi - Lo) / 2;
-      if (Entry::comp(Entry::get_key(A[Mid]), K))
-        Lo = Mid + 1;
-      else
-        Hi = Mid;
-    }
-    return Lo;
-  }
 
   /// Splits \p T by key \p K into (keys < K, keys > K) plus the entry with
   /// key K if present. Consumes \p T. A block whose keys all fall on one
@@ -903,8 +902,98 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     return join(Rest, std::move(Last), GR.release());
   }
 
-  /// Keeps the entries satisfying \p P, in order (maps, sets and
-  /// sequences alike). Consumes \p T.
+  //===--------------------------------------------------------------------===
+  // Traversals shared by maps, sets and sequences.
+  //===--------------------------------------------------------------------===
+
+  /// The \p I-th entry in order (0-based; nth of a sequence). Requires
+  /// I < size(T). O(log n + B) work, no allocation.
+  static entry_t select(const node_t *T, size_t I) {
+    assert(T && I < size(T) && "select index out of range");
+    while (true) {
+      if (is_flat(T)) {
+        const auto *F = static_cast<const typename NL::flat_t *>(T);
+        entry_t Out{}; // Always assigned (I < size(T)); {} pacifies GCC.
+        size_t J = 0;
+        NL::encoder::for_each_while(
+            NL::payload(F), T->Size, [&](const entry_t &E) {
+              if (J++ == I) {
+                Out = E;
+                return false;
+              }
+              return true;
+            });
+        return Out;
+      }
+      const auto *R = static_cast<const typename NL::regular_t *>(T);
+      size_t Ls = size(R->Left);
+      if (I < Ls) {
+        T = R->Left;
+      } else if (I == Ls) {
+        return R->E;
+      } else {
+        I -= Ls + 1;
+        T = R->Right;
+      }
+    }
+  }
+
+  /// Reduces f(entry) over the tree in order with the associative \p Cmb
+  /// (read-only). O(n) work, O(log n) span.
+  template <class F, class T2, class Combine>
+  static T2 map_reduce(const node_t *T, const F &f, T2 Identity,
+                       const Combine &Cmb) {
+    if (!T)
+      return Identity;
+    if (is_flat(T)) {
+      const auto *Fl = static_cast<const typename NL::flat_t *>(T);
+      T2 Acc = Identity;
+      NL::encoder::for_each_while(NL::payload(Fl), T->Size,
+                                  [&](const entry_t &E) {
+                                    Acc = Cmb(Acc, f(E));
+                                    return true;
+                                  });
+      return Acc;
+    }
+    const auto *R = static_cast<const typename NL::regular_t *>(T);
+    T2 A = Identity, B = Identity;
+    par::par_do_if(
+        T->Size >= par_gran(),
+        [&] { A = map_reduce(R->Left, f, Identity, Cmb); },
+        [&] { B = map_reduce(R->Right, f, Identity, Cmb); });
+    return Cmb(Cmb(A, f(R->E)), B);
+  }
+
+  /// Replaces every entry E by f(E), keeping the shape. \p f must keep
+  /// keys in order (a map rewrites values only; a sequence has no order).
+  /// Consumes \p T.
+  template <class F> static node_t *map(node_t *T, const F &f) {
+    if (!T)
+      return nullptr;
+    if (is_flat(T)) {
+      // Stream the block through the cursor pair: each entry is decoded
+      // once, transformed, and pushed straight into the result leaf.
+      leaf_reader C(T);
+      leaf_writer W(C.remaining());
+      while (!C.done())
+        W.push(f(C.take()));
+      return W.finish();
+    }
+    exposed X = expose(T);
+    node_t *L = nullptr, *R = nullptr;
+    try {
+      par::par_do_if(
+          size(X.L) + size(X.R) >= par_gran(), [&] { L = map(X.L, f); },
+          [&] { R = map(X.R, f); });
+    } catch (...) {
+      dec(L);
+      dec(R);
+      throw;
+    }
+    return node_join(L, f(std::move(X.E)), R);
+  }
+
+  /// Keeps the entries satisfying \p P, in order. Consumes \p T.
   template <class Pred> static node_t *filter(node_t *T, const Pred &P) {
     if (!T)
       return nullptr;

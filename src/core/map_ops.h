@@ -7,8 +7,9 @@
 /// \file
 /// Join-based algorithms over PaC-trees (Figs. 6, 8, 10): search, insertion
 /// and deletion, the set operations (union / intersect / difference and the
-/// keep-left update), multi_insert / multi_delete, filter, map_reduce, range
-/// extraction and order statistics.
+/// keep-left update), multi_insert / multi_delete, map_values, range
+/// extraction and order statistics (filter, select, map_reduce and map are
+/// tree_ops traversals shared with sequences).
 /// Each algorithm is written against expose/join/split only — plus the
 /// optimized base cases of Sec. 8. The set operations are one skeleton
 /// (set_op) with a per-op keep policy: it exposes the larger operand, whose
@@ -18,9 +19,11 @@
 /// instead of a split of the large side per key of the small one. A pair
 /// merges whole (merge_whole) when its larger side is one block, or when it
 /// is dense and fits the base-case granularity kappa (32B; configurable for
-/// the ablation study). Every base case that walks two sorted inputs — the
-/// set operations, multi_insert/multi_delete and the point insert/remove
-/// splices — is one loop, merge<P>, over two sources: a flat block read
+/// the ablation study). Point and batch updates are a second skeleton,
+/// batch_op, with the same keep policies: a tree against a sorted batch of
+/// entries (insert, multi_insert) or keys (remove, multi_delete); a point
+/// update is a one-entry batch. Every base case that walks two sorted
+/// inputs is one loop, merge<P>, over two sources: a flat block read
 /// through tree_ops::leaf_reader, a slice of an entry array, or a slice of
 /// a key array. It writes through one tree_ops::leaf_writer, which encodes
 /// each survivor once into finished leaves. Updates consume their operand
@@ -67,9 +70,10 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using TO::join2;
   using TO::kB;
   using TO::kBlocked;
+  using TO::key_of;
+  using TO::lower_bound;
   using TO::par_gran;
-  using TO::lower_bound_idx;
-  using TO::node_join;
+  using TO::select;
   using TO::size;
   using TO::split;
   using leaf_reader = typename TO::leaf_reader;
@@ -208,37 +212,6 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return Acc;
   }
 
-  /// The \p I-th smallest entry (0-based). Requires I < size(T).
-  static entry_t select(const node_t *T, size_t I) {
-    assert(T && I < size(T) && "select index out of range");
-    while (true) {
-      if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
-        entry_t Out{}; // Always assigned (I < size(T)); {} pacifies GCC.
-        size_t J = 0;
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (J++ == I) {
-                Out = E;
-                return false;
-              }
-              return true;
-            });
-        return Out;
-      }
-      const auto *R = static_cast<const typename NL::regular_t *>(T);
-      size_t Ls = size(R->Left);
-      if (I < Ls) {
-        T = R->Left;
-      } else if (I == Ls) {
-        return R->E;
-      } else {
-        I -= Ls + 1;
-        T = R->Right;
-      }
-    }
-  }
-
   /// Largest entry with key <= K (Previous in Table 1).
   static std::optional<entry_t> previous_or_eq(const node_t *T,
                                                const key_t &K) {
@@ -304,67 +277,10 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   }
 
   //===--------------------------------------------------------------------===
-  // Point updates.
-  //===--------------------------------------------------------------------===
-
-  /// Inserts \p E; on key collision the stored value becomes
-  /// Op(old, new). O(log n + B) work. Consumes \p T.
-  template <class CombineOp = take_right>
-  static node_t *insert(node_t *T, entry_t E,
-                        const CombineOp &Op = CombineOp()) {
-    if (!T)
-      return NL::singleton(std::move(E));
-    if (is_flat(T)) {
-      // Leaf splice: the block merged with a one-entry source, with no
-      // whole-block materialization; a 2B+1-entry result chunks into two
-      // leaves.
-      leaf_reader C(T);
-      array_source S(&E, 1);
-      return merge<union_policy>(C, S, Op);
-    }
-    exposed X = expose(T);
-    if (key_less(entry_key(E), entry_key(X.E))) {
-      node_guard GR(X.R);
-      node_t *L2 = insert(X.L, std::move(E), Op);
-      return join(L2, std::move(X.E), GR.release());
-    }
-    if (key_less(entry_key(X.E), entry_key(E))) {
-      node_guard GL(X.L);
-      node_t *R2 = insert(X.R, std::move(E), Op);
-      return join(GL.release(), std::move(X.E), R2);
-    }
-    return node_join(X.L, combine_entries(std::move(X.E), E, Op), X.R);
-  }
-
-  /// Removes the entry with key \p K if present. Consumes \p T.
-  static node_t *remove(node_t *T, const key_t &K) {
-    if (!T)
-      return nullptr;
-    if (is_flat(T)) {
-      // Leaf splice: the block minus a one-key source.
-      leaf_reader C(T);
-      key_source S(&K, 1);
-      return merge<difference_policy>(C, S, take_right());
-    }
-    exposed X = expose(T);
-    if (key_less(K, entry_key(X.E))) {
-      node_guard GR(X.R);
-      node_t *L2 = remove(X.L, K);
-      return join(L2, std::move(X.E), GR.release());
-    }
-    if (key_less(entry_key(X.E), K)) {
-      node_guard GL(X.L);
-      node_t *R2 = remove(X.R, K);
-      return join(GL.release(), std::move(X.E), R2);
-    }
-    return join2(X.L, X.R);
-  }
-
-  //===--------------------------------------------------------------------===
   // Set operations (Fig. 10) with Sec. 8 base cases. union, intersect,
   // difference and update are one skeleton (set_op) and one base case
   // (set_base), parameterized by a keep policy. Every base case that walks
-  // two sorted inputs, the point and batch splices included, is one call
+  // two sorted inputs, the point and batch updates included, is one call
   // of merge<P> over two sources.
   //===--------------------------------------------------------------------===
 
@@ -401,8 +317,8 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     entry_t *A, *End;
   };
 
-  /// Merge source over the sorted, distinct keys K[0..N): the right side
-  /// of a difference (remove, multi_delete), which only reads keys.
+  /// Merge source over the sorted, distinct keys K[0..N): the batch of a
+  /// difference (remove, multi_delete), which only reads keys.
   class key_source {
   public:
     key_source(const key_t *K, size_t N) : K(K), End(K + N) {}
@@ -415,15 +331,22 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     const key_t *K, *End;
   };
 
+  /// Merge source over a batch slice: an entry array or a key array.
+  static array_source batch_source(entry_t *B, size_t N) { return {B, N}; }
+  static key_source batch_source(const key_t *B, size_t N) { return {B, N}; }
+
   /// The merge loop of every sorted base case: walks the sources \p A and
   /// \p B (a leaf_reader, array_source or key_source each) in key order
   /// under keep policy \p P into one leaf_writer and returns the finished
   /// tree. Survivors are taken once (moved out of arrays and uniquely
   /// owned blocks), and \p Op runs exactly once per kept duplicate key, as
   /// Op(value in A, value in B). The caller constructs the sources first,
-  /// so a throwing writer still releases the blocks they adopted.
+  /// so a throwing writer still releases the blocks they adopted. Kept out
+  /// of line: inlined into batch_base, the loop made point updates on a
+  /// 2M-entry B=128 diff map about 10% slower.
   template <class P, class SrcA, class SrcB, class CombineOp>
-  static node_t *merge(SrcA &A, SrcB &B, const CombineOp &Op) {
+  [[gnu::noinline]] static node_t *merge(SrcA &A, SrcB &B,
+                                         const CombineOp &Op) {
     leaf_writer W(P::max_out(A.remaining(), B.remaining()));
     while (!A.done() && !B.done()) {
       if (key_less(A.key(), B.key())) {
@@ -464,44 +387,21 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   // worker count, so the output tree is identical at any thread count.
   //===--------------------------------------------------------------------===
 
-  /// Key extractor for entry arrays (parallel_flat_merge's KeyOfB).
-  struct key_of_entry_t {
-    const key_t &operator()(const entry_t &E) const {
-      return Entry::get_key(E);
-    }
-  };
-
-  /// Set-operation merge of two sorted entry arrays (survivors moved out)
-  /// into a tree under keep policy \p P, parallel above the quantile-split
-  /// threshold.
-  template <class P, class CombineOp>
-  static node_t *set_arrays(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                            const CombineOp &Op) {
-    auto Chunk = [&Op](entry_t *CA, size_t Cn1, entry_t *CB, size_t Cn2) {
-      array_source SA(CA, Cn1), SB(CB, Cn2);
+  /// Merges the sorted entry array A[0..N1) with the sorted array B[0..N2)
+  /// of entries or keys (survivors moved out) into a tree under keep
+  /// policy \p P, parallel above the quantile-split threshold.
+  template <class P, class Elt, class CombineOp>
+  static node_t *merge_arrays(entry_t *A, size_t N1, Elt *B, size_t N2,
+                              const CombineOp &Op) {
+    auto Chunk = [&Op](entry_t *CA, size_t Cn1, Elt *CB, size_t Cn2) {
+      array_source SA(CA, Cn1);
+      auto SB = batch_source(CB, Cn2);
       return merge<P>(SA, SB, Op);
     };
     size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
     if (C >= 2)
-      return TO::parallel_flat_merge(A, N1, B, N2, key_of_entry_t{}, C,
-                                     Chunk);
+      return TO::parallel_flat_merge(A, N1, B, N2, C, Chunk);
     return Chunk(A, N1, B, N2);
-  }
-
-  /// Erases the sorted, distinct keys K[0..N) from the sorted entry array
-  /// B (survivors moved out), parallel above the quantile-split threshold.
-  static node_t *erase_arrays(entry_t *B, size_t Nt, const key_t *K,
-                              size_t N) {
-    auto KeyOfKey = [](const key_t &Key) -> const key_t & { return Key; };
-    auto Chunk = [](entry_t *CB, size_t Cn, const key_t *CK, size_t Cm) {
-      array_source SB(CB, Cn);
-      key_source SK(CK, Cm);
-      return merge<difference_policy>(SB, SK, take_right());
-    };
-    size_t C = TO::merge_chunk_count(Nt + N, std::max(Nt, N));
-    if (C >= 2)
-      return TO::parallel_flat_merge(B, Nt, K, N, KeyOfKey, C, Chunk);
-    return Chunk(B, Nt, K, N);
   }
 
   /// Base case of set_op: merges the whole pair in one pass. Two flat
@@ -521,7 +421,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     B1.set_count(N1);
     flatten(G2.release(), B2.data());
     B2.set_count(N2);
-    return set_arrays<P>(B1.data(), N1, B2.data(), N2, Op);
+    return merge_arrays<P>(B1.data(), N1, B2.data(), N2, Op);
   }
 
   /// The one join-based skeleton of every set operation over owned T1 and
@@ -617,161 +517,122 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   }
 
   //===--------------------------------------------------------------------===
-  // multi_insert / multi_delete (Fig. 8).
+  // Point and batch updates (Fig. 8): one skeleton, batch_op.
   //===--------------------------------------------------------------------===
 
+  /// Base case of batch_op: merges the whole batch into \p T in one pass. A
+  /// flat T whose pair fits one chunk is read block to block; any other T
+  /// is flattened into an array. Kept out of batch_op so that the
+  /// recursion's frame does not carry the base case's in-object buffers.
+  template <class P, class Elt, class CombineOp>
+  static node_t *batch_base(node_t *T, Elt *B, size_t N, const CombineOp &Op) {
+    size_t Nt = size(T);
+    if (is_flat(T) && TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2) {
+      leaf_reader C(T);
+      auto S = batch_source(B, N);
+      return merge<P>(C, S, Op);
+    }
+    node_guard G(T);
+    temp_buf Bt(Nt);
+    flatten(G.release(), Bt.data());
+    Bt.set_count(Nt);
+    return merge_arrays<P>(Bt.data(), Nt, B, N, Op);
+  }
+
+  /// Merges the sorted batch B[0..N) of distinct keys into owned \p T under
+  /// keep policy \p P: entries (moved out) for a union, keys for a
+  /// difference. A flat T (exposing it would unfold the block) or a pair
+  /// that merge_whole admits is one base case. Otherwise T is exposed, its
+  /// root key is found in the batch by binary search, and only a side that
+  /// gets batch entries is rebuilt; the other is reused as it is. A point
+  /// update thus walks one path, and only a node with batch entries on both
+  /// sides reaches par_do_if. O(m log(n/m + 1) + min(mB, n)) work for a
+  /// batch of m into a tree of n.
+  template <class P, class Elt, class CombineOp>
+  static node_t *batch_op(node_t *T, Elt *B, size_t N, const CombineOp &Op) {
+    static_assert(P::KeepL, "a side without batch entries is kept whole");
+    if (N == 0)
+      return T;
+    if (!T) {
+      if constexpr (P::KeepR)
+        return from_array_move(B, N);
+      return nullptr;
+    }
+    if (is_flat(T) || merge_whole(size(T), N))
+      return batch_base<P>(T, B, N, Op);
+    exposed X = expose(T);
+    node_guard GL(X.L), GR(X.R);
+    size_t S = lower_bound(B, N, entry_key(X.E));
+    bool Hit = S < N && !key_less(entry_key(X.E), key_of(B[S]));
+    if constexpr (P::KeepBoth) {
+      if (Hit)
+        X.E = combine_entries(std::move(X.E), B[S], Op);
+    }
+    Elt *BR = B + S + Hit;
+    size_t NR = N - S - Hit;
+    node_t *L = nullptr, *R = nullptr;
+    if (S && NR) {
+      node_t *XL = GL.release(), *XR = GR.release();
+      try {
+        par::par_do_if(
+            size(XL) + size(XR) + N >= par_gran(),
+            [&] { L = batch_op<P>(XL, B, S, Op); },
+            [&] { R = batch_op<P>(XR, BR, NR, Op); });
+      } catch (...) {
+        dec(L);
+        dec(R);
+        throw;
+      }
+    } else if (S) {
+      L = batch_op<P>(GL.release(), B, S, Op);
+      R = GR.release();
+    } else {
+      R = batch_op<P>(GR.release(), BR, NR, Op);
+      L = GL.release();
+    }
+    if (Hit && !P::KeepBoth)
+      return join2(L, R);
+    return join(L, std::move(X.E), R);
+  }
+
+  /// Inserts \p E; on key collision the stored value becomes
+  /// Op(old, new). O(log n + B) work. Consumes \p T.
+  template <class CombineOp = take_right>
+  static node_t *insert(node_t *T, entry_t E,
+                        const CombineOp &Op = CombineOp()) {
+    return batch_op<union_policy>(T, &E, 1, Op);
+  }
+
+  /// Removes the entry with key \p K if present. Consumes \p T.
+  static node_t *remove(node_t *T, const key_t &K) {
+    return batch_op<difference_policy>(T, &K, 1, take_right());
+  }
+
   /// Inserts sorted, key-distinct entries A[0..N) (moved out) into owned
-  /// \p T. O(m log(n/m + 1) + min(mB, n)) work.
+  /// \p T; a key already in T keeps Op(old, new).
   template <class CombineOp = take_right>
   static node_t *multi_insert_sorted(node_t *T, entry_t *A, size_t N,
                                      const CombineOp &Op = CombineOp()) {
-    if (!T)
-      return from_array_move(A, N);
-    if (N == 0)
-      return T;
-    size_t Nt = size(T);
-    // A flat T is merged whole even against a much larger batch: exposing
-    // it would unfold the block.
-    if (is_flat(T) || merge_whole(Nt, N)) {
-      if (is_flat(T) && TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2) {
-        leaf_reader C(T);
-        array_source S(A, N);
-        return merge<union_policy>(C, S, Op);
-      }
-      node_guard G(T);
-      temp_buf Bt(Nt);
-      flatten(G.release(), Bt.data());
-      Bt.set_count(Nt);
-      return set_arrays<union_policy>(Bt.data(), Nt, A, N, Op);
-    }
-    exposed X = expose(T);
-    size_t S = lower_bound_idx(A, N, entry_key(X.E));
-    bool Dup = S < N && !key_less(entry_key(X.E), entry_key(A[S]));
-    node_guard GL(X.L), GR(X.R);
-    entry_t Mid = Dup ? combine_entries(std::move(X.E), A[S], Op)
-                      : std::move(X.E);
-    node_t *XL = GL.release(), *XR = GR.release();
-    node_t *L = nullptr, *R = nullptr;
-    try {
-      par::par_do_if(
-          size(XL) + size(XR) + N >= par_gran(),
-          [&] { L = multi_insert_sorted(XL, A, S, Op); },
-          [&] {
-            R = multi_insert_sorted(XR, A + S + Dup, N - S - Dup, Op);
-          });
-    } catch (...) {
-      dec(L);
-      dec(R);
-      throw;
-    }
-    return join(L, std::move(Mid), R);
+    return batch_op<union_policy>(T, A, N, Op);
   }
 
   /// Deletes the sorted, distinct keys A[0..N) from owned \p T.
   static node_t *multi_delete_sorted(node_t *T, const key_t *A, size_t N) {
-    if (!T || N == 0)
-      return T;
-    size_t Nt = size(T);
-    if (is_flat(T) || merge_whole(Nt, N)) {
-      if (is_flat(T) && TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2) {
-        leaf_reader C(T);
-        key_source S(A, N);
-        return merge<difference_policy>(C, S, take_right());
-      }
-      node_guard G(T);
-      temp_buf Bt(Nt);
-      flatten(G.release(), Bt.data());
-      Bt.set_count(Nt);
-      return erase_arrays(Bt.data(), Nt, A, N);
-    }
-    exposed X = expose(T);
-    size_t Lo = 0, Hi = N;
-    while (Lo < Hi) { // Keys < root key.
-      size_t Mid = Lo + (Hi - Lo) / 2;
-      if (key_less(A[Mid], entry_key(X.E)))
-        Lo = Mid + 1;
-      else
-        Hi = Mid;
-    }
-    size_t S = Lo;
-    bool Hit = S < N && !key_less(entry_key(X.E), A[S]);
-    node_t *L = nullptr, *R = nullptr;
-    try {
-      par::par_do_if(
-          size(X.L) + size(X.R) >= par_gran(),
-          [&] { L = multi_delete_sorted(X.L, A, S); },
-          [&] { R = multi_delete_sorted(X.R, A + S + Hit, N - S - Hit); });
-    } catch (...) {
-      dec(L);
-      dec(R);
-      throw;
-    }
-    if (Hit)
-      return join2(L, R);
-    return join(L, std::move(X.E), R);
+    return batch_op<difference_policy>(T, A, N, take_right());
   }
 
   //===--------------------------------------------------------------------===
   // Bulk traversals.
   //===--------------------------------------------------------------------===
 
-  /// Transforms every value in place structurally (same entry type),
-  /// preserving keys. Consumes \p T.
+  /// Replaces every value by f(entry), keeping the keys (still strictly
+  /// increasing, as the byte-coded write cursors require). Consumes \p T.
   template <class F> static node_t *map_values(node_t *T, const F &f) {
     static_assert(Entry::has_val, "map_values requires a map entry");
-    if (!T)
-      return nullptr;
-    if (is_flat(T)) {
-      // Keys pass through untouched (still strictly increasing, as the
-      // byte-coded write cursors require); only values are rewritten.
-      leaf_reader C(T);
-      leaf_writer W(C.remaining());
-      while (!C.done()) {
-        entry_t E = C.take();
-        Entry::get_val(E) = f(E);
-        W.push(std::move(E));
-      }
-      return W.finish();
-    }
-    exposed X = expose(T);
-    node_t *L = nullptr, *R = nullptr;
-    try {
-      par::par_do_if(
-          size(X.L) + size(X.R) >= par_gran(),
-          [&] { L = map_values(X.L, f); }, [&] { R = map_values(X.R, f); });
-    } catch (...) {
-      dec(L);
-      dec(R);
-      throw;
-    }
-    Entry::get_val(X.E) = f(X.E);
-    return node_join(L, std::move(X.E), R);
-  }
-
-  /// Reduces f(entry) over the tree with the associative \p Combine
-  /// (read-only). O(n) work, O(log n) span.
-  template <class F, class T2, class Combine>
-  static T2 map_reduce(const node_t *T, const F &f, T2 Identity,
-                       const Combine &Cmb) {
-    if (!T)
-      return Identity;
-    if (is_flat(T)) {
-      const auto *Fl = static_cast<const typename NL::flat_t *>(T);
-      T2 Acc = Identity;
-      NL::encoder::for_each_while(NL::payload(Fl), T->Size,
-                                  [&](const entry_t &E) {
-                                    Acc = Cmb(Acc, f(E));
-                                    return true;
-                                  });
-      return Acc;
-    }
-    const auto *R = static_cast<const typename NL::regular_t *>(T);
-    T2 A = Identity, B = Identity;
-    par::par_do_if(
-        T->Size >= par_gran(),
-        [&] { A = map_reduce(R->Left, f, Identity, Cmb); },
-        [&] { B = map_reduce(R->Right, f, Identity, Cmb); });
-    return Cmb(Cmb(A, f(R->E)), B);
+    return TO::map(T, [&f](entry_t E) {
+      Entry::get_val(E) = f(E);
+      return E;
+    });
   }
 
   /// In-order sequential visit (read-only). \p f returns false to stop

@@ -240,13 +240,6 @@ struct node_layer {
     return T;
   }
 
-  static node_t *singleton(entry_t E) {
-    if constexpr (kBlocked)
-      return make_flat(&E, 1);
-    else
-      return make_regular(nullptr, std::move(E), nullptr);
-  }
-
   /// Allocates a flat node whose payload the caller fills with exactly
   /// \p Bytes of encoded data for \p N entries: tree_ops::leaf_chunk_writer
   /// seals one of these per streamed chunk through the write cursor's

@@ -7,10 +7,11 @@
 /// \file
 /// The Sequence interface of Table 1: positional operations over PaC-trees
 /// whose entries carry no ordering invariant. Provides split_at/subseq,
-/// take/drop, append (O(log n + B) via join), reverse, map, reduce and
-/// find_first. These back the Fig. 2 sequence microbenchmarks. Like the
-/// map operations, every function that consumes a tree releases all of it
-/// when an allocation throws.
+/// take/drop, append (O(log n + B) via join), reverse, find_first and
+/// is_sorted; nth, map, reduce and filter are tree_ops::select, map,
+/// map_reduce and filter, shared with maps and sets. These back the Fig. 2
+/// sequence microbenchmarks. Like the map operations, every function that
+/// consumes a tree releases all of it when an allocation throws.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,39 +41,7 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using TO::is_flat;
   using TO::join;
   using TO::join2;
-  using TO::par_gran;
   using TO::size;
-
-  /// Element at position \p I (0-based). O(log n + B) work.
-  static entry_t nth(const node_t *T, size_t I) {
-    assert(T && I < size(T) && "nth index out of range");
-    while (true) {
-      if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
-        entry_t Out{};
-        size_t J = 0;
-        NL::encoder::for_each_while(NL::payload(F), T->Size,
-                                    [&](const entry_t &E) {
-                                      if (J++ == I) {
-                                        Out = E;
-                                        return false;
-                                      }
-                                      return true;
-                                    });
-        return Out;
-      }
-      const auto *R = static_cast<const typename NL::regular_t *>(T);
-      size_t Ls = size(R->Left);
-      if (I < Ls) {
-        T = R->Left;
-      } else if (I == Ls) {
-        return R->E;
-      } else {
-        I -= Ls + 1;
-        T = R->Right;
-      }
-    }
-  }
 
   /// Splits into (first I elements, the rest). Consumes \p T.
   static std::pair<node_t *, node_t *> split_at(node_t *T, size_t I) {
@@ -164,70 +133,12 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return from_array_move(A, N);
   }
 
-  /// New sequence with f applied to every element. Consumes \p T.
-  template <class F> static node_t *map(node_t *T, const F &f) {
-    if (!T)
-      return nullptr;
-    if (is_flat(T)) {
-      // Stream the block through the cursor pair (same discipline as
-      // split_at above): each element is decoded once, transformed, and
-      // pushed straight into the result leaf.
-      leaf_reader C(T);
-      leaf_writer W(C.remaining());
-      while (!C.done()) {
-        entry_t E = C.take();
-        E = f(E);
-        W.push(std::move(E));
-      }
-      return W.finish();
-    }
-    exposed X = expose(T);
-    node_t *L = nullptr, *R = nullptr;
-    // par_do_if runs both branches even when one throws, so the catch
-    // releases whichever sibling result exists.
-    try {
-      par::par_do_if(
-          size(X.L) + size(X.R) >= par_gran(), [&] { L = map(X.L, f); },
-          [&] { R = map(X.R, f); });
-    } catch (...) {
-      dec(L);
-      dec(R);
-      throw;
-    }
-    return TO::node_join(L, f(X.E), R);
-  }
-
-  /// Reduction with associative \p Cmb over f(element) (read-only).
-  template <class F, class T2, class Combine>
-  static T2 map_reduce(const node_t *T, const F &f, T2 Identity,
-                       const Combine &Cmb) {
-    if (!T)
-      return Identity;
-    if (is_flat(T)) {
-      const auto *Fl = static_cast<const typename NL::flat_t *>(T);
-      T2 Acc = Identity;
-      NL::encoder::for_each_while(NL::payload(Fl), T->Size,
-                                  [&](const entry_t &E) {
-                                    Acc = Cmb(Acc, f(E));
-                                    return true;
-                                  });
-      return Acc;
-    }
-    const auto *R = static_cast<const typename NL::regular_t *>(T);
-    T2 A = Identity, B = Identity;
-    par::par_do_if(
-        T->Size >= par_gran(),
-        [&] { A = map_reduce(R->Left, f, Identity, Cmb); },
-        [&] { B = map_reduce(R->Right, f, Identity, Cmb); });
-    return Cmb(Cmb(A, f(R->E)), B);
-  }
-
   /// Index of the first element satisfying \p P, or size(T) if none.
   /// O(k) work where k is the returned index (FindFirst in Table 1).
   template <class Pred>
   static size_t find_first(const node_t *T, const Pred &P) {
     size_t Index = 0;
-    return find_first_rec(T, P, Index) ? Index : size_npos(T);
+    return find_first_rec(T, P, Index) ? Index : size(T);
   }
 
   /// Monotone check: true iff the sequence is sorted under \p Less.
@@ -258,12 +169,10 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       S.Last = B.Last;
       return S;
     };
-    return map_reduce(T, Single, Summary{}, Merge).Ok;
+    return TO::map_reduce(T, Single, Summary{}, Merge).Ok;
   }
 
 private:
-  static size_t size_npos(const node_t *T) { return size(T); }
-
   template <class Pred>
   static bool find_first_rec(const node_t *T, const Pred &P, size_t &Index) {
     if (!T)

@@ -180,7 +180,7 @@ template <class Entry, bool ValsByteCoded> struct diff_encoder_impl {
   };
 
   /// Streaming writer: byte-codes each entry as it is pushed, so bytes()
-  /// is exact at every point and finish() is a single memcpy — no
+  /// is exact at every point and cut() is a single memcpy — no
   /// encoded_size or encode pass over a materialized array. cut() seals the
   /// bytes pushed so far as one complete block and restarts the delta
   /// chain, so the key after a cut is encoded full-width and every sealed
@@ -247,7 +247,6 @@ template <class Entry, bool ValsByteCoded> struct diff_encoder_impl {
         std::memcpy(Dst, Base, bytes());
       release();
     }
-    void finish(uint8_t *Dst) { cut(Dst); }
     void release() {
       Out = Base;
       N = 0;

@@ -215,7 +215,7 @@ template <class Entry> struct gamma_encoder {
   };
 
   /// Streaming writer: gamma-codes each delta as it is pushed; bytes() is
-  /// the exact padded payload size so far and finish() is a single memcpy.
+  /// the exact padded payload size so far and cut() is a single memcpy.
   /// cut() seals the bytes pushed so far (padding the gamma stream to a
   /// byte boundary) and restarts at the buffer base: the key after a cut is
   /// varint-coded full-width, so every sealed chunk decodes independently.
@@ -284,7 +284,6 @@ template <class Entry> struct gamma_encoder {
         std::memcpy(Dst, Base, bytes());
       release();
     }
-    void finish(uint8_t *Dst) { cut(Dst); }
     void release() {
       N = 0;
       Bits = 0;

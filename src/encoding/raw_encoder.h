@@ -42,7 +42,7 @@
 ///                 increasing order for delta-coded schemes
 ///     push_n(A,N) batch append: one tight loop with the chain state in
 ///                 registers (a memcpy for the raw scheme)
-///     count()     entries pushed since the last cut()/finish()
+///     count()     entries pushed since the last cut()
 ///     bytes()     exact encoded payload size of those entries
 ///     cut(Out)    seals the current chunk as a complete, independently
 ///                 decodable block in Out (bytes() bytes) and restarts the
@@ -50,11 +50,10 @@
 ///                 next pushed key is encoded full-width, beginning a fresh
 ///                 delta chain, so one chunk-sized buffer can emit any
 ///                 number of finished leaves from a single entry stream
-///     finish(Out) cut() under its end-of-stream name
 ///     release()   drops staged entries; also run by the destructor.
 ///   stages_entries is true when the staged bytes are themselves a plain
-///   entry array exposed via staged() (raw encoding), letting callers build
-///   trees from the staging area with zero extra moves.
+///   entry array (raw encoding): the tree layer then stages entries for
+///   from_array_move instead of streaming through a write cursor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -225,9 +224,6 @@ template <class Entry> struct raw_encoder {
     }
     size_t count() const { return N; }
     size_t bytes() const { return N * sizeof(entry_t); }
-    /// Staged entries (moving out of them is allowed; the cursor still
-    /// destroys the husks).
-    entry_t *staged() { return A; }
 
     /// Seals the current chunk into \p Out (moving the staged entries) and
     /// restarts at the buffer base; the raw scheme has no cross-entry state
@@ -236,7 +232,6 @@ template <class Entry> struct raw_encoder {
       encode(A, N, Out); // Moves non-trivial entries out of the staging.
       release();
     }
-    void finish(uint8_t *Out) { cut(Out); }
     void release() {
       if constexpr (!std::is_trivially_destructible_v<entry_t>)
         for (size_t I = 0; I < N; ++I)

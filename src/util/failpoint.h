@@ -42,13 +42,6 @@
 #include <cstdint>
 #include <string>
 
-/// Compile gate: 0 turns every CPAM_FAILPOINT_ACTIVE site into a constant
-/// `false` (for paranoid overhead A/B runs; the default single-load guard
-/// already measures as noise).
-#ifndef CPAM_FAILPOINTS_ENABLED
-#define CPAM_FAILPOINTS_ENABLED 1
-#endif
-
 namespace cpam {
 namespace fail {
 
@@ -165,7 +158,6 @@ private:
 /// Disarmed cost: one relaxed load + predicted-untaken branch. The static
 /// local caches the registry lookup per site, so armed cost is one atomic
 /// fetch_add per hit, no lock.
-#if CPAM_FAILPOINTS_ENABLED
 #define CPAM_FAILPOINT_ACTIVE(NameLiteral)                                     \
   (__builtin_expect(::cpam::fail::detail::any_armed(), 0) &&                   \
    ([]() -> ::cpam::fail::point & {                                            \
@@ -173,8 +165,5 @@ private:
      return P;                                                                 \
    }())                                                                        \
        .should_fire())
-#else
-#define CPAM_FAILPOINT_ACTIVE(NameLiteral) false
-#endif
 
 #endif // CPAM_UTIL_FAILPOINT_H

@@ -57,8 +57,8 @@ std::vector<uint8_t> encodeViaCursor(std::vector<EntryT> Entries) {
   EXPECT_EQ(W.bytes(), Enc::encoded_size(Reference.data(), N))
       << "write_cursor bytes() must equal encoded_size for the same entries";
   std::vector<uint8_t> Block(W.bytes());
-  W.finish(Block.data());
-  EXPECT_EQ(W.count(), 0u) << "finish() must reset the cursor";
+  W.cut(Block.data());
+  EXPECT_EQ(W.count(), 0u) << "cut() must reset the cursor";
   return Block;
 }
 
@@ -382,7 +382,7 @@ TEST(CursorOwnership, WriteCursorAbandonmentDestroysStagedEntries) {
     for (size_t I = 0; I < N / 2; ++I)
       W.push(Counted(I));
     EXPECT_EQ(W.count(), N / 2);
-    // Abandon without finish(): staged entries must be destroyed.
+    // Abandon without cut(): staged entries must be destroyed.
   }
   EXPECT_EQ(Counted::Live, 0) << "abandoned write_cursor leaked entries";
   EXPECT_EQ(Counted::Copies, 0) << "push must move, not copy";
@@ -398,7 +398,7 @@ TEST(CursorOwnership, WriteReadPipelineNeverCopies) {
     for (size_t I = 0; I < N; ++I)
       W.push(Counted(I * 3));
     Block.resize(W.bytes());
-    W.finish(Block.data());
+    W.cut(Block.data());
   }
   {
     CountedEnc::read_cursor C(Block.data(), N, /*Consume=*/true);
@@ -407,7 +407,7 @@ TEST(CursorOwnership, WriteReadPipelineNeverCopies) {
       EXPECT_EQ(C.take().K, 3 * I++);
   }
   EXPECT_EQ(Counted::Copies, 0)
-      << "a full write->finish->consume pipeline must never copy an entry";
+      << "a full write->cut->consume pipeline must never copy an entry";
   EXPECT_EQ(Counted::Live, 0);
 }
 
@@ -435,7 +435,7 @@ TEST(CursorMoveOnly, RawCursorsHandleMoveOnlyEntries) {
     for (size_t I = 0; I < N; ++I)
       W.push(std::make_unique<uint64_t>(I * 2));
     Block.resize(W.bytes());
-    W.finish(Block.data());
+    W.cut(Block.data());
   }
   {
     MoveOnlyEnc::read_cursor C(Block.data(), N, /*Consume=*/true);
@@ -506,7 +506,7 @@ TEST(CursorMoveOnly, EarlyAbandonmentReleasesMoveOnlyTail) {
     for (size_t I = 0; I < N; ++I)
       W.push(std::make_unique<uint64_t>(I));
     Block.resize(W.bytes());
-    W.finish(Block.data());
+    W.cut(Block.data());
   }
   {
     MoveOnlyEnc::read_cursor C(Block.data(), N, /*Consume=*/true);

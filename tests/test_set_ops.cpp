@@ -14,6 +14,7 @@
 #include "src/api/pam_set.h"
 #include "src/encoding/diff_encoder.h"
 #include "src/parallel/random.h"
+#include "src/parallel/scheduler.h"
 #include "tests/test_common.h"
 
 using namespace cpam;
@@ -223,6 +224,49 @@ TEST_F(MapSetOps, MultiInsertCombineWithinBatch) {
   M Out2 = Out.multi_insert(Batch, std::plus<uint64_t>());
   for (uint64_t K = 0; K < 10; ++K)
     EXPECT_EQ(*Out2.find(K), 6u);
+}
+
+// Point and batch updates rebuild only the side of a node that gets batch
+// entries and reuse the other, so updates whose keys all land in one block
+// walk one path and never fork, however large the tree. The sorted entry
+// points are used because multi_insert's sort forks on its own.
+TEST_F(MapSetOps, UpdatesInsideOneBlockDoNotFork) {
+  if (par::num_workers() == 1)
+    GTEST_SKIP() << "a one-worker pool runs every fork inline";
+  using M = pam_map<uint64_t, uint64_t, 128, diff_encoder>;
+  const size_t N = size_t{1} << 16;
+  std::vector<M::entry_t> E(N);
+  for (uint64_t I = 0; I < N; ++I)
+    E[I] = {3 * I, I};
+  M A = M::from_sorted(std::move(E));
+  // The first block holds the 128 smallest keys, 0..381.
+  std::vector<M::entry_t> New;
+  std::vector<uint64_t> Old;
+  for (uint64_t I = 0; I < 8; ++I) {
+    New.push_back({3 * I + 1, I});
+    Old.push_back(3 * I);
+  }
+  auto Forks = [] { return par::scheduler_stats().Forks; };
+  // Each result stays alive until the count is read: releasing a large
+  // tree forks.
+  uint64_t Before = Forks();
+  M Ins = A.insert(New[0]);
+  EXPECT_EQ(Forks(), Before) << "point insert";
+  Before = Forks();
+  M Rem = A.remove(Old[1]);
+  EXPECT_EQ(Forks(), Before) << "point remove";
+  Before = Forks();
+  M MultiIns = A.multi_insert_sorted(New);
+  EXPECT_EQ(Forks(), Before) << "8-key multi_insert_sorted";
+  Before = Forks();
+  M MultiDel = A.multi_delete_sorted(Old);
+  EXPECT_EQ(Forks(), Before) << "8-key multi_delete_sorted";
+  EXPECT_EQ(Ins.size(), N + 1);
+  EXPECT_EQ(Rem.size(), N - 1);
+  EXPECT_EQ(MultiIns.size(), N + 8);
+  EXPECT_EQ(MultiDel.size(), N - 8);
+  for (const M *Out : {&Ins, &Rem, &MultiIns, &MultiDel})
+    EXPECT_EQ(Out->check_invariants(), "");
 }
 
 //===----------------------------------------------------------------------===//

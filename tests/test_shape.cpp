@@ -314,18 +314,21 @@ TEST_F(AllocBudget, RangeAllocationsDependOnWidthNotSize) {
 // one, so merging k scattered keys into an n-entry map rewrites the blocks
 // the keys land in plus the regular nodes above them: O(k log n)
 // allocations, whichever argument comes first. The keys are new, so the
-// intersection is empty and the difference removes nothing. Measured worst
-// cases: one key 10 at 2^16 and 14 at 2^20 (intersect 0: the empty result
-// allocates nothing); 64 keys at 2^20 662 (intersect 126). Split pieces of
-// the small operand and merge scratch of up to 2 KiB live inside their
-// objects; a 16-byte-entry B=128 block is larger, so its splits still pay
-// for writer scratch.
+// intersection is empty and the difference removes nothing. A point insert
+// is a one-entry multi_insert and allocates exactly what it does; a point
+// remove and a one-key multi_delete_sorted of an existing key walk the same
+// path. Measured worst cases: one key 10 at 2^16 and 14 at 2^20 for every
+// one-key call (intersect 0: the empty result allocates nothing); 64 keys
+// at 2^20 662 (intersect 126). Split pieces of the small operand and merge
+// scratch of up to 2 KiB live inside their objects; a 16-byte-entry B=128
+// block is larger, so its splits still pay for writer scratch.
 TEST_F(AllocBudget, SparseSetOpsRewriteOnlyTheBlocksTheyTouch) {
   if (!pool_enabled())
     GTEST_SKIP() << "pool telemetry only exists in pooled mode";
   using Map = pam_map<uint64_t, uint64_t, 128, diff_encoder>;
-  // One key (union, difference, multi_insert), one key (intersect), 64 keys
-  // at 2^20 (union, difference), 64 keys at 2^20 (intersect).
+  // One key (union, difference, multi_insert, insert, remove,
+  // multi_delete_sorted), one key (intersect), 64 keys at 2^20 (union,
+  // difference), 64 keys at 2^20 (intersect).
   const uint64_t OneKey = 16, OneKeyIntersect = 0;
   const uint64_t Keys64 = 700, Keys64Intersect = 140;
   for (size_t LogN : {16, 20}) {
@@ -360,9 +363,21 @@ TEST_F(AllocBudget, SparseSetOpsRewriteOnlyTheBlocksTheyTouch) {
             [&] { ASSERT_EQ(Map::map_intersect(A, S).size(), 0u); });
         EXPECT_EQ(UnionAS, UnionSA) << "the argument order changes the work";
         if (K == 1) {
+          const uint64_t Old = New[0].first - 1; // 3r: a key of A.
+          uint64_t Insert = pool_allocs(
+              [&] { ASSERT_EQ(A.insert(New[0]).size(), NU); });
+          uint64_t Remove =
+              pool_allocs([&] { ASSERT_EQ(A.remove(Old).size(), N - 1); });
+          uint64_t DelSorted = pool_allocs([&] {
+            ASSERT_EQ(A.multi_delete_sorted({Old}).size(), N - 1);
+          });
+          EXPECT_EQ(Insert, Multi) << "a point insert is a one-entry batch";
           EXPECT_LE(UnionAS, OneKey);
           EXPECT_LE(Diff, OneKey);
           EXPECT_LE(Multi, OneKey);
+          EXPECT_LE(Insert, OneKey);
+          EXPECT_LE(Remove, OneKey);
+          EXPECT_LE(DelSorted, OneKey);
           EXPECT_LE(Inter, OneKeyIntersect);
         }
         if (K == 64 && LogN == 20) {
