@@ -15,9 +15,10 @@
 //
 // Reported per reader count (default sweep 1/4/16): acquire p50/p99, BFS
 // p50/p99, sustained ingest throughput (directed edges/s), versions
-// published/reclaimed. Readers and the pipeline's writer are foreign
-// threads to the scheduler pool, so both the readers' BFS and the writer's
-// batch unions run on the scheduler's sequential degradation path.
+// published/reclaimed. Readers are foreign threads to the scheduler pool,
+// so their BFS runs on the scheduler's sequential degradation path. The
+// pipeline's writer thread hands each batch (union, publish, reclaim) to a
+// pool worker through par::run_on_pool, so the batch unions fork.
 // Emits cpam-perf-v1 JSON (--json=...); BENCH_PR8.json records the
 // reference run.
 //

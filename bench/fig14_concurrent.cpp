@@ -19,7 +19,9 @@
 // open-ended until the readers finish, so the ratios compare identical
 // work on identical inputs. Update throughput is computed from the edges
 // actually inserted (self-loops are filtered from the rMAT draws), not a
-// nominal batch size.
+// nominal batch size. Both phases run the updater on its own std::thread,
+// outside the scheduler pool, so the update ratio compares one execution
+// mode.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,9 +66,9 @@ struct UpdateStats {
 /// Draws 5 undirected rMAT edges per batch, filters self-loops, inserts
 /// both directions, publishes one version per batch. Runs until \p
 /// NumBatches batches are done or \p StopFlag (when non-null) is set.
-/// (Runs on a plain thread — a foreign thread to the scheduler pool,
-/// exercising its sequential degradation path — matching the paper's tiny
-/// 5-edge batches.)
+/// (Both phases run it on a plain thread — a foreign thread to the
+/// scheduler pool, exercising its sequential degradation path — matching
+/// the paper's tiny 5-edge batches.)
 UpdateStats runUpdates(graph_chain &Chain, size_t NumBatches, int LogN,
                        const std::atomic<bool> *StopFlag) {
   RmatParams P;
@@ -113,10 +115,14 @@ int main(int argc, char **argv) {
     graph_chain Chain(G0);
     QuerySolo = runQueries(Chain, NumQueries, NumV);
   }
+  // The solo updater runs on a std::thread too, as the concurrent one
+  // does, so the update ratio compares one execution mode.
   UpdateStats UpdSolo;
   {
     graph_chain Chain(G0);
-    UpdSolo = runUpdates(Chain, NumBatches, LogN, nullptr);
+    std::thread Updater(
+        [&] { UpdSolo = runUpdates(Chain, NumBatches, LogN, nullptr); });
+    Updater.join();
   }
 
   // Concurrent phase: same starting version G0, same query count as the

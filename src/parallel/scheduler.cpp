@@ -244,7 +244,8 @@ void Scheduler::park(int Id) {
   // slipped into the reordering window are bounded by the wait_for backstop
   // below (see unparkOne).
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (hasWork() || Stop.load(std::memory_order_acquire)) {
+  if (hasWork() || Submitted.load(std::memory_order_relaxed) ||
+      Stop.load(std::memory_order_acquire)) {
     NumParked.fetch_sub(1, std::memory_order_relaxed);
     return;
   }
@@ -334,10 +335,63 @@ void Scheduler::joinPark(int Id, Task *T) {
   NumJoinParked.fetch_sub(1, std::memory_order_relaxed);
 }
 
+void Scheduler::submitAndWait(Task *T) {
+  {
+    std::unique_lock<std::mutex> Lock(SubmitM);
+    SubmitCV.wait(Lock, [&] {
+      return Submitted.load(std::memory_order_relaxed) == nullptr;
+    });
+    Submitted.store(T, std::memory_order_release);
+  }
+  // Unlike a push, a submission is rare (one per ingest batch), so it pays
+  // for the fence that makes the wake airtight: it pairs with park()'s
+  // registration fence, so either this load sees the parked worker or that
+  // worker's re-check sees the slot.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (NumParked.load(std::memory_order_relaxed) != 0) {
+    {
+      std::lock_guard<std::mutex> Lock(ParkM);
+      ++WakeEpoch;
+    }
+    ParkCV.notify_one();
+  }
+  std::unique_lock<std::mutex> Lock(SubmitM);
+  SubmitCV.wait(Lock, [&] { return T->Done.load(std::memory_order_acquire); });
+}
+
+Task *Scheduler::takeSubmitted() {
+  // Idle workers probe on every loop turn: a plain load keeps the line
+  // shared between them until a task is actually there.
+  if (Submitted.load(std::memory_order_relaxed) == nullptr)
+    return nullptr;
+  Task *T = Submitted.exchange(nullptr, std::memory_order_acquire);
+  if (T)
+    signalSubmitters(); // Free slot: let the next queued submitter in.
+  return T;
+}
+
+void Scheduler::signalSubmitters() {
+  // Submitters check their predicates under SubmitM, so taking it orders
+  // the slot exchange or Done store before any submitter's re-check.
+  { std::lock_guard<std::mutex> Lock(SubmitM); }
+  SubmitCV.notify_all();
+}
+
 void Scheduler::workerLoop(int Id) {
   ThisWorkerId = Id;
   int Failed = 0;
   while (!Stop.load(std::memory_order_acquire)) {
+    // The submission slot first: only idle workers drain it, and a
+    // submitter blocks until its task is done.
+    if (Task *T = takeSubmitted()) {
+      {
+        obs::trace::span S("submitted", "sched");
+        runTask(T);
+      }
+      signalSubmitters(); // Not through T: it may be gone once Done is set.
+      Failed = 0;
+      continue;
+    }
     Task *T = steal(Id);
     if (T) {
       obs::trace::span S("task", "sched");

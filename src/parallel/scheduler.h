@@ -55,16 +55,17 @@ inline void counter_bump(std::atomic<T> &C, std::type_identity_t<T> Delta = 1) {
           std::memory_order_relaxed);
 }
 
-/// A unit of work produced by a fork. The task object lives on the forking
-/// thread's stack; the forker does not return from parDo until the task has
-/// run, so no heap allocation or reference counting is required.
+/// A unit of work produced by a fork (or a runOnPool submission). The task
+/// object lives on the forking thread's stack; the forker does not return
+/// from parDo until the task has run, so no heap allocation or reference
+/// counting is required.
 struct Task {
   void (*Run)(void *Env) = nullptr;
   void *Env = nullptr;
   /// An exception the task body threw on a helping/stealing thread,
   /// captured by runTask (written before the Done release-store, so the
-  /// joiner's acquire load orders the read) and rethrown by parDo on the
-  /// forking thread.
+  /// joiner's acquire load orders the read) and rethrown by parDo (or
+  /// runOnPool) on the forking thread.
   std::exception_ptr Exc;
   /// Set with release semantics when the task body has finished.
   std::atomic<bool> Done{false};
@@ -112,7 +113,9 @@ struct SchedulerStats {
 /// The process-wide scheduler. The first thread to touch the scheduler
 /// (normally the main thread) is registered as worker 0; numWorkers()-1
 /// additional threads are spawned. Threads that are not pool members can
-/// still call parDo; they simply run both branches sequentially.
+/// still call parDo; they simply run both branches sequentially. To fork
+/// from such a thread, hand the whole computation to the pool with
+/// runOnPool.
 class Scheduler {
 public:
   /// Returns the singleton, creating the thread pool on first use.
@@ -204,6 +207,28 @@ public:
       std::rethrow_exception(T.Exc);
   }
 
+  /// Runs \p f on an idle pool worker and returns once it has finished, so
+  /// the forks inside \p f run in parallel even when the caller is a
+  /// thread outside the pool. \p f's exception is rethrown on the caller.
+  /// Where parDo would run inline anyway (a pool thread, a one-worker pool
+  /// — worker 0 is the main thread and never idles in the worker loop —
+  /// sequential mode, or the "sched.fork" failpoint refusing the hand-off),
+  /// \p f runs inline on the caller.
+  template <class F> void runOnPool(F &&f) {
+    if (CPAM_FAILPOINT_ACTIVE("sched.fork") || workerId() >= 0 ||
+        NumWorkers == 1 || sequentialMode().load(std::memory_order_relaxed)) {
+      f();
+      return;
+    }
+    auto Body = [&f] { f(); };
+    Task T;
+    T.Env = &Body;
+    T.Run = [](void *Env) { (*static_cast<decltype(Body) *>(Env))(); };
+    submitAndWait(&T);
+    if (T.Exc)
+      std::rethrow_exception(T.Exc);
+  }
+
 private:
   /// Per-worker telemetry, incremented via counter_bump (each counter is
   /// written by exactly one worker); the snapshot reads them relaxed from
@@ -257,6 +282,13 @@ private:
   /// Wakes one parked worker if there is one. Called after every push;
   /// fence-free by design (best-effort, backstopped — see scheduler.cpp).
   void unparkOne(int Id);
+  /// runOnPool's hand-off: waits for the submission slot to be free, puts
+  /// \p T in it, wakes a parked worker and blocks until \p T is Done.
+  void submitAndWait(Task *T);
+  /// Takes the task in the submission slot, if any (idle workers only).
+  Task *takeSubmitted();
+  /// Wakes submitters after the slot frees or a submitted task completes.
+  void signalSubmitters();
   void workerLoop(int Id);
   void runTask(Task *T) {
     // A task body that throws (injected allocation failure inside a stolen
@@ -293,6 +325,16 @@ private:
   std::mutex JoinM;
   std::condition_variable JoinCV;
   uint64_t JoinEpoch = 0;
+
+  // Submission slot (runOnPool). One task from a thread outside the pool
+  // waits here until an idle worker takes it; joiners never do, so no
+  // fork's join waits behind a whole submitted computation. SubmitCV
+  // signals both "slot free" (to queued submitters) and "task done" (to
+  // its submitter); both are checked under SubmitM, and the signalling
+  // side touches only this state, never the submitter's stack Task.
+  std::atomic<Task *> Submitted{nullptr};
+  std::mutex SubmitM;
+  std::condition_variable SubmitCV;
 };
 
 /// Number of worker threads (reads CPAM_NUM_THREADS, defaulting to the
@@ -331,6 +373,15 @@ inline void scheduler_stats_reset() { Scheduler::get().statsReset(); }
 /// Fork-join: run both thunks, potentially in parallel.
 template <class F1, class F2> void par_do(F1 &&f1, F2 &&f2) {
   Scheduler::get().parDo(std::forward<F1>(f1), std::forward<F2>(f2));
+}
+
+/// Runs \p f on a pool worker and waits for it: the one way for a thread
+/// outside the pool (an ingest writer, a user std::thread) to get its
+/// forks run in parallel. Inline wherever par_do would be (see
+/// Scheduler::runOnPool). \p f holds its worker until it returns, so it
+/// must not block on work that itself needs an idle worker.
+template <class F> void run_on_pool(F &&f) {
+  Scheduler::get().runOnPool(std::forward<F>(f));
 }
 
 /// Conditional fork-join: parallel only if \p DoParallel. Both arms share

@@ -29,6 +29,8 @@
 ///    (e.g. sym_graph::insert_edges / pam_map::multi_insert). Batching
 ///    amortizes the O(log n) structural work across the batch, which is
 ///    exactly the regime where PaC-tree multi-inserts win (Thm. 7.1).
+///    Each batch's apply and publish run as one task on a fork-join pool
+///    worker (par::run_on_pool), so the batch merges run in parallel.
 ///
 ///  - versioned_graph<G>: convenience binding of the two for graphs with
 ///    an insert_edges(std::vector<edge_pair>) batch API (sym_graph and
@@ -37,9 +39,10 @@
 /// Concurrency contract: any number of threads may call acquire()
 /// concurrently with one writer calling publish()/reclaim(). publish()
 /// and reclaim() must not race each other (single-writer; the ingest
-/// pipeline's writer thread satisfies this by construction, and a debug
-/// assert trips on violations). Destroying the chain requires quiescence,
-/// like destroying any other container.
+/// pipeline satisfies this by construction — its writer thread hands one
+/// batch at a time to the pool and waits for it — and a debug assert
+/// trips on violations). Destroying the chain requires quiescence, like
+/// destroying any other container.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,6 +63,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/parallel/scheduler.h"
 #include "src/serving/epoch.h"
 #include "src/util/datagen.h"
 #include "src/util/failpoint.h"
@@ -286,6 +290,17 @@ enum class overload_policy {
 /// Single-writer batch-ingest pipeline in front of a version_chain<T>:
 /// producers enqueue updates of type U into a bounded queue; the pipeline's
 /// writer thread drains them and applies one batch per publish.
+///
+/// The writer thread hands each batch's Apply, together with the publish
+/// and reclaim after it, to the fork-join pool as one task
+/// (par::run_on_pool) and waits for it; the slow-apply dwell and the
+/// stall watchdog stay on the writer thread. Apply therefore runs on a
+/// pool worker (inline on the writer where the pool cannot take it: one
+/// worker, sequential mode, fork refusal), one batch at a time and in
+/// submission order. It must not block on its own pipeline — a
+/// Block-policy submit or a flush would wait for the batch it is part of
+/// — and must not rely on thread identity: consecutive batches may run on
+/// different threads.
 template <class T, class U> class ingest_pipeline {
 public:
   /// Applies a batch of updates to a snapshot, returning the next version.
@@ -492,8 +507,13 @@ private:
         if (CPAM_FAILPOINT_ACTIVE("serving.slow_apply"))
           std::this_thread::sleep_for(
               std::chrono::milliseconds(fail::arg("serving.slow_apply", 10)));
-        Tip = Apply(Tip, std::move(Batch));
-        Chain.publish(Tip);
+        // Apply and the publish/reclaim after it run as one task on a pool
+        // worker, so the batch merges and the reclaimed version's release
+        // fork; this thread only waits for it.
+        par::run_on_pool([&] {
+          Tip = Apply(Tip, std::move(Batch));
+          Chain.publish(Tip);
+        });
       }
       // Watchdog sweep, once per batch off the reader path: publish the
       // current stalled-reader count so export_json / bench_serving can

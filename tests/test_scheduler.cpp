@@ -9,15 +9,19 @@
 /// (owner LIFO semantics, grow-on-overflow, and a one-owner/many-thieves
 /// stress test proving every element is claimed exactly once), then the
 /// scheduler built on it (nested parDo recursion depth, foreign-thread
-/// degradation, park/unpark churn, telemetry). Registered with CTest twice:
-/// with the default pool and with 16 oversubscribed workers — both under the
-/// tier1 label, so the ASan leg runs both.
+/// degradation, park/unpark churn, telemetry), then run_on_pool, the
+/// submission path for threads outside the pool. Registered with CTest
+/// three times: with the default pool, with one worker (every run_on_pool
+/// runs inline) and with 16 oversubscribed workers — all under the tier1
+/// label, so the ASan leg runs all three.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -357,4 +361,109 @@ TEST(SchedulerRuntime, MixedNestedWorkMatchesSequential) {
   Work(Seq);
   par::set_sequential(false);
   EXPECT_EQ(Par.load(), Seq.load());
+}
+
+//===----------------------------------------------------------------------===//
+// run_on_pool: the submission path for threads outside the pool.
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Sum of 0..N-1 over a grain-64 parallel_for (N/64 - 1 forks on a pool).
+uint64_t parallelSum(size_t N) {
+  std::atomic<uint64_t> Sum{0};
+  par::parallel_for(
+      0, N, [&](size_t I) { Sum.fetch_add(I, std::memory_order_relaxed); },
+      /*Gran=*/64);
+  return Sum.load();
+}
+
+constexpr uint64_t triangle(uint64_t N) { return N * (N - 1) / 2; }
+} // namespace
+
+TEST(RunOnPool, ForeignThreadRunsOnAWorkerAndForks) {
+  const size_t N = 1 << 16;
+  int Id = -2;
+  uint64_t Sum = 0;
+  uint64_t Forks0 = par::scheduler_stats().Forks;
+  std::thread Caller([&] {
+    par::run_on_pool([&] {
+      Id = par::worker_id();
+      Sum = parallelSum(N);
+    });
+  });
+  Caller.join();
+  EXPECT_EQ(Sum, triangle(N));
+  if (par::num_workers() > 1) {
+    EXPECT_GE(Id, 1) << "worker 0 is the main thread; it never takes the slot";
+    EXPECT_GT(par::scheduler_stats().Forks, Forks0);
+  } else {
+    EXPECT_EQ(Id, -1) << "a one-worker pool runs the task inline";
+  }
+}
+
+TEST(RunOnPool, ExceptionIsRethrownOnTheCaller) {
+  bool Caught = false;
+  std::thread Caller([&] {
+    try {
+      par::run_on_pool([] { throw std::runtime_error("from the task"); });
+    } catch (const std::runtime_error &E) {
+      Caught = std::string(E.what()) == "from the task";
+    }
+  });
+  Caller.join();
+  EXPECT_TRUE(Caught);
+  // The worker that ran the throwing task is back in service.
+  uint64_t Sum = 0;
+  std::thread Again(
+      [&] { par::run_on_pool([&] { Sum = parallelSum(4096); }); });
+  Again.join();
+  EXPECT_EQ(Sum, triangle(4096));
+}
+
+TEST(RunOnPool, PoolThreadAndSequentialModeRunInline) {
+  // The main thread is pool worker 0: no hand-off.
+  std::thread::id Ran;
+  par::run_on_pool([&] { Ran = std::this_thread::get_id(); });
+  EXPECT_EQ(Ran, std::this_thread::get_id());
+
+  // Sequential mode: a foreign caller runs its task itself.
+  par::set_sequential(true);
+  std::thread::id Caller, RanOn;
+  int Id = -2;
+  std::thread T([&] {
+    Caller = std::this_thread::get_id();
+    par::run_on_pool([&] {
+      RanOn = std::this_thread::get_id();
+      Id = par::worker_id();
+    });
+  });
+  T.join();
+  par::set_sequential(false);
+  EXPECT_EQ(RanOn, Caller);
+  EXPECT_EQ(Id, -1);
+}
+
+TEST(RunOnPool, ConcurrentCallersAllComplete) {
+  // Eight foreign threads contend for the one submission slot, several
+  // times each; every task runs exactly once and sees a correct sum.
+  constexpr int kCallers = 8, kCalls = 5;
+  const size_t N = 1 << 14;
+  std::atomic<int> Runs{0}, BadSums{0};
+  std::vector<std::thread> Callers;
+  for (int C = 0; C < kCallers; ++C)
+    Callers.emplace_back([&] {
+      for (int K = 0; K < kCalls; ++K) {
+        uint64_t Sum = 0;
+        par::run_on_pool([&] {
+          Runs.fetch_add(1, std::memory_order_relaxed);
+          Sum = parallelSum(N);
+        });
+        if (Sum != triangle(N))
+          BadSums.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  for (std::thread &T : Callers)
+    T.join();
+  EXPECT_EQ(Runs.load(), kCallers * kCalls);
+  EXPECT_EQ(BadSums.load(), 0);
 }

@@ -13,7 +13,8 @@
 /// pipeline, and the versioned_graph binding for both sym_graph and the
 /// aspen_graph baseline. The concurrent episodes run readers on foreign
 /// std::threads — the scheduler's sequential degradation path — against a
-/// live writer, and are part of the CI TSan leg. Leak-check fixtures
+/// live writer whose batches run on pool workers, and are part of the CI
+/// TSan leg. Leak-check fixtures
 /// confirm a drained chain releases every tree node it ever owned.
 ///
 //===----------------------------------------------------------------------===//
@@ -31,7 +32,9 @@
 #include "src/api/pam_set.h"
 #include "src/baselines/aspen_graph.h"
 #include "src/graph/graph.h"
+#include "src/parallel/scheduler.h"
 #include "src/serving/version_chain.h"
+#include "src/util/failpoint.h"
 #include "tests/test_common.h"
 
 namespace cpam {
@@ -416,6 +419,51 @@ TEST_F(ServingLeakTest, IngestPipelineFlushSeesPriorSubmits) {
       EXPECT_EQ(Chain.acquire().size(), (Round + 1) * 100)
           << "flush returned before all prior submits were published";
     }
+  }
+}
+
+/// Apply runs on a pool worker (par::run_on_pool), not on the pipeline's
+/// own writer thread, so its merges fork. The sched.fork failpoint (armed
+/// process-wide in the chaos leg) may refuse the hand-off and run a batch
+/// inline, so the all-on-pool check applies only to a run without fires.
+TEST_F(ServingLeakTest, IngestPipelineAppliesOnPoolWorkers) {
+  {
+    version_chain<u64_set> Chain(u64_set{});
+    ingest_pipeline<u64_set, uint64_t>::options O;
+    O.BatchWindow = 16;
+    std::mutex IdsM;
+    std::vector<int> Ids;
+    uint64_t Refused0 = fail::fires("sched.fork");
+    ingest_pipeline<u64_set, uint64_t> Pipe(
+        Chain,
+        [&](const u64_set &Cur, std::vector<uint64_t> Batch) {
+          {
+            std::lock_guard<std::mutex> L(IdsM);
+            Ids.push_back(par::worker_id());
+          }
+          return u64_set::map_union(Cur, u64_set(Batch));
+        },
+        O);
+    for (uint64_t Round = 0; Round < 16; ++Round) {
+      for (uint64_t I = 0; I < 16; ++I)
+        ASSERT_TRUE(Pipe.submit(Round * 16 + I));
+      Pipe.flush();
+    }
+    Pipe.stop();
+    EXPECT_EQ(Chain.acquire().size(), 256u);
+    bool Refused = fail::fires("sched.fork") != Refused0;
+    size_t OnPool = 0;
+    for (int Id : Ids)
+      OnPool += Id >= 0;
+    if (par::num_workers() == 1) {
+      EXPECT_EQ(OnPool, 0u) << "a one-worker pool applies on the writer";
+    } else {
+      EXPECT_GT(OnPool, 0u);
+      if (!Refused) {
+        EXPECT_EQ(OnPool, Ids.size()) << "a batch applied off the pool";
+      }
+    }
+    Chain.reclaim();
   }
 }
 
