@@ -6,8 +6,9 @@
 //
 // Regenerates Fig. 1: memory of the interval tree, range tree, inverted
 // index and two large graphs ("Twitter"/"Friendster" rMAT stand-ins; see
-// DESIGN.md Sec. 3) under PaC-trees (CPAM), difference-encoded PaC-trees,
-// P-trees (PAM), Aspen (C-trees) and the static GBBS representation.
+// README's "Datasets" section) under PaC-trees (CPAM), difference-encoded
+// PaC-trees, P-trees (PAM), Aspen (C-trees) and the static GBBS
+// representation.
 // Expected shape: PaC-diff smallest (graphs within ~1.3-2.6x of Aspen's
 // inverse: Aspen is 1.3-2.6x LARGER), P-trees up to ~10x larger.
 //

@@ -6,8 +6,8 @@
 //
 // Regenerates Fig. 11 / Table 4: memory of seven graphs (synthetic
 // stand-ins matching the originals' average degree and locality character;
-// DESIGN.md Sec. 3) under GBBS (static diff-encoded CSR), PaC-tree (Diff),
-// PaC-tree, Aspen (C-trees) and P-trees (PAM). Expected ordering per
+// see README's "Datasets" section) under GBBS (static diff-encoded CSR),
+// PaC-tree (Diff), PaC-tree, Aspen (C-trees) and P-trees (PAM). Expected ordering per
 // graph: GBBS <= PaC-diff < PaC, Aspen; P-tree largest (4-9.7x over
 // PaC-diff); Aspen/PaC-diff between 1.2x and 2.7x, largest on the sparse
 // road-like graph.

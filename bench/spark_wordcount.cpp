@@ -8,8 +8,9 @@
 // collections on the two queries from the Spark tutorial over the corpus:
 // (1) longest word length, (2) most frequent word. Spark is substituted by
 // a single-threaded STL pipeline playing the "general-purpose collections
-// system" role (DESIGN.md Sec. 3); the paper reports CPAM 3.2x / 4.9x
-// faster than cached Spark, and orders of magnitude on raw primitives.
+// system" role (see README's "Datasets" section); the paper reports CPAM
+// 3.2x / 4.9x faster than cached Spark, and orders of magnitude on raw
+// primitives.
 //
 //===----------------------------------------------------------------------===//
 

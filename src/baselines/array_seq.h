@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The flat-array sequence baseline playing ParallelSTL's role in Fig. 2
-/// (see DESIGN.md Sec. 3): the same primitives as pam_seq implemented over
-/// a contiguous array with our parallel runtime. Arrays win on nth (O(1)
+/// (see README's "Datasets" section): the same primitives as pam_seq
+/// implemented over a contiguous array with our parallel runtime. Arrays win on nth (O(1)
 /// vs O(log n + B)) and lose catastrophically on append (O(n) copy vs
 /// O(log n + B) join) — exactly the tradeoff Fig. 2 reports.
 ///

@@ -17,6 +17,11 @@
 /// Non-augmented entries set `aug_t = no_aug`, which occupies no storage in
 /// tree nodes.
 ///
+/// An entry may also name the order behind `comp` as `less_t`, as map_entry
+/// and set_entry do: builds from unsorted input then radix-sort unsigned
+/// keys under std::less (map_ops::sort_and_combine). Without it they sort
+/// with `comp`.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CPAM_CORE_ENTRY_H
@@ -37,6 +42,7 @@ struct no_aug {};
 template <class K, class V, class Less = std::less<K>> struct map_entry {
   using key_t = K;
   using val_t = V;
+  using less_t = Less;
   using entry_t = std::pair<K, V>;
   using aug_t = no_aug;
   static constexpr bool has_val = true;
@@ -49,6 +55,7 @@ template <class K, class V, class Less = std::less<K>> struct map_entry {
 /// Entry for ordered sets: the entry is the key itself.
 template <class K, class Less = std::less<K>> struct set_entry {
   using key_t = K;
+  using less_t = Less;
   using val_t = no_aug; // No associated value.
   using entry_t = K;
   using aug_t = no_aug;

@@ -749,14 +749,27 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   // Build from unsorted input.
   //===--------------------------------------------------------------------===
 
-  /// Sorts A by key and combines duplicate keys left-to-right with \p Op;
-  /// returns the deduplicated length.
+  /// True when entries sort by radix on their key: an unsigned integer
+  /// key ordered by std::less, as the entry's less_t declares.
+  static constexpr bool radix_keyed() {
+    if constexpr (requires { typename Entry::less_t; })
+      return par::is_radix_key_v<key_t> &&
+             std::is_same_v<typename Entry::less_t, std::less<key_t>>;
+    else
+      return false;
+  }
+
+  /// Sorts A stably by key and combines duplicate keys left-to-right with
+  /// \p Op; returns the deduplicated length.
   template <class CombineOp = take_right>
   static size_t sort_and_combine(entry_t *A, size_t N,
                                  const CombineOp &Op = CombineOp()) {
-    par::sort(A, N, [](const entry_t &X, const entry_t &Y) {
-      return key_less(entry_key(X), entry_key(Y));
-    });
+    if constexpr (radix_keyed())
+      par::radix_sort(A, N, [](const entry_t &E) { return entry_key(E); });
+    else
+      par::sort(A, N, [](const entry_t &X, const entry_t &Y) {
+        return key_less(entry_key(X), entry_key(Y));
+      });
     if (N == 0)
       return 0;
     // Find runs of equal keys in parallel, combine each run left-to-right.

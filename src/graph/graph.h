@@ -177,7 +177,7 @@ private:
     par::parallel_for(0, Batch.size(), [&](size_t I) {
       Keys[I] = uint64_t(Batch[I].first) << 32 | Batch[I].second;
     });
-    par::integer_sort(Keys);
+    par::sort(Keys);
     size_t M = par::unique(Keys.data(), Keys.size());
     auto Src = [&](size_t I) { return static_cast<vertex_id>(Keys[I] >> 32); };
     std::vector<size_t> Starts(M);

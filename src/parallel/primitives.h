@@ -6,11 +6,14 @@
 ///
 /// \file
 /// Parallel primitives over contiguous arrays: tabulate, reduce, exclusive
-/// scan, pack/filter, merge, a parallel merge sort and an integer radix
-/// sort. These stand in for the ParlayLib primitives the original CPAM
-/// builds on. All primitives have the standard work/span bounds
-/// (reduce/scan/pack: O(n) work, O(log n) span; sort: O(n log n) work,
-/// O(log^2 n) span; integer_sort: O(dn) work for d non-zero 8-bit digits).
+/// scan, pack/filter, merge and one stable sort, a radix sort on integer
+/// keys and a merge sort for every other order. These stand in for the
+/// ParlayLib primitives the original CPAM builds on. Work/span bounds:
+/// reduce/scan/pack O(n) work, O(log n) span; merge O(n) work, O(log^2 n)
+/// span; the merge sort O(n log n) work, O(log^3 n) span; radix_sort O(dn)
+/// work for d digits, one per 8 of the bits that differ between keys, and
+/// O(d log n + dn / 2^14) span above its sequential leaves of 256 KiB (the
+/// n / 2^14 term is the sequential step of each split's prefix sum).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +21,13 @@
 #define CPAM_PARALLEL_PRIMITIVES_H
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/parallel/scheduler.h"
@@ -208,7 +214,51 @@ size_t filter(const T *A, size_t N, T *Out, const Pred &P) {
   return pack(A, [&](size_t I) { return P(A[I]); }, N, Out);
 }
 
+/// Unsigned integer types: the keys radix_sort orders.
+template <class T>
+inline constexpr bool is_radix_key_v =
+    std::is_integral_v<T> && std::is_unsigned_v<T> && !std::is_same_v<T, bool>;
+
 namespace detail {
+/// Element types that par::sort orders by radix under std::less: unsigned
+/// integers, and pairs of unsigned integers of at most 32 bits.
+template <class T>
+struct radix_ordered : std::bool_constant<is_radix_key_v<T>> {};
+template <class A, class B>
+struct radix_ordered<std::pair<A, B>>
+    : std::bool_constant<is_radix_key_v<A> && is_radix_key_v<B> &&
+                         sizeof(A) <= 4 && sizeof(B) <= 4> {};
+
+/// Raw storage for N elements of T, never initialized: for scratch whose
+/// every element is written before it is read.
+template <class T> class uninit_array {
+public:
+  explicit uninit_array(size_t N) : N(N), P(std::allocator<T>().allocate(N)) {}
+  ~uninit_array() { std::allocator<T>().deallocate(P, N); }
+  uninit_array(const uninit_array &) = delete;
+  uninit_array &operator=(const uninit_array &) = delete;
+  T *data() const { return P; }
+
+private:
+  size_t N;
+  T *P;
+};
+
+/// Scratch array for a sort's out-of-place passes. Element types that may
+/// live in raw storage (trivially copy-constructible and destructible, as
+/// integers and pairs of them are) skip the initialization a std::vector
+/// does, a sequential pass over the whole array; others are
+/// default-constructed.
+template <class T>
+using sort_scratch =
+    std::conditional_t<std::is_trivially_copy_constructible_v<T> &&
+                           std::is_trivially_destructible_v<T>,
+                       uninit_array<T>, std::vector<T>>;
+
+/// Stable parallel merge: on equal elements A's come first. The larger run
+/// is split at its median and the other binary-searched, with lower_bound
+/// when A is split and upper_bound when B is, so every element of A that
+/// ties with one of B lands on B's left.
 template <class T, class Less>
 void merge_rec(const T *A, size_t Na, const T *B, size_t Nb, T *Out,
                const Less &Lt) {
@@ -216,13 +266,14 @@ void merge_rec(const T *A, size_t Na, const T *B, size_t Nb, T *Out,
     std::merge(A, A + Na, B, B + Nb, Out, Lt);
     return;
   }
-  if (Na < Nb) {
-    merge_rec(B, Nb, A, Na, Out, Lt);
-    return;
+  size_t Ma, Mb;
+  if (Na >= Nb) {
+    Ma = Na / 2;
+    Mb = std::lower_bound(B, B + Nb, A[Ma], Lt) - B;
+  } else {
+    Mb = Nb / 2;
+    Ma = std::upper_bound(A, A + Na, B[Mb], Lt) - A;
   }
-  // Split the larger input at its median; binary-search the other.
-  size_t Ma = Na / 2;
-  size_t Mb = std::lower_bound(B, B + Nb, A[Ma], Lt) - B;
   par_do([&] { merge_rec(A, Ma, B, Mb, Out, Lt); },
          [&] { merge_rec(A + Ma, Na - Ma, B + Mb, Nb - Mb, Out + Ma + Mb, Lt); });
 }
@@ -230,7 +281,7 @@ void merge_rec(const T *A, size_t Na, const T *B, size_t Nb, T *Out,
 template <class T, class Less>
 void sort_rec(T *A, size_t N, T *Buf, bool OutInBuf, const Less &Lt) {
   if (N <= kSeqThreshold) {
-    std::sort(A, A + N, Lt);
+    std::stable_sort(A, A + N, Lt);
     if (OutInBuf)
       std::move(A, A + N, Buf);
     return;
@@ -243,94 +294,203 @@ void sort_rec(T *A, size_t N, T *Buf, bool OutInBuf, const Less &Lt) {
   else
     merge_rec(Buf, Mid, Buf + Mid, N - Mid, A, Lt);
 }
+
+/// Stable parallel merge sort of A[0..N) in place under \p Lt.
+template <class T, class Less>
+void merge_sort(T *A, size_t N, const Less &Lt) {
+  if (N <= kSeqThreshold) {
+    std::stable_sort(A, A + N, Lt);
+    return;
+  }
+  sort_scratch<T> Buf(N);
+  sort_rec(A, N, Buf.data(), /*OutInBuf=*/false, Lt);
+}
 } // namespace detail
 
-/// Merges sorted A[0..Na) and B[0..Nb) into Out under \p Lt.
+/// Merges sorted A[0..Na) and B[0..Nb) into Out under \p Lt; stable: on
+/// equal elements A's come first.
 template <class T, class Less = std::less<T>>
 void merge(const T *A, size_t Na, const T *B, size_t Nb, T *Out,
            Less Lt = Less()) {
   detail::merge_rec(A, Na, B, Nb, Out, Lt);
 }
 
-/// Parallel (unstable) comparison sort of A[0..N) in place.
-template <class T, class Less = std::less<T>>
-void sort(T *A, size_t N, Less Lt = Less()) {
-  if (N <= kSeqThreshold) {
-    std::sort(A, A + N, Lt);
-    return;
+namespace detail {
+/// Buckets of one radix pass: digits are 8 bits wide.
+inline constexpr size_t kRadixBuckets = 256;
+/// Elements of at most this many bytes in all sort by sequential LSD
+/// passes, which then stay in a core's cache. 2^16 bytes was slower on
+/// 16-byte entries; 2^17 to 2^19 measured alike.
+inline constexpr size_t kRadixLeafBytes = size_t(1) << 18;
+
+/// Sequential stable LSD radix sort of A[0..N), N >= 1, by the digits of
+/// the bits set in Varying: each digit starts at the lowest such bit the
+/// digits before it left. The result lands in B if \p ToB, else in A; the
+/// other array is scratch. One read counts every digit, since a pass
+/// permutes the elements but keeps each digit's counts, and a digit that
+/// is the same in all N elements costs no pass.
+template <class T, class KeyF, class K>
+void radix_leaf(T *A, T *B, size_t N, const KeyF &Key, K Varying, bool ToB) {
+  constexpr unsigned kBits = 8 * sizeof(K);
+  unsigned Shifts[sizeof(K)];
+  unsigned NumDigits = 0;
+  while (Varying != 0) {
+    unsigned S = static_cast<unsigned>(std::countr_zero(Varying));
+    Shifts[NumDigits++] = S;
+    Varying = S + 8 >= kBits ? K(0) : K(Varying & (~K(0) << (S + 8)));
   }
-  std::vector<T> Buf(N);
-  detail::sort_rec(A, N, Buf.data(), /*OutInBuf=*/false, Lt);
+  size_t Count[sizeof(K)][kRadixBuckets];
+  std::fill_n(&Count[0][0], NumDigits * kRadixBuckets, size_t(0));
+  for (size_t I = 0; I < N; ++I) {
+    K X = Key(A[I]);
+    for (unsigned D = 0; D < NumDigits; ++D)
+      ++Count[D][(X >> Shifts[D]) & 0xff];
+  }
+  T *Src = A, *Dst = B;
+  for (unsigned D = 0; D < NumDigits; ++D) {
+    const unsigned S = Shifts[D];
+    size_t *C = Count[D];
+    if (C[(Key(Src[0]) >> S) & 0xff] == N)
+      continue;
+    for (size_t Sum = 0, V = 0; V < kRadixBuckets; ++V)
+      Sum += std::exchange(C[V], Sum);
+    for (size_t I = 0; I < N; ++I)
+      Dst[C[(Key(Src[I]) >> S) & 0xff]++] = std::move(Src[I]);
+    std::swap(Src, Dst);
+  }
+  T *Want = ToB ? B : A;
+  if (Src != Want)
+    std::move(Src, Src + N, Want);
 }
 
-/// Parallel sort of a vector in place.
+/// Stable radix sort of A[0..N), N >= 1, by the bits set in Varying, with
+/// the result in B if \p ToB, else in A. Above kRadixLeafBytes one
+/// parallel pass splits the elements by their top digit, the 8 bits that
+/// end at Varying's highest bit, into 256 buckets in B; the buckets, each
+/// holding its elements in input order, then sort on the lower bits in
+/// parallel. The pass counts digits per block of kSeqThreshold elements,
+/// prefix-sums the counts digit-major, then scatters every block into its
+/// own slice of each bucket. Split first, the later passes run in cache:
+/// LSD passes over the whole input each scatter to 256 places in memory,
+/// and at 64-bit keys that made them slower than the merge sort.
+template <class T, class KeyF, class K>
+void radix_rec(T *A, T *B, size_t N, const KeyF &Key, K Varying, bool ToB) {
+  if (N * sizeof(T) <= kRadixLeafBytes || Varying == 0) {
+    radix_leaf(A, B, N, Key, Varying, ToB);
+    return;
+  }
+  const unsigned Top = static_cast<unsigned>(std::bit_width(Varying)) - 1;
+  const unsigned Shift = Top < 8 ? 0 : Top - 7;
+  const K Lower = K(Varying & ((K(1) << Shift) - 1));
+  auto Digit = [&Key, Shift](const T &X) {
+    return static_cast<size_t>((Key(X) >> Shift) & 0xff);
+  };
+  size_t Bounds[kRadixBuckets + 1];
+  {
+    const size_t NumBlocks = (N + kSeqThreshold - 1) / kSeqThreshold;
+    // Off[D * NumBlocks + Blk]: block Blk's count of digit D, then its
+    // first output slot for that digit.
+    uninit_array<size_t> Offsets(kRadixBuckets * NumBlocks);
+    size_t *Off = Offsets.data();
+    parallel_for(
+        0, NumBlocks,
+        [&](size_t Blk) {
+          size_t C[kRadixBuckets] = {};
+          for (size_t I = Blk * kSeqThreshold,
+                      E = std::min(N, I + kSeqThreshold);
+               I < E; ++I)
+            ++C[Digit(A[I])];
+          for (size_t D = 0; D < kRadixBuckets; ++D)
+            Off[D * NumBlocks + Blk] = C[D];
+        },
+        1);
+    scan_exclusive(Off, kRadixBuckets * NumBlocks, Off);
+    parallel_for(
+        0, NumBlocks,
+        [&](size_t Blk) {
+          size_t C[kRadixBuckets];
+          for (size_t D = 0; D < kRadixBuckets; ++D)
+            C[D] = Off[D * NumBlocks + Blk];
+          for (size_t I = Blk * kSeqThreshold,
+                      E = std::min(N, I + kSeqThreshold);
+               I < E; ++I)
+            B[C[Digit(A[I])]++] = std::move(A[I]);
+        },
+        1);
+    for (size_t D = 0; D < kRadixBuckets; ++D)
+      Bounds[D] = Off[D * NumBlocks];
+    Bounds[kRadixBuckets] = N;
+  }
+  parallel_for(
+      0, kRadixBuckets,
+      [&](size_t D) {
+        size_t Lo = Bounds[D], Hi = Bounds[D + 1];
+        if (Hi > Lo)
+          radix_rec(B + Lo, A + Lo, Hi - Lo, Key, Lower, !ToB);
+      },
+      1);
+}
+} // namespace detail
+
+/// Stable radix sort of A[0..N) in place by the unsigned key Key(A[I]),
+/// on 8-bit digits of only the bits that differ between keys (OR ^ AND
+/// over all keys), so keys that use few of their bits, such as packed
+/// (source, target) pairs of a small graph, take few passes. Inputs above
+/// kRadixLeafBytes first split in parallel by their top digit; each part
+/// then takes sequential LSD passes in cache. Up to 256 elements take a
+/// stable comparison sort instead.
+template <class T, class KeyF>
+void radix_sort(T *A, size_t N, const KeyF &Key) {
+  using K = std::decay_t<decltype(Key(*A))>;
+  static_assert(is_radix_key_v<K>, "radix keys are unsigned");
+  if (N <= detail::kRadixBuckets) {
+    std::stable_sort(A, A + N,
+                     [&](const T &X, const T &Y) { return Key(X) < Key(Y); });
+    return;
+  }
+  struct or_and {
+    K Or, And;
+  };
+  const or_and M = reduce_index(
+      size_t(0), N,
+      [&](size_t I) {
+        K X = Key(A[I]);
+        return or_and{X, X};
+      },
+      or_and{K(0), K(~K(0))},
+      [](or_and X, or_and Y) {
+        return or_and{K(X.Or | Y.Or), K(X.And & Y.And)};
+      });
+  const K Varying = K(M.Or ^ M.And);
+  if (Varying == 0)
+    return; // All keys are equal: a stable sort moves nothing.
+  detail::sort_scratch<T> Tmp(N);
+  detail::radix_rec(A, Tmp.data(), N, Key, Varying, /*ToB=*/false);
+}
+
+/// Parallel stable sort of A[0..N) in place. Under std::less, unsigned
+/// integers and pairs of unsigned integers of at most 32 bits take the
+/// radix sort, on the integer itself or on first << 32 | second, which
+/// order alike; every other element type or order takes a merge sort with
+/// O(n log n) work and O(log^3 n) span.
+template <class T, class Less = std::less<T>>
+void sort(T *A, size_t N, Less Lt = Less()) {
+  if constexpr (std::is_same_v<Less, std::less<T>> &&
+                detail::radix_ordered<T>::value)
+    radix_sort(A, N, [](const T &X) {
+      if constexpr (is_radix_key_v<T>)
+        return X;
+      else
+        return uint64_t(X.first) << 32 | X.second;
+    });
+  else
+    detail::merge_sort(A, N, Lt);
+}
+
+/// Parallel stable sort of a vector in place.
 template <class T, class Less = std::less<T>>
 void sort(std::vector<T> &V, Less Lt = Less()) {
   sort(V.data(), V.size(), Lt);
-}
-
-/// Stable LSD radix sort of the unsigned integers A[0..N) in place, one
-/// pass per 8-bit digit. A digit that is zero in every key is skipped, so
-/// keys that use few of their bits — packed (source, target) vertex pairs
-/// of a small graph — take few passes. Each pass counts digits per block
-/// of kSeqThreshold keys, prefix-sums the counts digit-major, then
-/// scatters every block into its own slice of each bucket; counting and
-/// scatter are parallel_for over the blocks.
-template <class T> void integer_sort(T *A, size_t N) {
-  static_assert(std::is_unsigned_v<T>, "integer_sort sorts unsigned keys");
-  constexpr size_t kBuckets = 256;
-  if (N <= kBuckets) { // Below one pass's bucket count a comparison sort wins.
-    std::sort(A, A + N);
-    return;
-  }
-  const size_t NumBlocks = (N + kSeqThreshold - 1) / kSeqThreshold;
-  const T Used = reduce(A, N, T(0), [](T X, T Y) { return T(X | Y); });
-  std::vector<T> Tmp(N);
-  std::vector<size_t> Offsets(NumBlocks * kBuckets);
-  T *Src = A, *Dst = Tmp.data();
-  for (unsigned Shift = 0; Shift < 8 * sizeof(T); Shift += 8) {
-    if (((Used >> Shift) & 0xff) == 0)
-      continue;
-    auto Digit = [Shift](T X) {
-      return static_cast<size_t>((X >> Shift) & 0xff);
-    };
-    parallel_for(
-        0, NumBlocks,
-        [&](size_t B) {
-          size_t *C = Offsets.data() + B * kBuckets;
-          std::fill(C, C + kBuckets, size_t(0));
-          for (size_t I = B * kSeqThreshold,
-                      E = std::min(N, I + kSeqThreshold);
-               I < E; ++I)
-            ++C[Digit(Src[I])];
-        },
-        1);
-    size_t Sum = 0;
-    for (size_t D = 0; D < kBuckets; ++D)
-      for (size_t B = 0; B < NumBlocks; ++B) {
-        size_t C = Offsets[B * kBuckets + D];
-        Offsets[B * kBuckets + D] = Sum;
-        Sum += C;
-      }
-    parallel_for(
-        0, NumBlocks,
-        [&](size_t B) {
-          size_t *C = Offsets.data() + B * kBuckets;
-          for (size_t I = B * kSeqThreshold,
-                      E = std::min(N, I + kSeqThreshold);
-               I < E; ++I)
-            Dst[C[Digit(Src[I])]++] = Src[I];
-        },
-        1);
-    std::swap(Src, Dst);
-  }
-  if (Src != A)
-    std::copy(Src, Src + N, A);
-}
-
-/// integer_sort of a vector in place.
-template <class T> void integer_sort(std::vector<T> &V) {
-  integer_sort(V.data(), V.size());
 }
 
 /// Removes adjacent duplicates from sorted A (by Eq); returns new length.

@@ -15,34 +15,29 @@
 
 using namespace cpam;
 
-/// Draws one rMAT edge by descending LogN levels of the recursive matrix.
-static edge_pair rmatOne(int LogN, const RmatParams &P, uint64_t Stream,
-                         uint64_t I) {
-  Rng R(hash64(Stream ^ hash64(I)));
-  vertex_id Src = 0, Dst = 0;
-  for (int L = 0; L < LogN; ++L) {
-    double X = R.next_double();
-    Src <<= 1;
-    Dst <<= 1;
-    if (X < P.A) {
-      // Top-left quadrant: neither bit set.
-    } else if (X < P.A + P.B) {
-      Dst |= 1;
-    } else if (X < P.A + P.B + P.C) {
-      Src |= 1;
-    } else {
-      Src |= 1;
-      Dst |= 1;
-    }
-  }
-  return {Src, Dst};
-}
-
 std::vector<edge_pair> cpam::rmat_edges(int LogN, size_t NumEdges,
                                         RmatParams P) {
+  // Edge I descends LogN levels of the recursive matrix; level L draws
+  // X = Rng(hash64(Seed ^ hash64(I))).ith_double(L). hash64(L) is the same
+  // for every edge, so it is tabulated once.
+  std::vector<uint64_t> LevelHash(LogN);
+  for (int L = 0; L < LogN; ++L)
+    LevelHash[L] = hash64(static_cast<uint64_t>(L));
+  const double AB = P.A + P.B, ABC = P.A + P.B + P.C;
   std::vector<edge_pair> E(NumEdges);
-  par::parallel_for(0, NumEdges,
-                    [&](size_t I) { E[I] = rmatOne(LogN, P, P.Seed, I); });
+  par::parallel_for(0, NumEdges, [&](size_t I) {
+    uint64_t Stream = hash64(P.Seed ^ hash64(I));
+    vertex_id Src = 0, Dst = 0;
+    for (int L = 0; L < LogN; ++L) {
+      double X = static_cast<double>(hash64(Stream ^ LevelHash[L]) >> 11) *
+                 0x1.0p-53;
+      // Quadrants A, B, C, D in order set no bit, dst, src, both.
+      bool PastA = X >= P.A, PastB = X >= AB, PastC = X >= ABC;
+      Src = Src << 1 | vertex_id(PastB);
+      Dst = Dst << 1 | vertex_id(PastA ^ PastB ^ PastC);
+    }
+    E[I] = {Src, Dst};
+  });
   return E;
 }
 

@@ -9,7 +9,7 @@
 /// oversized datasets (SNAP graphs, the Wikipedia corpus): rMAT power-law
 /// graphs (Sec. 10.5 uses a=0.5, b=c=0.1, d=0.3), 2D mesh ("road-like")
 /// graphs, uniform random intervals and points. All are deterministic in
-/// the seed. See DESIGN.md Sec. 3 for the substitution rationale.
+/// the seed. README's "Datasets" section lists what each one replaces.
 ///
 //===----------------------------------------------------------------------===//
 

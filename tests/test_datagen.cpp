@@ -9,6 +9,7 @@
 
 #include "gtest/gtest.h"
 
+#include "src/parallel/random.h"
 #include "src/util/datagen.h"
 #include "src/util/textgen.h"
 
@@ -29,6 +30,29 @@ TEST(Rmat, DirectedEdgesInRange) {
   RmatParams P;
   P.Seed = 77;
   EXPECT_NE(rmat_edges(10, 5000, P), E);
+}
+
+/// Order-sensitive fingerprint of an edge list.
+uint64_t fingerprint(const std::vector<edge_pair> &E) {
+  uint64_t F = 0;
+  for (auto [U, V] : E)
+    F = hash64(F ^ (uint64_t(U) << 32 | V));
+  return F;
+}
+
+// The generators' output is part of every graph benchmark's input: a faster
+// generator must draw the same edges in the same order.
+TEST(Rmat, OutputIsPinned) {
+  EXPECT_EQ(fingerprint(rmat_edges(16, 100000)), 0x861d78b779d22202ull);
+  RmatParams P;
+  P.A = .57;
+  P.B = .19;
+  P.C = .19;
+  P.Seed = 77;
+  EXPECT_EQ(fingerprint(rmat_edges(20, 100000, P)), 0x8d5d5b5bf2a9c905ull);
+  auto G = rmat_graph(12, 40000);
+  EXPECT_EQ(G.size(), 68668u);
+  EXPECT_EQ(fingerprint(G), 0xfe40fe8a3ce84a29ull);
 }
 
 TEST(Rmat, SymmetricGraphProperties) {

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include <map>
+#include <string>
 
 #include "gtest/gtest.h"
 
@@ -71,6 +72,74 @@ TYPED_TEST(MapBasicTest, BuildCombinesDuplicates) {
     auto V = M.find(K);
     ASSERT_TRUE(V.has_value());
     EXPECT_EQ(*V, K + (K + 100) + (K + 200));
+  }
+}
+
+/// Duplicate keys in a build or a batch combine left to right: with the
+/// default combine the last writer wins, and a non-commutative combine
+/// folds the values in input order. Keys I % 7 with values I; the sizes
+/// take the radix path's comparison sort (up to 256 entries), one
+/// sequential radix leaf, and a parallel split by the top digit.
+template <class MapT> void expectLastWriterWins() {
+  constexpr uint64_t kKeys = 7;
+  auto Fold = [](uint64_t A, uint64_t B) { return A * 1000003 + B; };
+  for (size_t N : {20u, 1000u, 100000u}) {
+    std::vector<std::pair<uint64_t, uint64_t>> Entries(N);
+    for (uint64_t I = 0; I < N; ++I)
+      Entries[I] = {I % kKeys, I};
+    std::map<uint64_t, uint64_t> Last, Folded;
+    for (auto [K, V] : Entries) {
+      Last[K] = V;
+      auto [It, Fresh] = Folded.emplace(K, V);
+      if (!Fresh)
+        It->second = Fold(It->second, V);
+    }
+    auto Expect = [&](const MapT &M, const std::map<uint64_t, uint64_t> &Want,
+                      const char *How) {
+      ASSERT_EQ(M.size(), kKeys) << How << " N=" << N;
+      EXPECT_EQ(M.check_invariants(), "") << How << " N=" << N;
+      for (auto [K, V] : Want)
+        EXPECT_EQ(M.find(K), std::optional<uint64_t>(V))
+            << How << " N=" << N << " key " << K;
+    };
+    Expect(MapT(Entries), Last, "build(const&)");
+    Expect(MapT(std::vector(Entries)), Last, "build(&&)");
+    Expect(MapT().multi_insert(Entries), Last, "multi_insert");
+    Expect(MapT(Entries, Fold), Folded, "build(const&, fold)");
+    Expect(MapT(std::vector(Entries), Fold), Folded, "build(&&, fold)");
+    Expect(MapT().multi_insert(Entries, Fold), Folded, "multi_insert(fold)");
+  }
+}
+
+TYPED_TEST(MapBasicTest, BuildKeepsLastWriter) {
+  expectLastWriterWins<TypeParam>();
+}
+
+/// A descending map sorts through the comparison path.
+class MapOrder : public test::LeakCheckTest {};
+
+TEST_F(MapOrder, BuildKeepsLastWriter) {
+  using Desc =
+      pam_map<uint64_t, uint64_t, 128, raw_encoder, std::greater<uint64_t>>;
+  static_assert(!Desc::ops::radix_keyed());
+  static_assert(pam_map<uint64_t, uint64_t>::ops::radix_keyed());
+  expectLastWriterWins<Desc>();
+}
+
+/// The radix path moves values it cannot copy as bytes (here strings)
+/// through default-constructed scratch.
+TEST_F(MapOrder, StringValuesKeepLastWriter) {
+  using Map = pam_map<uint64_t, std::string, 16>;
+  static_assert(Map::ops::radix_keyed());
+  for (size_t N : {1000u, 100000u}) {
+    std::vector<std::pair<uint64_t, std::string>> Entries(N);
+    for (uint64_t I = 0; I < N; ++I)
+      Entries[I] = {I % 7, std::to_string(I)};
+    Map M(std::move(Entries));
+    ASSERT_EQ(M.size(), 7u);
+    for (uint64_t K = 0; K < 7; ++K)
+      EXPECT_EQ(M.find(K), std::to_string((N - 1 - K) / 7 * 7 + K))
+          << "N=" << N << " key " << K;
   }
 }
 

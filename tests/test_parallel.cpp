@@ -14,6 +14,7 @@
 #include "src/parallel/primitives.h"
 #include "src/parallel/random.h"
 #include "src/parallel/scheduler.h"
+#include "src/util/datagen.h"
 
 using namespace cpam;
 
@@ -172,37 +173,106 @@ TEST(Primitives, SortRandom) {
   }
 }
 
-// integer_sort runs one pass per 8-bit digit that some key uses: full
-// 64-bit keys take all eight, packed (source, target) pairs below 2^16 take
-// four (the digit mask has holes), and keys with one used digit take one,
-// an odd count that ends in the scratch array and is copied back. Sizes
-// cover the comparison-sort cutoff, one block and many blocks.
+// par::sort takes the radix sort exactly for unsigned integers, and pairs
+// of unsigned integers of at most 32 bits, under std::less.
+static_assert(par::detail::radix_ordered<uint8_t>::value);
+static_assert(par::detail::radix_ordered<uint64_t>::value);
+static_assert(par::detail::radix_ordered<edge_pair>::value);
+static_assert(!par::detail::radix_ordered<bool>::value);
+static_assert(!par::detail::radix_ordered<int>::value);
+static_assert(
+    !par::detail::radix_ordered<std::pair<uint64_t, uint32_t>>::value);
+static_assert(!par::detail::radix_ordered<std::pair<int, uint32_t>>::value);
+
+// Sizes around the comparison-sort cutoff (256) and the block size (2048),
+// and one input that splits by its top digit before its LSD passes.
+const size_t kSortSizes[] = {0,    1,    255,  256,  257,
+                             2047, 2048, 2049, 100003};
+
+// The radix sort against std::sort, for each element type it serves. It
+// runs one pass per 8-bit digit of the bits that differ between keys: full
+// 64-bit keys take all eight, packed (source, target) pairs below 2^16
+// take four (the digit mask has holes), keys with one used digit take one
+// (an odd count, which ends in the scratch array and is copied back), and
+// constant non-zero high bytes take none. Skewed keys put 15/16 of them in
+// one top bucket, which splits again.
 TEST(Primitives, IntegerSortMatchesStdSort) {
   Rng R(17);
-  auto Full = [&](size_t I) { return R.ith(I); };
-  auto Packed = [&](size_t I) {
-    uint64_t X = R.ith(I);
-    return (X >> 48) << 32 | (X & 0xffff);
+  auto Check = [](auto V, const char *What, size_t N) {
+    auto Expect = V;
+    std::sort(Expect.begin(), Expect.end());
+    par::sort(V);
+    ASSERT_EQ(V, Expect) << What << " N=" << N;
   };
-  auto OneDigit = [&](size_t I) { return (R.ith(I) & 0xff) << 24; };
-  for (size_t N : {0u, 1u, 256u, 257u, 2048u, 8192u, 100003u}) {
-    for (int Shape = 0; Shape < 3; ++Shape) {
-      std::vector<uint64_t> V(N);
+  for (size_t N : kSortSizes) {
+    std::vector<uint64_t> Full(N), Packed(N), OneDigit(N), HighBytes(N),
+        Skewed(N);
+    std::vector<uint32_t> U32(N);
+    std::vector<edge_pair> Edges(N);
+    for (size_t I = 0; I < N; ++I) {
+      uint64_t X = R.ith(I);
+      Full[I] = X;
+      Packed[I] = (X >> 48) << 32 | (X & 0xffff);
+      OneDigit[I] = (X & 0xff) << 24;
+      HighBytes[I] = 0x5a3c000000000000ull | (X & 0xffffffffffull);
+      Skewed[I] = I % 16 == 0 ? X : X & 0xffffff;
+      U32[I] = static_cast<uint32_t>(X);
+      Edges[I] = {static_cast<vertex_id>(X >> 48),
+                  static_cast<vertex_id>(X % 70000)};
+    }
+    Check(Full, "full", N);
+    Check(Packed, "packed", N);
+    Check(OneDigit, "one digit", N);
+    Check(HighBytes, "high bytes", N);
+    Check(Skewed, "skewed", N);
+    Check(U32, "uint32", N);
+    Check(Edges, "edge_pair", N);
+  }
+}
+
+// Both sort paths are stable: (key, index) pairs with at most 8 distinct
+// keys keep ascending indices within each run of equal keys. One key set
+// differs in every byte (eight radix digits), one in three bits under
+// constant non-zero bytes (one digit), and in one seven keys share the top
+// digit, so at 100003 items their bucket splits again.
+TEST(Primitives, SortsAreStable) {
+  using item = std::pair<uint64_t, uint32_t>;
+  auto KeyOf = [](int Set, uint64_t J) -> uint64_t {
+    if (Set == 0)
+      return hash64(J);
+    if (Set == 1)
+      return 0xab00cd0000000011ull | J << 20;
+    return J == 7 ? uint64_t(1) << 60 : J;
+  };
+  Rng R(19);
+  for (size_t N : kSortSizes) {
+    for (int Set = 0; Set < 3; ++Set) {
+      std::vector<item> V(N);
       for (size_t I = 0; I < N; ++I)
-        V[I] = Shape == 0 ? Full(I) : Shape == 1 ? Packed(I) : OneDigit(I);
-      auto Expect = V;
-      std::sort(Expect.begin(), Expect.end());
-      par::integer_sort(V);
-      ASSERT_EQ(V, Expect) << "N=" << N << " shape=" << Shape;
+        V[I] = {KeyOf(Set, R.ith(I) % 8), static_cast<uint32_t>(I)};
+      auto Check = [&](const std::vector<item> &S, const char *Path) {
+        ASSERT_EQ(S.size(), N);
+        for (size_t I = 1; I < N; ++I) {
+          ASSERT_LE(S[I - 1].first, S[I].first)
+              << Path << " N=" << N << " I=" << I;
+          if (S[I - 1].first == S[I].first) {
+            ASSERT_LT(S[I - 1].second, S[I].second)
+                << Path << " N=" << N << " I=" << I;
+          }
+        }
+      };
+      auto ByRadix = V;
+      par::radix_sort(ByRadix.data(), N,
+                      [](const item &X) { return X.first; });
+      Check(ByRadix, "radix");
+      auto ByMerge = V;
+      par::sort(ByMerge, [](const item &X, const item &Y) {
+        return X.first < Y.first;
+      });
+      Check(ByMerge, "merge");
+      EXPECT_EQ(ByRadix, ByMerge) << "N=" << N;
     }
   }
-  std::vector<uint32_t> Small(5000);
-  for (size_t I = 0; I < Small.size(); ++I)
-    Small[I] = static_cast<uint32_t>(R.ith(I) % 1000);
-  auto Expect = Small;
-  std::sort(Expect.begin(), Expect.end());
-  par::integer_sort(Small);
-  EXPECT_EQ(Small, Expect);
 }
 
 TEST(Primitives, SortCustomComparator) {
