@@ -11,7 +11,10 @@
 // block size), plus flat-by-flat union/intersect/difference over leaf-sized
 // operands (flat_<op> rows). The flat rows run at B in {8, 128} for the
 // raw, difference and gamma encodings; the union rows produce multi-leaf
-// (~3B-entry) results, exercising the chunked leaf pipeline.
+// (~3B-entry) results, exercising the chunked leaf pipeline. One more read
+// row, find_cold, looks up random keys in a 2^23-entry difference-encoded
+// aug_map of fixed size (not --n), so its blocks come from memory rather
+// than cache, as range_query's do.
 // The JSON additionally carries a pool_stats section with per-size-class
 // occupancy columns from pool_allocator::stats(). Emits machine-readable
 // JSON with --json=<path>; CI runs this on every push and uploads the file,
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/api/aug_map.h"
 #include "src/api/pam_map.h"
 #include "src/api/pam_set.h"
 #include "src/encoding/diff_encoder.h"
@@ -136,6 +140,38 @@ template <int B> void runSuite(size_t N, JsonReport &Report) {
   Report.add("multi_insert", B, Batch.size(), TMulti);
   print_time_row("multi_insert", TMulti, TMulti);
   Out = Map();
+}
+
+/// Random finds (two in three miss) on a map too large for the cache: a
+/// 2^23-entry B=128 difference-encoded sum aug_map, whatever --n is. Each
+/// find pays a miss per tree level and then scans one cold block.
+void runColdFinds(JsonReport &Report) {
+  using Map = aug_map<aug_sum_entry<uint64_t, uint64_t>, 128, diff_encoder>;
+  constexpr size_t kN = size_t(1) << 23, kFinds = size_t(1) << 17;
+  Map M;
+  {
+    std::vector<Map::entry_t> Sorted(kN);
+    for (size_t I = 0; I < kN; ++I)
+      Sorted[I] = {3 * I, I & 0xfffff};
+    M = Map::from_sorted(std::move(Sorted));
+  }
+  std::printf("-- cold finds (%zu entries, %.1f MiB) --\n", kN,
+              static_cast<double>(M.size_in_bytes()) / (1 << 20));
+  uint64_t Sink = 0;
+  double T = medianPrepared(
+      g_reps, [] {},
+      [&] {
+        Rng Q(11);
+        uint64_t S = 0;
+        for (size_t I = 0; I < kFinds; ++I)
+          if (auto V = M.find(Q.next(3 * kN)))
+            S += *V;
+        Sink ^= S;
+      });
+  if (Sink == 0xdeadbeef)
+    std::printf("(sink)\n");
+  Report.add("find_cold", 128, kFinds, T);
+  print_time_row("find_cold", T, T);
 }
 
 /// Flat-by-flat set operations: many independent leaf-sized operand pairs,
@@ -256,6 +292,7 @@ int main(int argc, char **argv) {
   JsonReport Report("perf_smoke", N, g_reps);
   runSuite<0>(N, Report);
   runSuite<128>(N, Report);
+  runColdFinds(Report);
   // Flat-by-flat base cases: ~N total entries per side across all pairs,
   // at a small and the default block size for all three encodings (the
   // union rows are multi-leaf: ~3B entries per result).

@@ -104,15 +104,13 @@ private:
     if (!T || ops::aug_of(T) < P)
       return; // No right endpoint reaches P: prune.
     if (ops::is_flat(T)) {
-      const auto *F = static_cast<const typename NL::flat_t *>(T);
-      NL::encoder::for_each_while(
-          NL::payload(F), T->Size, [&](const typename ops::entry_t &E) {
-            if (E.first > P)
-              return false;
-            if (E.second >= P)
-              ++Count;
-            return true;
-          });
+      NL::scan(T, [&](const typename ops::entry_t &E) {
+        if (E.first > P)
+          return false;
+        if (E.second >= P)
+          ++Count;
+        return true;
+      });
       return;
     }
     const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -131,15 +129,13 @@ private:
     if (!T || ops::aug_of(T) < P)
       return;
     if (ops::is_flat(T)) {
-      const auto *F = static_cast<const typename NL::flat_t *>(T);
-      NL::encoder::for_each_while(
-          NL::payload(F), T->Size, [&](const typename ops::entry_t &E) {
-            if (E.first > P)
-              return false;
-            if (E.second >= P)
-              Out.push_back({E.first, E.second});
-            return true;
-          });
+      NL::scan(T, [&](const typename ops::entry_t &E) {
+        if (E.first > P)
+          return false;
+        if (E.second >= P)
+          Out.push_back({E.first, E.second});
+        return true;
+      });
       return;
     }
     const auto *R = static_cast<const typename NL::regular_t *>(T);

@@ -161,12 +161,10 @@ public:
         continue;
       }
       if (ops::is_flat(It.Node)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(It.Node);
-        NL::encoder::for_each_while(NL::payload(F), It.Node->Size,
-                                    [&](const auto &E) {
-                                      Q.push({E.second, nullptr, E});
-                                      return true;
-                                    });
+        NL::scan(It.Node, [&](const auto &E) {
+          Q.push({E.second, nullptr, E});
+          return true;
+        });
         continue;
       }
       const auto *R = static_cast<const typename NL::regular_t *>(It.Node);

@@ -139,17 +139,15 @@ private:
     if (!T)
       return 0;
     if (ops::is_flat(T)) {
-      const auto *F = static_cast<const typename NL::flat_t *>(T);
       size_t C = 0;
-      NL::encoder::for_each_while(
-          NL::payload(F), T->Size, [&](const uint64_t &E) {
-            if (E > KHi)
-              return false;
-            uint32_t Y = static_cast<uint32_t>(E & 0xffffffffu);
-            if (E >= KLo && Y >= YLo && Y <= YHi)
-              ++C;
-            return true;
-          });
+      NL::scan(T, [&](const uint64_t &E) {
+        if (E > KHi)
+          return false;
+        uint32_t Y = static_cast<uint32_t>(E & 0xffffffffu);
+        if (E >= KLo && Y >= YLo && Y <= YHi)
+          ++C;
+        return true;
+      });
       return C;
     }
     const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -174,17 +172,15 @@ private:
     if (!T)
       return 0;
     if (ops::is_flat(T)) {
-      const auto *F = static_cast<const typename NL::flat_t *>(T);
       size_t C = 0;
-      NL::encoder::for_each_while(
-          NL::payload(F), T->Size, [&](const uint64_t &E) {
-            if (!IsLeft && E > Bound)
-              return false;
-            uint32_t Y = static_cast<uint32_t>(E & 0xffffffffu);
-            if ((IsLeft ? E >= Bound : E <= Bound) && Y >= YLo && Y <= YHi)
-              ++C;
-            return true;
-          });
+      NL::scan(T, [&](const uint64_t &E) {
+        if (!IsLeft && E > Bound)
+          return false;
+        uint32_t Y = static_cast<uint32_t>(E & 0xffffffffu);
+        if ((IsLeft ? E >= Bound : E <= Bound) && Y >= YLo && Y <= YHi)
+          ++C;
+        return true;
+      });
       return C;
     }
     const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -212,16 +208,14 @@ private:
     if (!T)
       return;
     if (ops::is_flat(T)) {
-      const auto *F = static_cast<const typename NL::flat_t *>(T);
-      NL::encoder::for_each_while(
-          NL::payload(F), T->Size, [&](const uint64_t &E) {
-            if (E > KHi)
-              return false;
-            uint32_t Y = static_cast<uint32_t>(E & 0xffffffffu);
-            if (E >= KLo && Y >= YLo && Y <= YHi)
-              Out.push_back({static_cast<uint32_t>(E >> 32), Y});
-            return true;
-          });
+      NL::scan(T, [&](const uint64_t &E) {
+        if (E > KHi)
+          return false;
+        uint32_t Y = static_cast<uint32_t>(E & 0xffffffffu);
+        if (E >= KLo && Y >= YLo && Y <= YHi)
+          Out.push_back({static_cast<uint32_t>(E >> 32), Y});
+        return true;
+      });
       return;
     }
     const auto *R = static_cast<const typename NL::regular_t *>(T);

@@ -48,74 +48,36 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
 
   /// Aggregate over all entries with key <= K (read-only).
   static aug_t aug_left(const node_t *T, const key_t &K) {
-    aug_t Acc = Entry::aug_empty();
-    while (T) {
-      if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (key_less(K, entry_key(E)))
-                return false;
-              Acc = Entry::aug_combine(Acc, Entry::aug_from_entry(E));
-              return true;
-            });
-        return Acc;
-      }
-      const auto *R = static_cast<const typename NL::regular_t *>(T);
-      if (key_less(K, entry_key(R->E))) {
-        T = R->Left;
-        continue;
-      }
-      Acc = Entry::aug_combine(
-          Entry::aug_combine(Acc, aug_of(R->Left)),
-          Entry::aug_from_entry(R->E));
-      T = R->Right;
+    boundary<false> B{T, K};
+    while (B.step()) {
     }
-    return Acc;
+    return B.finish();
   }
 
   /// Aggregate over all entries with key >= K (read-only).
   static aug_t aug_right(const node_t *T, const key_t &K) {
-    aug_t Acc = Entry::aug_empty();
-    while (T) {
-      if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (!key_less(entry_key(E), K))
-                Acc = Entry::aug_combine(Acc, Entry::aug_from_entry(E));
-              return true;
-            });
-        return Acc;
-      }
-      const auto *R = static_cast<const typename NL::regular_t *>(T);
-      if (key_less(entry_key(R->E), K)) {
-        T = R->Right;
-        continue;
-      }
-      Acc = Entry::aug_combine(
-          Entry::aug_combine(Entry::aug_from_entry(R->E), aug_of(R->Right)),
-          Acc);
-      T = R->Left;
+    boundary<true> B{T, K};
+    while (B.step()) {
     }
-    return Acc;
+    return B.finish();
   }
 
   /// Aggregate over all entries with KL <= key <= KR (read-only).
-  /// O(log n + B) work.
+  /// O(log n + B) work. Below the first node whose key is in range, the
+  /// two boundary paths (keys >= KL on its left, keys <= KR on its right)
+  /// advance one level each per iteration, so their cache misses overlap;
+  /// both boundary blocks start loading before either is scanned.
   static aug_t aug_range(const node_t *T, const key_t &KL, const key_t &KR) {
     while (T) {
       if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
         aug_t Acc = Entry::aug_empty();
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (key_less(KR, entry_key(E)))
-                return false;
-              if (!key_less(entry_key(E), KL))
-                Acc = Entry::aug_combine(Acc, Entry::aug_from_entry(E));
-              return true;
-            });
+        NL::scan(T, [&](const entry_t &E) {
+          if (key_less(KR, entry_key(E)))
+            return false;
+          if (!key_less(entry_key(E), KL))
+            Acc = Entry::aug_combine(Acc, Entry::aug_from_entry(E));
+          return true;
+        });
         return Acc;
       }
       const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -128,10 +90,16 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
         continue;
       }
       // The root key is inside the range: the range spans both sides.
+      // Non-short-circuit | steps both paths in every iteration.
+      boundary<true> L{R->Left, KL};
+      boundary<false> Rt{R->Right, KR};
+      while (L.step() | Rt.step()) {
+      }
+      NL::prefetch(L.T);
+      NL::prefetch(Rt.T);
       return Entry::aug_combine(
-          Entry::aug_combine(aug_right(R->Left, KL),
-                             Entry::aug_from_entry(R->E)),
-          aug_left(R->Right, KR));
+          Entry::aug_combine(L.finish(), Entry::aug_from_entry(R->E)),
+          Rt.finish());
     }
     return Entry::aug_empty();
   }
@@ -175,16 +143,14 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
       return std::nullopt;
     while (true) {
       if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
         std::optional<entry_t> Out;
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (P(Entry::aug_from_entry(E))) {
-                Out = E;
-                return false;
-              }
-              return true;
-            });
+        NL::scan(T, [&](const entry_t &E) {
+          if (P(Entry::aug_from_entry(E))) {
+            Out = E;
+            return false;
+          }
+          return true;
+        });
         return Out;
       }
       const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -199,6 +165,66 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
       T = R->Right;
     }
   }
+
+private:
+  /// One boundary path of a prefix or suffix aggregate, walked one level
+  /// per step(). A suffix walk (keys >= K) passes whole subtrees on its
+  /// right, so Acc holds what lies right of T; a prefix walk (keys <= K)
+  /// passes them on its left, so Acc holds what lies left of T. finish()
+  /// folds the block at the end of the path on the matching side, which
+  /// keeps every combine in left-to-right key order.
+  template <bool Suffix> struct boundary {
+    const node_t *T;
+    const key_t &K;
+    aug_t Acc = Entry::aug_empty();
+
+    /// Moves one level down; false once T is null or a flat block.
+    bool step() {
+      if (!T || is_flat(T))
+        return false;
+      const auto *R = static_cast<const typename NL::regular_t *>(T);
+      if constexpr (Suffix) {
+        if (key_less(entry_key(R->E), K)) {
+          T = R->Right;
+          return true;
+        }
+        Acc = Entry::aug_combine(
+            Entry::aug_combine(Entry::aug_from_entry(R->E), aug_of(R->Right)),
+            Acc);
+        T = R->Left;
+      } else {
+        if (key_less(K, entry_key(R->E))) {
+          T = R->Left;
+          return true;
+        }
+        Acc = Entry::aug_combine(Entry::aug_combine(Acc, aug_of(R->Left)),
+                                 Entry::aug_from_entry(R->E));
+        T = R->Right;
+      }
+      return true;
+    }
+
+    /// The aggregate of the path once step() has returned false.
+    aug_t finish() const {
+      if (!T)
+        return Acc;
+      aug_t Block = Entry::aug_empty();
+      NL::scan(T, [&](const entry_t &E) {
+        if constexpr (Suffix) {
+          if (!key_less(entry_key(E), K))
+            Block = Entry::aug_combine(Block, Entry::aug_from_entry(E));
+          return true;
+        } else {
+          if (key_less(K, entry_key(E)))
+            return false;
+          Block = Entry::aug_combine(Block, Entry::aug_from_entry(E));
+          return true;
+        }
+      });
+      return Suffix ? Entry::aug_combine(Block, Acc)
+                    : Entry::aug_combine(Acc, Block);
+    }
+  };
 };
 
 } // namespace cpam

@@ -40,7 +40,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   using key_t = typename NL::key_t;
   using temp_buf = typename NL::temp_buf;
   using node_guard = typename NL::node_guard;
-  using NL::as_flat;
   using NL::as_regular;
   using NL::dec;
   using NL::inc;
@@ -305,12 +304,10 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       return;
     if (is_flat(T)) {
       size_t I = 0;
-      NL::encoder::for_each_while(
-          NL::payload(static_cast<const typename NL::flat_t *>(T)), T->Size,
-          [&](const entry_t &E) {
-            Out[I++] = E;
-            return true;
-          });
+      NL::scan(T, [&](const entry_t &E) {
+        Out[I++] = E;
+        return true;
+      });
       return;
     }
     auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -810,15 +807,14 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     if (is_flat(T)) {
       size_t N = T->Size, Below = 0;
       bool Found = false;
-      NL::encoder::for_each_while(
-          NL::payload(as_flat(T)), N, [&](const entry_t &E) {
-            if (Entry::comp(Entry::get_key(E), K)) {
-              ++Below;
-              return true;
-            }
-            Found = !Entry::comp(K, Entry::get_key(E));
-            return false;
-          });
+      NL::scan(T, [&](const entry_t &E) {
+        if (Entry::comp(Entry::get_key(E), K)) {
+          ++Below;
+          return true;
+        }
+        Found = !Entry::comp(K, Entry::get_key(E));
+        return false;
+      });
       if (Below == N || (Below == 0 && !Found)) {
         split_t Out;
         (Below == N ? Out.L : Out.R) = T;
@@ -912,17 +908,15 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     assert(T && I < size(T) && "select index out of range");
     while (true) {
       if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
         entry_t Out{}; // Always assigned (I < size(T)); {} pacifies GCC.
         size_t J = 0;
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (J++ == I) {
-                Out = E;
-                return false;
-              }
-              return true;
-            });
+        NL::scan(T, [&](const entry_t &E) {
+          if (J++ == I) {
+            Out = E;
+            return false;
+          }
+          return true;
+        });
         return Out;
       }
       const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -946,13 +940,11 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return Identity;
     if (is_flat(T)) {
-      const auto *Fl = static_cast<const typename NL::flat_t *>(T);
       T2 Acc = Identity;
-      NL::encoder::for_each_while(NL::payload(Fl), T->Size,
-                                  [&](const entry_t &E) {
-                                    Acc = Cmb(Acc, f(E));
-                                    return true;
-                                  });
+      NL::scan(T, [&](const entry_t &E) {
+        Acc = Cmb(Acc, f(E));
+        return true;
+      });
       return Acc;
     }
     const auto *R = static_cast<const typename NL::regular_t *>(T);

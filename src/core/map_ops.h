@@ -136,16 +136,14 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   static std::optional<entry_t> find(const node_t *T, const key_t &K) {
     while (T) {
       if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
         std::optional<entry_t> Out;
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (key_less(entry_key(E), K))
-                return true; // Keep scanning.
-              if (!key_less(K, entry_key(E)))
-                Out = E;
-              return false; // At or past K: stop.
-            });
+        NL::scan(T, [&](const entry_t &E) {
+          if (key_less(entry_key(E), K))
+            return true; // Keep scanning.
+          if (!key_less(K, entry_key(E)))
+            Out = E;
+          return false; // At or past K: stop.
+        });
         return Out;
       }
       const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -164,15 +162,13 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   static bool contains(const node_t *T, const key_t &K) {
     while (T) {
       if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
         bool Hit = false;
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (key_less(entry_key(E), K))
-                return true;
-              Hit = !key_less(K, entry_key(E));
-              return false;
-            });
+        NL::scan(T, [&](const entry_t &E) {
+          if (key_less(entry_key(E), K))
+            return true;
+          Hit = !key_less(K, entry_key(E));
+          return false;
+        });
         return Hit;
       }
       const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -191,14 +187,12 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     size_t Acc = 0;
     while (T) {
       if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (!key_less(entry_key(E), K))
-                return false;
-              ++Acc;
-              return true;
-            });
+        NL::scan(T, [&](const entry_t &E) {
+          if (!key_less(entry_key(E), K))
+            return false;
+          ++Acc;
+          return true;
+        });
         return Acc;
       }
       const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -218,14 +212,12 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     std::optional<entry_t> Best;
     while (T) {
       if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (key_less(K, entry_key(E)))
-                return false;
-              Best = E;
-              return true;
-            });
+        NL::scan(T, [&](const entry_t &E) {
+          if (key_less(K, entry_key(E)))
+            return false;
+          Best = E;
+          return true;
+        });
         return Best;
       }
       const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -244,14 +236,12 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     std::optional<entry_t> Best;
     while (T) {
       if (is_flat(T)) {
-        const auto *F = static_cast<const typename NL::flat_t *>(T);
-        NL::encoder::for_each_while(
-            NL::payload(F), T->Size, [&](const entry_t &E) {
-              if (key_less(entry_key(E), K))
-                return true;
-              Best = E;
-              return false;
-            });
+        NL::scan(T, [&](const entry_t &E) {
+          if (key_less(entry_key(E), K))
+            return true;
+          Best = E;
+          return false;
+        });
         return Best;
       }
       const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -640,10 +630,8 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   template <class F> static bool foreach_seq(const node_t *T, const F &f) {
     if (!T)
       return true;
-    if (is_flat(T)) {
-      const auto *Fl = static_cast<const typename NL::flat_t *>(T);
-      return NL::encoder::for_each_while(NL::payload(Fl), T->Size, f);
-    }
+    if (is_flat(T))
+      return NL::scan(T, f);
     const auto *R = static_cast<const typename NL::regular_t *>(T);
     return foreach_seq(R->Left, f) && f(R->E) && foreach_seq(R->Right, f);
   }
@@ -655,13 +643,11 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return;
     if (is_flat(T)) {
-      const auto *Fl = static_cast<const typename NL::flat_t *>(T);
       size_t I = Offset;
-      NL::encoder::for_each_while(NL::payload(Fl), T->Size,
-                                  [&](const entry_t &E) {
-                                    f(I++, E);
-                                    return true;
-                                  });
+      NL::scan(T, [&](const entry_t &E) {
+        f(I++, E);
+        return true;
+      });
       return;
     }
     const auto *R = static_cast<const typename NL::regular_t *>(T);
@@ -732,16 +718,14 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   /// not consumed.
   static node_t *copy_block(const node_t *T, const key_t *KL,
                             const key_t *KR) {
-    const auto *F = static_cast<const typename NL::flat_t *>(T);
     leaf_writer W(T->Size);
-    NL::encoder::for_each_while(
-        NL::payload(F), T->Size, [&](const entry_t &E) {
-          if (KR && key_less(*KR, entry_key(E)))
-            return false;
-          if (!KL || !key_less(entry_key(E), *KL))
-            W.push(E);
-          return true;
-        });
+    NL::scan(T, [&](const entry_t &E) {
+      if (KR && key_less(*KR, entry_key(E)))
+        return false;
+      if (!KL || !key_less(entry_key(E), *KL))
+        W.push(E);
+      return true;
+    });
     return W.finish();
   }
 

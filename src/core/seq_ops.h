@@ -177,17 +177,13 @@ private:
   static bool find_first_rec(const node_t *T, const Pred &P, size_t &Index) {
     if (!T)
       return false;
-    if (is_flat(T)) {
-      const auto *F = static_cast<const typename NL::flat_t *>(T);
-      bool Found = !NL::encoder::for_each_while(
-          NL::payload(F), T->Size, [&](const entry_t &E) {
-            if (P(E))
-              return false;
-            ++Index;
-            return true;
-          });
-      return Found;
-    }
+    if (is_flat(T))
+      return !NL::scan(T, [&](const entry_t &E) {
+        if (P(E))
+          return false;
+        ++Index;
+        return true;
+      });
     const auto *R = static_cast<const typename NL::regular_t *>(T);
     if (find_first_rec(R->Left, P, Index))
       return true;

@@ -14,7 +14,10 @@
 /// the neighbours V of U in order and stops once Visit returns false. An
 /// adapter that ignores the result (or a Visit returning void) only loses
 /// the early stop. Graphs must be symmetric: a pull round reads V's own
-/// list to find the edges into V.
+/// list to find the edges into V. An adapter may also expose
+/// prefetch(U), a hint that U's list is read soon: edge_map calls it a
+/// fixed distance ahead of the vertex it reads, so the first miss of the
+/// next lists overlaps the work on this one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +45,20 @@ struct vertex_subset {
 /// degrees from the neighbour adapters.
 inline constexpr size_t kPullFrontierDivisor = 20;
 
+/// Look-ahead of the prefetch(U) hint: a pull round hints the vertex this
+/// many ids ahead, a push round the frontier entry this many places ahead
+/// in its chunk (the whole frontier when forks run inline).
+inline constexpr size_t kPullPrefetchDistance = 16;
+inline constexpr size_t kPushPrefetchDistance = 8;
+
 namespace detail {
+
+/// Calls Neighbors.prefetch(U) if the adapter has that hook.
+template <class NeighborFn>
+void prefetch_neighbors(const NeighborFn &Neighbors, vertex_id U) {
+  if constexpr (requires { Neighbors.prefetch(U); })
+    Neighbors.prefetch(U);
+}
 
 /// Push round: each frontier vertex U offers every neighbour V with cond(V)
 /// to f(U, V), and V joins the output when f returns true. Discoveries
@@ -52,11 +68,18 @@ template <class NeighborFn, class F, class Cond>
 vertex_subset edge_map_push(const NeighborFn &Neighbors,
                             const vertex_subset &Frontier, const F &f,
                             const Cond &cond) {
-  auto Visit = [&](vertex_id U, std::vector<vertex_id> &Out) {
-    Neighbors(U, [&](vertex_id V) {
-      if (cond(V) && f(U, V))
-        Out.push_back(V);
-    });
+  // Visits frontier entries [Lo, Hi), hinting the one kPushPrefetchDistance
+  // places ahead.
+  auto Visit = [&](size_t Lo, size_t Hi, std::vector<vertex_id> &Out) {
+    for (size_t I = Lo; I < Hi; ++I) {
+      if (I + kPushPrefetchDistance < Hi)
+        prefetch_neighbors(Neighbors, Frontier.Vs[I + kPushPrefetchDistance]);
+      vertex_id U = Frontier.Vs[I];
+      Neighbors(U, [&](vertex_id V) {
+        if (cond(V) && f(U, V))
+          Out.push_back(V);
+      });
+    }
   };
   size_t N = Frontier.size();
   size_t NumChunks =
@@ -66,16 +89,14 @@ vertex_subset edge_map_push(const NeighborFn &Neighbors,
                             static_cast<size_t>(par::num_workers()));
   vertex_subset Next;
   if (NumChunks <= 1) {
-    for (vertex_id U : Frontier.Vs)
-      Visit(U, Next.Vs);
+    Visit(0, N, Next.Vs);
     return Next;
   }
   std::vector<std::vector<vertex_id>> Bufs(NumChunks);
   par::parallel_for(
       0, NumChunks,
       [&](size_t C) {
-        for (size_t I = N * C / NumChunks; I < N * (C + 1) / NumChunks; ++I)
-          Visit(Frontier.Vs[I], Bufs[C]);
+        Visit(N * C / NumChunks, N * (C + 1) / NumChunks, Bufs[C]);
       },
       /*Gran=*/1);
   std::vector<size_t> Offsets(NumChunks + 1, 0);
@@ -105,6 +126,9 @@ vertex_subset edge_map_pull(const NeighborFn &Neighbors, size_t NumVertices,
   par::parallel_for(0, Frontier.size(),
                     [&](size_t I) { InFrontier[Frontier.Vs[I]] = 1; });
   par::parallel_for(0, NumVertices, [&](size_t I) {
+    if (I + kPullPrefetchDistance < NumVertices)
+      prefetch_neighbors(Neighbors,
+                         static_cast<vertex_id>(I + kPullPrefetchDistance));
     vertex_id V = static_cast<vertex_id>(I);
     if (!cond(V))
       return;
@@ -147,11 +171,19 @@ vertex_subset edge_map(const NeighborFn &Neighbors, size_t NumVertices,
 }
 
 /// Adapts a flat snapshot (vector of edge trees) to the NeighborFn shape.
+/// For edge sets that expose their root node, prefetch(U) starts loading
+/// the root of U's set.
 template <class EdgeSet> struct snapshot_neighbors {
   const std::vector<EdgeSet> &Snap;
   template <class F> void operator()(vertex_id U, const F &f) const {
     if (U < Snap.size())
       Snap[U].foreach_seq(f);
+  }
+  void prefetch(vertex_id U) const
+    requires requires(const EdgeSet &S) { S.root(); }
+  {
+    if (U < Snap.size())
+      __builtin_prefetch(Snap[U].root());
   }
 };
 

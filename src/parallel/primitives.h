@@ -59,7 +59,7 @@ T reduce_rec(const T *A, size_t N, const T &Identity, const F &f) {
     return Acc;
   }
   size_t Mid = N / 2;
-  T L, R;
+  T L = Identity, R = Identity;
   par_do([&] { L = reduce_rec(A, Mid, Identity, f); },
          [&] { R = reduce_rec(A + Mid, N - Mid, Identity, f); });
   return f(L, R);
@@ -78,7 +78,7 @@ T reduce_idx_rec(size_t Lo, size_t Hi, const G &get, const T &Identity,
     return Acc;
   }
   size_t Mid = Lo + N / 2;
-  T L, R;
+  T L = Identity, R = Identity;
   par_do([&] { L = reduce_idx_rec(Lo, Mid, get, Identity, f); },
          [&] { R = reduce_idx_rec(Mid, Hi, get, Identity, f); });
   return f(L, R);

@@ -77,6 +77,94 @@ TYPED_TEST(AugSumTest, AugRangeMatchesBruteForce) {
   }
 }
 
+// An order-sensitive augmentation: (count, first key, last key) combines
+// associatively but not commutatively, so an aggregate that folds a block
+// or a subtree out of key order shows in its first or last key.
+struct KeySpan {
+  uint64_t Count = 0, First = 0, Last = 0;
+  bool operator==(const KeySpan &) const = default;
+};
+
+std::ostream &operator<<(std::ostream &OS, const KeySpan &S) {
+  return OS << "{" << S.Count << ", " << S.First << ", " << S.Last << "}";
+}
+
+struct KeySpanEntry : map_entry<uint64_t, uint64_t> {
+  using aug_t = KeySpan;
+  static aug_t aug_empty() { return {}; }
+  static aug_t aug_from_entry(const entry_t &E) {
+    return {1, E.first, E.first};
+  }
+  static aug_t aug_combine(const aug_t &A, const aug_t &B) {
+    if (!A.Count)
+      return B;
+    if (!B.Count)
+      return A;
+    return {A.Count + B.Count, A.First, B.Last};
+  }
+};
+
+/// \p MapT's block size and encoder over KeySpanEntry.
+template <class MapT> struct key_span_map;
+template <class E, int B, template <class> class Enc>
+struct key_span_map<aug_map<E, B, Enc>> {
+  using type = aug_map<KeySpanEntry, B, Enc>;
+};
+
+// aug_left, aug_right, aug_range and range(...).aug_val() against a left
+// fold over the sorted entries. Bounds fall inside one block, across
+// blocks and outside the key range; a combine out of key order anywhere
+// on a boundary path (or in a boundary block) changes the answer.
+TYPED_TEST(AugSumTest, AugQueriesCombineLeftToRight) {
+  using M = typename key_span_map<TypeParam>::type;
+  constexpr uint64_t kN = 3000, kGap = 3;
+  std::vector<std::pair<uint64_t, uint64_t>> E;
+  for (uint64_t I = 0; I < kN; ++I)
+    E.push_back({kGap * I + 1, I});
+  M Map = M::from_sorted(E);
+  auto Fold = [&](uint64_t Lo, uint64_t Hi) {
+    KeySpan Acc;
+    for (const auto &Ent : E)
+      if (Ent.first >= Lo && Ent.first <= Hi)
+        Acc = KeySpanEntry::aug_combine(Acc,
+                                        KeySpanEntry::aug_from_entry(Ent));
+    return Acc;
+  };
+  constexpr uint64_t kMaxKey = kGap * (kN - 1) + 1;
+  const uint64_t Near = kGap * std::max<uint64_t>(M::ops::kB, 2);
+  Rng Q(12);
+  uint64_t Draws = 0;
+  auto Next = [&](uint64_t Bound) { return Q.ith(Draws++, Bound); };
+  for (int T = 0; T < 2000; ++T) {
+    uint64_t Lo = Next(kMaxKey + 8), Hi;
+    switch (T % 4) {
+    case 0: // Within a block's width of Lo.
+      Hi = Lo + Next(Near);
+      break;
+    case 1: // Anywhere above Lo, usually blocks away.
+      Hi = Lo + Next(kMaxKey + 8 - Lo);
+      break;
+    case 2: // Open below or above the key range.
+      if (Next(2)) {
+        Hi = Lo;
+        Lo = 0;
+      } else {
+        Hi = kMaxKey + 5;
+      }
+      break;
+    default: // Near either end.
+      Lo = Next(2) ? Next(Near) : kMaxKey - Next(Near);
+      Hi = Lo + Next(Near);
+    }
+    ASSERT_EQ(Map.aug_left(Hi), Fold(0, Hi)) << "aug_left " << Hi;
+    ASSERT_EQ(Map.aug_right(Lo), Fold(Lo, UINT64_MAX)) << "aug_right " << Lo;
+    KeySpan Want = Fold(Lo, Hi);
+    ASSERT_EQ(Map.aug_range(Lo, Hi), Want) << "[" << Lo << "," << Hi << "]";
+    ASSERT_EQ(Map.range(Lo, Hi).aug_val(), Want)
+        << "range [" << Lo << "," << Hi << "]";
+  }
+}
+
 TYPED_TEST(AugSumTest, AugMaintainedThroughUpdates) {
   TypeParam M;
   uint64_t Total = 0;

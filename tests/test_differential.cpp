@@ -12,7 +12,10 @@
 /// baseline, small blocks, the paper default), two seeded episodes per
 /// test. After every step the tree
 /// must satisfy the Def. 4.1 invariants and agree elementwise (keys *and*
-/// combined values) with the oracle. PAM (Sun et al.) defines the
+/// combined values) with the oracle; a map must also answer find,
+/// contains, rank, select, previous and next like it at about 64 present
+/// and absent keys, which reads raw and diff blocks through the one block
+/// scan. PAM (Sun et al.) defines the
 /// uncompressed semantics the compressed block paths must preserve
 /// exactly; this suite is what licenses the cursor rewrite of the Sec. 8
 /// base cases.
@@ -35,6 +38,7 @@
 #include <iterator>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <type_traits>
 #include <utility>
@@ -91,6 +95,42 @@ Oracle toOracle(const EntryVec &Entries) {
   return O;
 }
 
+/// Point queries against the sorted oracle entries \p Want at about 64
+/// keys: every (n/24)-th present key and its successor (often absent),
+/// 16 keys spread over the universe, and 0, the first key, the last key
+/// and one past it.
+template <class MapT>
+void checkPointQueries(const MapT &M, const EntryVec &Want, const char *What) {
+  std::vector<uint64_t> Probes = {0};
+  size_t Stride = std::max<size_t>(1, Want.size() / 24);
+  for (size_t I = 0; I < Want.size(); I += Stride)
+    Probes.insert(Probes.end(), {Want[I].first, Want[I].first + 1});
+  for (uint64_t J = 0; J < 16; ++J)
+    Probes.push_back(J * (kUniverse + 2) / 16);
+  if (!Want.empty())
+    Probes.insert(Probes.end(), {Want.front().first, Want.back().first,
+                                 Want.back().first + 1});
+  for (uint64_t K : Probes) {
+    auto It = std::lower_bound(
+        Want.begin(), Want.end(), K,
+        [](const auto &E, uint64_t Key) { return E.first < Key; });
+    size_t Rank = static_cast<size_t>(It - Want.begin());
+    bool Has = It != Want.end() && It->first == K;
+    ASSERT_EQ(M.contains(K), Has) << What << ": contains " << K;
+    ASSERT_EQ(M.find(K), Has ? std::optional(It->second) : std::nullopt)
+        << What << ": find " << K;
+    ASSERT_EQ(M.rank(K), Rank) << What << ": rank " << K;
+    if (Rank < Want.size()) {
+      ASSERT_EQ(M.select(Rank), Want[Rank]) << What << ": select " << Rank;
+    }
+    auto Next = It == Want.end() ? std::nullopt : std::optional(*It);
+    ASSERT_EQ(M.next(K), Next) << What << ": next " << K;
+    size_t AtMost = Rank + Has; // Entries with key <= K.
+    auto Prev = AtMost ? std::optional(Want[AtMost - 1]) : std::nullopt;
+    ASSERT_EQ(M.previous(K), Prev) << What << ": previous " << K;
+  }
+}
+
 template <class MapT>
 void checkAgainstOracle(const MapT &M, const Oracle &O, const char *What) {
   ASSERT_EQ(M.check_invariants(), "") << What;
@@ -98,6 +138,7 @@ void checkAgainstOracle(const MapT &M, const Oracle &O, const char *What) {
   EntryVec Got = M.to_vector();
   EntryVec Want(O.begin(), O.end());
   ASSERT_EQ(Got, Want) << What;
+  checkPointQueries(M, Want, What);
 }
 
 /// Bounds for a range step: present keys, absent keys, an inverted pair
