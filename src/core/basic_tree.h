@@ -356,54 +356,44 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     typename NL::encoder::read_cursor C;
   };
 
-  /// Chunked streaming writer: turns one ordered entry stream of arbitrary
-  /// length into a balanced tree of legal flat leaves with no decode/
-  /// re-encode bounce — every entry is encoded exactly once, in batch.
+  /// Streaming writer: turns one ordered entry stream of at most \p MaxN
+  /// entries into a balanced tree of legal flat leaves, for every blocked
+  /// tree (B = 0 trees never reach one; see map_ops::merge_whole).
   ///
   /// push() is a single store into a pending entry array. Once 3B+1
-  /// entries are pending, the oldest 2B are fed to the encoder's
-  /// write_cursor in one tight loop (batch encode, unlike a per-entry
-  /// interleave this pipelines well) and sealed as a finished leaf — one
-  /// exactly-sized allocation plus the encoder's cut(), a memcpy for
-  /// byte-coded schemes — the next pending entry becomes the separator
-  /// entry of a regular node, and the remaining B compact to the front.
-  /// The 3B+1 threshold is the hold-back that makes tails legal without
-  /// ever revisiting a sealed byte: a chunk is only sealed once B+1 later
+  /// entries are pending, the oldest 2B are sealed as a finished leaf by
+  /// make_flat (which aggregates augmented blocks and encodes each entry
+  /// once), the next pending entry becomes the separator entry of a
+  /// regular node, and the remaining B compact to the front. The 3B+1
+  /// threshold is the hold-back that makes tails legal without ever
+  /// revisiting a sealed leaf: a chunk is only sealed once B+1 later
   /// entries exist, so after any seal at least B entries are pending, and
-  /// finish() always closes the stream as one or two leaves in [B, 2B]
-  /// (a pending tail in (2B, 3B] splits around its median); a whole
-  /// stream of at most 2B entries is one leaf of any size, the shape every
-  /// small subtree has. finish() assembles the sealed leaves and
-  /// separators into a weight-balanced top with join (forking for wide
-  /// results, the same discipline as from_array_move).
+  /// finish() always closes the stream as one or two leaves in [B, 2B] (a
+  /// pending tail in (2B, 3B] splits around its median); a whole stream of
+  /// at most 2B entries is one leaf of any size, the shape every small
+  /// subtree has. finish() assembles the sealed leaves and separators into
+  /// a weight-balanced top with join (forking for wide results, the same
+  /// discipline as from_array_move).
   ///
   /// Abandonment mid-stream leaks nothing: sealed leaves are dec'd,
-  /// pending and staged entries destroyed. Not for augmented trees:
-  /// alloc_flat cannot aggregate a stream it never materializes
-  /// (leaf_writer falls back to staging for those).
-  class leaf_chunk_writer {
+  /// pending entries and separators destroyed.
+  class leaf_writer {
   public:
-    using WC = typename NL::encoder::write_cursor;
     /// Entries per sealed leaf: full blocks, so a stream of k*2B entries
-    /// becomes exactly k leaves (the ROADMAP's "fresh full-width key every
-    /// ~2B entries").
+    /// becomes exactly k leaves.
     static constexpr size_t kChunk = 2 * kB;
     /// Pending entries that trigger a seal: chunk + separator + the B
     /// hold-back that keeps every later tail legal.
     static constexpr size_t kPendTrigger = 3 * kB + 1;
 
-    explicit leaf_chunk_writer(size_t MaxN) {
-      // One scratch buffer carries the encoder staging bytes, the pending
-      // array and (for streams that can span leaves) the separator and
-      // leaf-pointer arrays; for a stream of at most 2B small entries it
-      // sits inside the writer, so sealing the result is the only
-      // allocation.
-      size_t CursorCap = std::max<size_t>(1, std::min(MaxN, kChunk));
+    explicit leaf_writer(size_t MaxN) {
+      // One scratch buffer carries the pending array and, for streams that
+      // can span leaves, the separator and leaf-pointer arrays; for a
+      // stream of at most 2 KiB of entries it sits inside the writer, so
+      // sealing the result is the only allocation.
       PendCap = std::max<size_t>(1, std::min(MaxN, kPendTrigger));
-      size_t PendOff = align_up(WC::max_bytes(CursorCap), alignof(entry_t));
-      size_t SepOff = PendOff + PendCap * sizeof(entry_t);
-      size_t LeafOff = SepOff;
-      size_t Bytes = SepOff;
+      size_t SepOff = PendCap * sizeof(entry_t);
+      size_t LeafOff = SepOff, Bytes = SepOff;
       if (MaxN > kChunk) {
         // Every sealed leaf covers at least B+1 stream entries (leaf plus
         // separator), which bounds the unit arrays up front.
@@ -413,23 +403,19 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
         Bytes = LeafOff + MaxUnits * sizeof(node_t *);
       }
       uint8_t *Buf = Mem.reserve(Bytes);
-      Pending = reinterpret_cast<entry_t *>(Buf + PendOff);
+      Pending = reinterpret_cast<entry_t *>(Buf);
       if (MaxN > kChunk) {
         Seps = reinterpret_cast<entry_t *>(Buf + SepOff);
         Leaves = reinterpret_cast<node_t **>(Buf + LeafOff);
       }
-      C.emplace(Buf, CursorCap);
     }
-    leaf_chunk_writer(const leaf_chunk_writer &) = delete;
-    leaf_chunk_writer &operator=(const leaf_chunk_writer &) = delete;
-    ~leaf_chunk_writer() {
-      C->release(); // Staged entries live inside Mem; drop them first.
-      if constexpr (!std::is_trivially_destructible_v<entry_t>) {
-        for (size_t I = 0; I < NPend; ++I)
-          Pending[I].~entry_t();
+    leaf_writer(const leaf_writer &) = delete;
+    leaf_writer &operator=(const leaf_writer &) = delete;
+    ~leaf_writer() {
+      destroy_pending();
+      if constexpr (!std::is_trivially_destructible_v<entry_t>)
         for (size_t I = 0; I < NSeps; ++I)
           Seps[I].~entry_t();
-      }
       for (size_t I = 0; I < NLeaves; ++I)
         NL::dec(Leaves[I]);
     }
@@ -446,32 +432,25 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       if (NPend == 0) {
         Out = nullptr; // Nothing pushed: any seal leaves B pending.
       } else if (NLeaves == 0 && NPend <= kChunk) {
-        // The whole stream is one legal leaf: adopt the batch-encoded
-        // bytes wholesale (the unit arrays may not exist here — a
-        // MaxN <= 2B writer never allocates them).
-        feed(0, NPend);
-        typename NL::flat_t *F = NL::alloc_flat(NPend, C->bytes());
-        C->cut(NL::payload(F));
-        Out = F;
+        // The whole stream is one legal leaf (the unit arrays may not
+        // exist here: a MaxN <= 2B writer never reserves them).
+        Out = make_flat(Pending, NPend);
       } else if (NPend <= kChunk) {
         // One more legal leaf under sealed ones: the hold-back
         // guarantees NPend >= B.
         assert(NPend >= kB && "hold-back must keep tails >= B");
-        feed(0, NPend);
-        seal(NPend);
+        seal(0, NPend);
         Out = close_top();
       } else {
         // Tail in (2B, 3B]: two legal leaves around the median entry.
         size_t S1 = NPend / 2;
         assert(S1 >= kB && NPend - 1 - S1 >= kB && "illegal tail split");
-        feed(0, S1);
-        seal(S1);
+        seal(0, S1);
         new_separator(std::move(Pending[S1]));
-        feed(S1 + 1, NPend);
-        seal(NPend - 1 - S1);
+        seal(S1 + 1, NPend - 1 - S1);
         Out = close_top();
       }
-      destroy_pending(); // Every branch leaves only movable husks behind.
+      destroy_pending(); // Sealed entries left only destructible husks.
       NPend = 0;
       return Out;
     }
@@ -481,32 +460,22 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       return (X + A - 1) & ~(A - 1);
     }
 
-    /// Batch-encodes pending entries [From, To) into the write cursor in
-    /// one push_n pass (register-local chain state; a memcpy for raw).
-    /// Entry-staging schemes move the entries out, leaving destructible
-    /// husks; byte-coded schemes read integral keys and leave the slots
-    /// untouched — either way the pending slots stay destructible.
-    void feed(size_t From, size_t To) {
-      C->push_n(Pending + From, To - From);
-    }
     void destroy_pending(size_t From = 0) {
       if constexpr (!std::is_trivially_destructible_v<entry_t>)
         for (size_t I = From; I < NPend; ++I)
           Pending[I].~entry_t();
     }
 
-    /// Seals the current cursor chunk (N entries) as one finished leaf.
-    /// The "leaf.seal" failpoint models an allocation failure mid-merge:
-    /// the cursor still owns the staged chunk bytes, so abandonment after
-    /// a throw here leaks nothing.
-    void seal(size_t N) {
+    /// Seals pending entries [From, From + N) as one finished leaf.
+    /// make_flat moves entries out only once the leaf is allocated, so a
+    /// throw here (the "leaf.seal" failpoint models an allocation failure
+    /// mid-merge) leaves them pending, and abandonment leaks nothing.
+    void seal(size_t From, size_t N) {
       assert(Leaves && NLeaves < MaxUnits &&
              "sealing requires the unit arrays (MaxN > 2B)");
       if (CPAM_FAILPOINT_ACTIVE("leaf.seal"))
         throw std::bad_alloc();
-      typename NL::flat_t *F = NL::alloc_flat(N, C->bytes());
-      C->cut(NL::payload(F));
-      Leaves[NLeaves++] = F;
+      Leaves[NLeaves++] = make_flat(Pending + From, N);
     }
     void new_separator(entry_t Sep) {
       ::new (static_cast<void *>(Seps + NSeps)) entry_t(std::move(Sep));
@@ -516,8 +485,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     /// Pending hit 3B+1: emit the oldest 2B as a sealed leaf, take the
     /// next as separator, compact the remaining B to the front.
     void drain_chunk() {
-      feed(0, kChunk);
-      seal(kChunk);
+      seal(0, kChunk);
       new_separator(std::move(Pending[kChunk]));
       size_t Rest = NPend - kChunk - 1; // == kB
       if constexpr (std::is_trivially_copyable_v<entry_t>) {
@@ -572,89 +540,18 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     }
 
     scratch_buf Mem; // Declared first: outlives every view into it.
-    std::optional<WC> C;
     /// Pending (not yet encoded) entries; the hold-back that keeps every
     /// sealed leaf and tail inside [B, 2B].
     entry_t *Pending = nullptr;
     size_t PendCap = 0;
     size_t NPend = 0;
-    /// Separator staging and sealed-leaf array: present only for streams
+    /// Pending separators and sealed leaves: present only for streams
     /// that can span leaves (MaxN > 2B).
     entry_t *Seps = nullptr;
     node_t **Leaves = nullptr;
     size_t MaxUnits = 0;
     size_t NLeaves = 0;
     size_t NSeps = 0;
-  };
-
-  /// Streaming writer assembling a result tree from entries pushed in order
-  /// (at most \p MaxN of them). Two representations, picked up front:
-  ///
-  ///  - Blocked, unaugmented, byte-coded trees: the chunked
-  ///    leaf_chunk_writer above — the stream is emitted as finished leaves
-  ///    chunk by chunk, whatever its length, with no entry
-  ///    materialization.
-  ///  - Everything else: entries stage into a plain array and finish() is
-  ///    from_array_move. For entry-staging encodings (raw) the staging
-  ///    array is already the encoded form, so this is the faster shape —
-  ///    batch block encodes, parallel for wide results — and it is the
-  ///    only correct one for augmented trees, whose aggregates need the
-  ///    entries.
-  ///
-  /// Abandonment leaks nothing in either mode.
-  class leaf_writer {
-  public:
-    using WC = typename NL::encoder::write_cursor;
-    /// Chunked byte-streaming requires blocking, no augmented aggregate
-    /// (which would need the entries materialized anyway) and a byte-coded
-    /// scheme (entry-staging ones build faster from their staging array).
-    static constexpr bool kCanStream =
-        kBlocked && !NL::is_aug && !WC::stages_entries;
-
-    explicit leaf_writer(size_t MaxN) {
-      if constexpr (kCanStream) {
-        CW.emplace(MaxN);
-      } else {
-        Cap = std::max<size_t>(1, MaxN);
-        Stage = reinterpret_cast<entry_t *>(
-            Scratch.reserve(Cap * sizeof(entry_t)));
-      }
-    }
-    leaf_writer(const leaf_writer &) = delete;
-    leaf_writer &operator=(const leaf_writer &) = delete;
-    ~leaf_writer() {
-      if constexpr (!kCanStream && !std::is_trivially_destructible_v<entry_t>)
-        for (size_t I = 0; I < N; ++I)
-          Stage[I].~entry_t();
-    }
-
-    void push(entry_t E) {
-      if constexpr (kCanStream) {
-        CW->push(std::move(E));
-      } else {
-        assert(N < Cap && "leaf_writer overflow");
-        ::new (static_cast<void *>(Stage + N)) entry_t(std::move(E));
-        ++N;
-      }
-    }
-    /// Builds the result tree (nullptr when nothing was pushed).
-    node_t *finish() {
-      if constexpr (kCanStream)
-        return CW->finish();
-      else
-        return N ? from_array_move(Stage, N) : nullptr;
-    }
-
-  private:
-    /// The chunk writer exists only in streaming instantiations, so
-    /// staging-only trees (augmented, B = 0) never instantiate it, and the
-    /// staging scratch only in the others.
-    struct none {};
-    std::conditional_t<kCanStream, none, scratch_buf> Scratch;
-    std::conditional_t<kCanStream, std::optional<leaf_chunk_writer>, none> CW;
-    entry_t *Stage = nullptr;
-    size_t Cap = 0;
-    size_t N = 0;
   };
 
   //===--------------------------------------------------------------------===

@@ -78,7 +78,6 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using TO::split;
   using leaf_reader = typename TO::leaf_reader;
   using leaf_writer = typename TO::leaf_writer;
-  using leaf_chunk_writer = typename TO::leaf_chunk_writer;
 
   /// Base-case granularity kappa of Sec. 8: a dense pair of operands with at
   /// most this many entries in total merges whole (see merge_whole). The
@@ -90,10 +89,11 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   /// 191 M operand entries/s for kappa = 8B / 16B / 32B / 64B / 128B
   /// (medians of 5 runs), while resident memory grows past 32B. The knee,
   /// 32B, also keeps a base case's 16-byte entry buffers inside the pool's
-  /// 64 KiB top size class. Unblocked trees (B = 0) keep kappa = 0. Mutable
-  /// only for the ablation bench and tests (single-threaded setup code).
+  /// 64 KiB top size class. kappa means nothing without blocks: the
+  /// P-trees of PAM (B = 0) never merge whole. Mutable only for the
+  /// ablation bench and tests (single-threaded setup code).
   static size_t &kappa() {
-    static size_t K = kBlocked ? 32 * static_cast<size_t>(kB) : 0;
+    static size_t K = 32 * static_cast<size_t>(kB);
     return K;
   }
 
@@ -104,12 +104,13 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   /// most kappa() entries. A sparse pair keeps recursing down the larger
   /// side, so merging m scattered keys into n entries touches O(m) blocks
   /// rather than rewriting every kappa-sized subtree they land in. Without
-  /// blocks (B = 0) there is no density test: kappa() alone decides.
+  /// blocks (B = 0) a pair never merges whole: the recursion runs down to
+  /// single nodes, so P-trees never reach a leaf_writer.
   static bool merge_whole(size_t N1, size_t N2) {
+    if constexpr (!kBlocked)
+      return false;
     size_t Lo = std::min(N1, N2), Hi = std::max(N1, N2);
-    if constexpr (kBlocked)
-      return Hi <= 2 * kB || (N1 + N2 <= kappa() && Lo * kB >= Hi);
-    return N1 + N2 <= kappa();
+    return Hi <= 2 * kB || (N1 + N2 <= kappa() && Lo * kB >= Hi);
   }
 
   static const key_t &entry_key(const entry_t &E) { return Entry::get_key(E); }
@@ -616,7 +617,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   //===--------------------------------------------------------------------===
 
   /// Replaces every value by f(entry), keeping the keys (still strictly
-  /// increasing, as the byte-coded write cursors require). Consumes \p T.
+  /// increasing, as the delta-coded encoders require). Consumes \p T.
   template <class F> static node_t *map_values(node_t *T, const F &f) {
     static_assert(Entry::has_val, "map_values requires a map entry");
     return TO::map(T, [&f](entry_t E) {

@@ -23,6 +23,7 @@
 #ifndef CPAM_CORE_NODE_H
 #define CPAM_CORE_NODE_H
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -250,8 +251,16 @@ struct node_layer {
     return T;
   }
 
-  /// Creates a flat node from \p N entries (moved out of \p A).
-  static node_t *make_flat(entry_t *A, size_t N) {
+  /// Creates a flat node from the \p N entries of \p A: the one builder of
+  /// a block. It aggregates the augmented value and encodes every entry
+  /// once. A scheme whose payload is the entry array itself
+  /// (encoder::stages_entries) sizes the node up front and moves the
+  /// entries straight in; any other encodes into a max_bytes(2B) buffer on
+  /// the stack and copies the bytes into an exactly sized node. Entries
+  /// move only after the allocation succeeds, so a throw leaves \p A
+  /// intact. Out of line, so the buffer never joins a recursive caller's
+  /// frame.
+  [[gnu::noinline]] static node_t *make_flat(entry_t *A, size_t N) {
     assert(kBlocked && "flat nodes only exist in blocked trees");
     assert(N >= 1 && N <= 2 * kB && "flat node size out of range");
     aug_t Aug{};
@@ -260,34 +269,31 @@ struct node_layer {
       for (size_t I = 1; I < N; ++I)
         Aug = Entry::aug_combine(Aug, Entry::aug_from_entry(A[I]));
     }
-    size_t Bytes = encoder::encoded_size(A, N);
-    void *Mem = tree_alloc(kPayloadOffset + Bytes);
-    flat_t *T = ::new (Mem) flat_t;
-    T->Ref.store(1, std::memory_order_relaxed);
-    T->Kind = FlatKind;
-    T->Size = static_cast<uint32_t>(N);
-    T->Bytes = static_cast<uint32_t>(Bytes);
-    T->Aug = Aug;
-    encoder::encode(A, N, payload(T));
-    return T;
-  }
-
-  /// Allocates a flat node whose payload the caller fills with exactly
-  /// \p Bytes of encoded data for \p N entries: tree_ops::leaf_chunk_writer
-  /// seals one of these per streamed chunk through the write cursor's
-  /// cut(). The augmented value is \p Aug; the chunk writer only runs for
-  /// unaugmented trees, where it is empty.
-  static flat_t *alloc_flat(size_t N, size_t Bytes, aug_t Aug = aug_t{}) {
-    assert(kBlocked && "flat nodes only exist in blocked trees");
-    assert(N >= 1 && N <= 2 * kB && "flat node size out of range");
-    void *Mem = tree_alloc(kPayloadOffset + Bytes);
-    flat_t *T = ::new (Mem) flat_t;
-    T->Ref.store(1, std::memory_order_relaxed);
-    T->Kind = FlatKind;
-    T->Size = static_cast<uint32_t>(N);
-    T->Bytes = static_cast<uint32_t>(Bytes);
-    T->Aug = Aug;
-    return T;
+    auto Alloc = [&](size_t Bytes) {
+      flat_t *T = ::new (tree_alloc(kPayloadOffset + Bytes)) flat_t;
+      T->Ref.store(1, std::memory_order_relaxed);
+      T->Kind = FlatKind;
+      T->Size = static_cast<uint32_t>(N);
+      T->Bytes = static_cast<uint32_t>(Bytes);
+      T->Aug = Aug;
+      return T;
+    };
+    // P-trees (B = 0) never build a block; the in-place branch keeps their
+    // instantiation free of an empty buffer.
+    if constexpr (encoder::stages_entries || !kBlocked) {
+      flat_t *T = Alloc(encoder::encoded_size(A, N));
+      encoder::encode(A, N, payload(T));
+      return T;
+    } else {
+      // Left uninitialized: only the Bytes that encode writes are read.
+      std::array<uint8_t, encoder::max_bytes(2 * kB)> Buf;
+      size_t Bytes =
+          static_cast<size_t>(encoder::encode(A, N, Buf.data()) - Buf.data());
+      assert(Bytes <= encoder::max_bytes(N) && "max_bytes is not a bound");
+      flat_t *T = Alloc(Bytes);
+      std::memcpy(payload(T), Buf.data(), Bytes);
+      return T;
+    }
   }
 
   /// Frees a regular node shell without touching its children's counts.

@@ -16,8 +16,9 @@
 ///    space savings (Sec. 10.3).
 ///
 /// Decoding is inherently sequential within a block (each key depends on the
-/// previous one), i.e. `can_be_parallel = false`; Thm. 6.13 describes the
-/// span impact.
+/// previous one); Thm. 6.13 describes the span impact. Every block begins a
+/// fresh delta chain with its first key in full, so blocks decode
+/// independently of their neighbours.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +42,7 @@ template <class Entry, bool ValsByteCoded> struct diff_encoder_impl {
   static_assert(std::is_integral_v<key_t> && std::is_unsigned_v<key_t>,
                 "difference encoding requires unsigned integral keys");
   static constexpr bool has_val = Entry::has_val;
-  static constexpr bool can_be_parallel = false;
+  static constexpr bool stages_entries = false;
 
   static size_t value_bytes([[maybe_unused]] const entry_t &E) {
     if constexpr (!has_val)
@@ -101,9 +102,19 @@ template <class Entry, bool ValsByteCoded> struct diff_encoder_impl {
     return Bytes;
   }
 
-  static void encode(entry_t *A, size_t N, uint8_t *Out) {
+  /// Bound on encoded_size for any N entries: every key a full-width byte
+  /// code (the first key, or a delta), plus the value's largest code.
+  static constexpr size_t max_bytes(size_t N) {
+    size_t PerEntry = varint_max_size<key_t>();
+    if constexpr (has_val)
+      PerEntry += ValsByteCoded ? varint_max_size<uint64_t>()
+                                : sizeof(typename Entry::val_t);
+    return N * PerEntry;
+  }
+
+  static uint8_t *encode(entry_t *A, size_t N, uint8_t *Out) {
     if (N == 0)
-      return;
+      return Out;
     Out = varint_encode(static_cast<uint64_t>(Entry::get_key(A[0])), Out);
     Out = encode_value(A[0], Out);
     for (size_t I = 1; I < N; ++I) {
@@ -112,6 +123,7 @@ template <class Entry, bool ValsByteCoded> struct diff_encoder_impl {
       Out = varint_encode(Delta, Out);
       Out = encode_value(A[I], Out);
     }
+    return Out;
   }
 
   static void decode(const uint8_t *In, size_t N, entry_t *Out) {
@@ -177,87 +189,6 @@ template <class Entry, bool ValsByteCoded> struct diff_encoder_impl {
     size_t Remaining;
     uint64_t Prev = 0;
     entry_t Cur{};
-  };
-
-  /// Streaming writer: byte-codes each entry as it is pushed, so bytes()
-  /// is exact at every point and cut() is a single memcpy — no
-  /// encoded_size or encode pass over a materialized array. cut() seals the
-  /// bytes pushed so far as one complete block and restarts the delta
-  /// chain, so the key after a cut is encoded full-width and every sealed
-  /// chunk decodes independently.
-  class write_cursor {
-  public:
-    static constexpr bool stages_entries = false;
-    /// First key costs up to a full-width varint; every entry at most a
-    /// full-width delta plus its value bytes.
-    static size_t max_bytes(size_t MaxN) {
-      size_t PerEntry = 10; // 64-bit varint worst case.
-      if constexpr (has_val)
-        PerEntry += ValsByteCoded ? 10 : sizeof(typename Entry::val_t);
-      return MaxN * PerEntry;
-    }
-
-    write_cursor(uint8_t *Buf, size_t /*MaxN*/) : Base(Buf), Out(Buf) {}
-    write_cursor(const write_cursor &) = delete;
-    write_cursor &operator=(const write_cursor &) = delete;
-
-    void push(entry_t E) {
-      uint64_t K = static_cast<uint64_t>(Entry::get_key(E));
-      if (N == 0) {
-        Out = varint_encode(K, Out);
-      } else {
-        assert(K > Prev && "block keys must be strictly increasing");
-        Out = varint_encode(K - Prev, Out);
-      }
-      Out = encode_value(E, Out);
-      Prev = K;
-      ++N;
-    }
-    /// Batch push: byte-codes \p Src[0..Count) in one tight loop with the
-    /// chain state held in registers (one writeback), which measures well
-    /// below Count individual push() calls.
-    void push_n(const entry_t *Src, size_t Count) {
-      uint8_t *O = Out;
-      uint64_t P = Prev;
-      size_t I = 0;
-      if (N == 0 && Count) {
-        P = static_cast<uint64_t>(Entry::get_key(Src[0]));
-        O = varint_encode(P, O);
-        O = encode_value(Src[0], O);
-        I = 1;
-      }
-      for (; I < Count; ++I) {
-        uint64_t K = static_cast<uint64_t>(Entry::get_key(Src[I]));
-        assert(K > P && "block keys must be strictly increasing");
-        O = varint_encode(K - P, O);
-        O = encode_value(Src[I], O);
-        P = K;
-      }
-      Out = O;
-      Prev = P;
-      N += Count;
-    }
-    size_t count() const { return N; }
-    size_t bytes() const { return static_cast<size_t>(Out - Base); }
-
-    /// Seals the current chunk into \p Dst and restarts: release() zeroes
-    /// N and Prev, so the next push re-encodes its key full-width.
-    void cut(uint8_t *Dst) {
-      if (N)
-        std::memcpy(Dst, Base, bytes());
-      release();
-    }
-    void release() {
-      Out = Base;
-      N = 0;
-      Prev = 0;
-    }
-
-  private:
-    uint8_t *Base;
-    uint8_t *Out;
-    size_t N = 0;
-    uint64_t Prev = 0;
   };
 };
 

@@ -20,7 +20,6 @@
 #define CPAM_ENCODING_GAMMA_ENCODER_H
 
 #include <cassert>
-#include <cstring>
 #include <type_traits>
 
 #include "src/encoding/varint.h"
@@ -33,6 +32,8 @@ namespace detail {
 class BitWriter {
 public:
   explicit BitWriter(uint8_t *Out) : Out(Out) {}
+  /// One past the last byte written (a partial byte counts whole).
+  uint8_t *end() const { return Out + Byte + (BitPos != 0); }
   void put(uint64_t Bits, int Count) { // Writes the low Count bits, MSB first.
     for (int I = Count - 1; I >= 0; --I) {
       if (BitPos == 0)
@@ -114,7 +115,7 @@ template <class Entry> struct gamma_encoder {
   static_assert(!Entry::has_val, "gamma_encoder supports sets only");
   static_assert(std::is_integral_v<key_t> && std::is_unsigned_v<key_t>,
                 "gamma difference encoding requires unsigned integer keys");
-  static constexpr bool can_be_parallel = false;
+  static constexpr bool stages_entries = false;
 
   static size_t encoded_size(const entry_t *A, size_t N) {
     if (N == 0)
@@ -130,9 +131,17 @@ template <class Entry> struct gamma_encoder {
            (Bits + 7) / 8;
   }
 
-  static void encode(entry_t *A, size_t N, uint8_t *Out) {
+  /// Bound on encoded_size for any N entries: a full-width first key, then
+  /// a gamma code of a full-width delta (2 * key bits - 1 bits) per entry.
+  static constexpr size_t max_bytes(size_t N) {
+    constexpr size_t DeltaBits = 16 * sizeof(key_t) - 1;
+    return N == 0 ? 0
+                  : varint_max_size<key_t>() + ((N - 1) * DeltaBits + 7) / 8;
+  }
+
+  static uint8_t *encode(entry_t *A, size_t N, uint8_t *Out) {
     if (N == 0)
-      return;
+      return Out;
     Out = varint_encode(static_cast<uint64_t>(Entry::get_key(A[0])), Out);
     detail::BitWriter W(Out);
     for (size_t I = 1; I < N; ++I) {
@@ -140,6 +149,7 @@ template <class Entry> struct gamma_encoder {
                        static_cast<uint64_t>(Entry::get_key(A[I - 1]));
       detail::gammaPut(W, Delta);
     }
+    return W.end();
   }
 
   template <class F>
@@ -212,92 +222,6 @@ template <class Entry> struct gamma_encoder {
     uint64_t Prev = 0;
     detail::BitReader R{nullptr};
     entry_t Cur{};
-  };
-
-  /// Streaming writer: gamma-codes each delta as it is pushed; bytes() is
-  /// the exact padded payload size so far and cut() is a single memcpy.
-  /// cut() seals the bytes pushed so far (padding the gamma stream to a
-  /// byte boundary) and restarts at the buffer base: the key after a cut is
-  /// varint-coded full-width, so every sealed chunk decodes independently.
-  class write_cursor {
-  public:
-    static constexpr bool stages_entries = false;
-    /// Worst case: 10-byte varint first key, then up to 127 gamma bits
-    /// (= 16 bytes) per delta.
-    static size_t max_bytes(size_t MaxN) { return 10 + 16 * MaxN; }
-
-    write_cursor(uint8_t *Buf, size_t /*MaxN*/) : Base(Buf) {}
-    write_cursor(const write_cursor &) = delete;
-    write_cursor &operator=(const write_cursor &) = delete;
-
-    void push(entry_t E) {
-      uint64_t K = static_cast<uint64_t>(Entry::get_key(E));
-      if (N == 0) {
-        uint8_t *Out = varint_encode(K, Base);
-        VarBytes = static_cast<size_t>(Out - Base);
-        W = detail::BitWriter(Out);
-      } else {
-        assert(K > Prev && "block keys must be strictly increasing");
-        uint64_t Delta = K - Prev;
-        detail::gammaPut(W, Delta);
-        Bits += detail::gammaBits(Delta);
-      }
-      Prev = K;
-      ++N;
-    }
-    /// Batch push: gamma-codes \p Src[0..Count) in one tight loop with the
-    /// bit-writer state held locally (one writeback).
-    void push_n(const entry_t *Src, size_t Count) {
-      if (Count == 0)
-        return;
-      size_t First = 0; // Entries already accounted for by push() below.
-      if (N == 0) {
-        push(Src[0]); // Counts the entry itself (N becomes 1).
-        First = 1;
-      }
-      detail::BitWriter LW = W;
-      uint64_t P = Prev;
-      size_t B = Bits;
-      for (size_t I = First; I < Count; ++I) {
-        uint64_t K = static_cast<uint64_t>(Entry::get_key(Src[I]));
-        assert(K > P && "block keys must be strictly increasing");
-        uint64_t Delta = K - P;
-        detail::gammaPut(LW, Delta);
-        B += detail::gammaBits(Delta);
-        P = K;
-      }
-      W = LW;
-      Prev = P;
-      Bits = B;
-      N += Count - First;
-    }
-    size_t count() const { return N; }
-    size_t bytes() const {
-      return N == 0 ? 0 : VarBytes + (Bits + 7) / 8;
-    }
-
-    /// Seals the current chunk into \p Dst and restarts: release() zeroes
-    /// the bit count and Prev, so the next push re-encodes its key as a
-    /// full-width varint at the buffer base.
-    void cut(uint8_t *Dst) {
-      if (N)
-        std::memcpy(Dst, Base, bytes());
-      release();
-    }
-    void release() {
-      N = 0;
-      Bits = 0;
-      VarBytes = 0;
-      Prev = 0;
-    }
-
-  private:
-    uint8_t *Base;
-    detail::BitWriter W{nullptr};
-    size_t N = 0;
-    size_t Bits = 0;
-    size_t VarBytes = 0;
-    uint64_t Prev = 0;
   };
 };
 

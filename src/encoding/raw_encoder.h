@@ -11,18 +11,25 @@
 /// graph representation): entries are properly constructed and destroyed.
 ///
 /// Encoder interface (all encoders implement this; see Sec. 8 "Compression
-/// on Blocks" for the user-defined-scheme design):
+/// on Blocks" for the user-defined-scheme design). A block is encoded and
+/// decoded as a whole; node_layer::make_flat is the one builder of a block.
 ///   encoded_size(A, N)    bytes needed for A[0..N)
-///   encode(A, N, Out)     write block; may move from A
+///   max_bytes(N)          constexpr bound on encoded_size of any N entries
+///   encode(A, N, Out)     writes the block for A[0..N) at Out and returns
+///                         one past its last byte (Out + encoded_size(A, N));
+///                         moves from A when stages_entries, else only reads
 ///   decode(In, N, Out)    copy-construct all entries into raw storage Out
 ///   decode_move(In,N,Out) move entries out, leaving the block destroyed
 ///   for_each_while(In, N, F)  left-to-right visit, F returns false to stop
 ///   destroy(In, N)        destroy entries owned by an encoded block
-///   can_be_parallel       true if decode is parallelizable (affects span,
-///                         Sec. 6.2)
+///   stages_entries        true when the payload is the entry array itself
+///                         (this scheme): make_flat then sizes the node up
+///                         front and encodes in place. Every other scheme
+///                         encodes once into a max_bytes(2B) stack buffer
+///                         that make_flat copies into an exactly sized node.
 ///
-/// Streaming cursor interface (used by the flat-leaf set-operation fast
-/// paths, which merge encoded blocks without materializing them):
+/// Streaming read interface (the merge and splice base cases walk encoded
+/// blocks entry by entry without materializing them):
 ///
 ///   read_cursor(In, N, Consume)  yields the block's entries one at a time:
 ///     done()      no entries left
@@ -35,25 +42,6 @@
 ///                 by the destructor, so abandoning a cursor mid-block leaks
 ///                 nothing. With Consume set the caller must not destroy the
 ///                 block's entries again (free the shell bytes only).
-///
-///   write_cursor(Buf, MaxN)  appends entries into an output block staged in
-///   caller-owned Buf (at least max_bytes(MaxN) bytes):
-///     push(E)     appends E (moved); keys must arrive in strictly
-///                 increasing order for delta-coded schemes
-///     push_n(A,N) batch append: one tight loop with the chain state in
-///                 registers (a memcpy for the raw scheme)
-///     count()     entries pushed since the last cut()
-///     bytes()     exact encoded payload size of those entries
-///     cut(Out)    seals the current chunk as a complete, independently
-///                 decodable block in Out (bytes() bytes) and restarts the
-///                 cursor at the buffer base: for delta-coded schemes the
-///                 next pushed key is encoded full-width, beginning a fresh
-///                 delta chain, so one chunk-sized buffer can emit any
-///                 number of finished leaves from a single entry stream
-///     release()   drops staged entries; also run by the destructor.
-///   stages_entries is true when the staged bytes are themselves a plain
-///   entry array (raw encoding): the tree layer then stages entries for
-///   from_array_move instead of streaming through a write cursor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,16 +59,18 @@ namespace cpam {
 
 template <class Entry> struct raw_encoder {
   using entry_t = typename Entry::entry_t;
-  static constexpr bool can_be_parallel = true;
+  static constexpr bool stages_entries = true;
   static constexpr bool is_trivial = std::is_trivially_copyable_v<entry_t>;
 
   static size_t encoded_size(const entry_t *, size_t N) {
     return N * sizeof(entry_t);
   }
+  static constexpr size_t max_bytes(size_t N) { return N * sizeof(entry_t); }
 
-  static void encode(entry_t *A, size_t N, uint8_t *Out) {
+  /// Moves A[0..N) into the block at \p Out.
+  static uint8_t *encode(entry_t *A, size_t N, uint8_t *Out) {
     if (N == 0)
-      return; // Callers may pass null buffers for empty blocks.
+      return Out; // Callers may pass null buffers for empty blocks.
     entry_t *Dst = reinterpret_cast<entry_t *>(Out);
     if constexpr (is_trivial) {
       std::memcpy(static_cast<void *>(Dst), A, N * sizeof(entry_t));
@@ -88,6 +78,7 @@ template <class Entry> struct raw_encoder {
       for (size_t I = 0; I < N; ++I)
         ::new (static_cast<void *>(Dst + I)) entry_t(std::move(A[I]));
     }
+    return Out + N * sizeof(entry_t);
   }
 
   static void decode(const uint8_t *In, size_t N, entry_t *Out) {
@@ -185,64 +176,6 @@ template <class Entry> struct raw_encoder {
     size_t N;
     size_t I = 0;
     bool Consume;
-  };
-
-  /// Streaming writer: the staging buffer is the entry array itself, which
-  /// doubles as the encoded payload (the raw scheme is the identity).
-  class write_cursor {
-  public:
-    static constexpr bool stages_entries = true;
-    static size_t max_bytes(size_t MaxN) { return MaxN * sizeof(entry_t); }
-
-    write_cursor(uint8_t *Buf, size_t MaxN)
-        : A(reinterpret_cast<entry_t *>(Buf)), Cap(MaxN) {
-      static_assert(alignof(entry_t) <= 16,
-                    "entry alignment beyond 16 unsupported");
-    }
-    write_cursor(const write_cursor &) = delete;
-    write_cursor &operator=(const write_cursor &) = delete;
-    ~write_cursor() { release(); }
-
-    void push(entry_t E) {
-      assert(N < Cap && "write cursor overflow");
-      ::new (static_cast<void *>(A + N)) entry_t(std::move(E));
-      ++N;
-    }
-    /// Batch push: moves \p Src[0..Count) into the staging in one pass
-    /// (a memcpy for trivially copyable entries).
-    void push_n(entry_t *Src, size_t Count) {
-      assert(N + Count <= Cap && "write cursor overflow");
-      if constexpr (is_trivial) {
-        if (Count)
-          std::memcpy(static_cast<void *>(A + N), Src,
-                      Count * sizeof(entry_t));
-      } else {
-        for (size_t I = 0; I < Count; ++I)
-          ::new (static_cast<void *>(A + N + I)) entry_t(std::move(Src[I]));
-      }
-      N += Count;
-    }
-    size_t count() const { return N; }
-    size_t bytes() const { return N * sizeof(entry_t); }
-
-    /// Seals the current chunk into \p Out (moving the staged entries) and
-    /// restarts at the buffer base; the raw scheme has no cross-entry state
-    /// to reset, so a cut block is trivially self-contained.
-    void cut(uint8_t *Out) {
-      encode(A, N, Out); // Moves non-trivial entries out of the staging.
-      release();
-    }
-    void release() {
-      if constexpr (!std::is_trivially_destructible_v<entry_t>)
-        for (size_t I = 0; I < N; ++I)
-          A[I].~entry_t();
-      N = 0;
-    }
-
-  private:
-    entry_t *A;
-    size_t N = 0;
-    [[maybe_unused]] size_t Cap;
   };
 };
 

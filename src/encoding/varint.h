@@ -31,6 +31,11 @@ inline size_t varint_size(uint64_t X) {
   return N;
 }
 
+/// Longest byte code of a value of the unsigned type \p T: ceil(bits / 7).
+template <class T> constexpr size_t varint_max_size() {
+  return (8 * sizeof(T) + 6) / 7;
+}
+
 /// Encodes \p X at \p Out; returns one past the last byte written.
 inline uint8_t *varint_encode(uint64_t X, uint8_t *Out) {
   while (X >= 0x80) {

@@ -295,10 +295,10 @@ TYPED_TEST(AugSumTest, AugMaintainedThroughRandomSetOps) {
   }
 }
 
-// filter, multi_insert and multi_delete splice single blocks; over an
-// augmented byte-coded block they stage the entries so the block's
-// aggregate can be recomputed. Every result must match brute force in its
-// entries, its aggregate and its invariants, and leave its operand intact.
+// filter, multi_insert and multi_delete splice single blocks; every block
+// the writer seals recomputes its aggregate from the entries (make_flat).
+// Every result must match brute force in its entries, its aggregate and
+// its invariants, and leave its operand intact.
 TYPED_TEST(AugSumTest, AugMaintainedThroughFilterAndBatches) {
   using Entries = std::vector<std::pair<uint64_t, uint64_t>>;
   using Oracle = std::map<uint64_t, uint64_t>;

@@ -32,6 +32,7 @@
 #include "gtest/gtest.h"
 
 #include "src/api/aug_map.h"
+#include "src/api/pam_map.h"
 #include "src/api/pam_seq.h"
 #include "src/api/pam_set.h"
 #include "src/encoding/diff_encoder.h"
@@ -154,12 +155,33 @@ TEST(Failpoint, ScopedArmDisarmsAndZeroesOnExit) {
 
 class ChaosLeakTest : public test::LeakCheckTest {};
 
+/// The entry of key \p K in a tree of type \p TreeT: the key itself in a
+/// set; in a string-valued map, a heap-allocated string derived from the
+/// key, so that a failed op that leaks or double-destroys an entry shows up
+/// under ASan.
+template <class TreeT> typename TreeT::entry_t entryOf(uint64_t K) {
+  if constexpr (std::is_same_v<typename TreeT::entry_t, uint64_t>)
+    return K;
+  else
+    return {K, "value-" + std::to_string(K) + std::string(24, '.')};
+}
+
+template <class TreeT>
+std::vector<typename TreeT::entry_t>
+entriesOf(const std::vector<uint64_t> &Keys) {
+  std::vector<typename TreeT::entry_t> Out;
+  for (uint64_t K : Keys)
+    Out.push_back(entryOf<TreeT>(K));
+  return Out;
+}
+
+/// \p S holds exactly the keys of \p O (each with its entryOf value).
 template <class SetT>
 void checkSet(const SetT &S, const std::set<uint64_t> &O, const char *What) {
   ASSERT_EQ(S.check_invariants(), "") << What;
   ASSERT_EQ(S.size(), O.size()) << What;
-  std::vector<uint64_t> Want(O.begin(), O.end());
-  ASSERT_EQ(S.to_vector(), Want) << What;
+  std::vector<uint64_t> Keys(O.begin(), O.end());
+  ASSERT_EQ(S.to_vector(), entriesOf<SetT>(Keys)) << What;
 }
 
 std::vector<uint64_t> randomKeys(Rng &R, size_t N, uint64_t Universe) {
@@ -170,11 +192,12 @@ std::vector<uint64_t> randomKeys(Rng &R, size_t N, uint64_t Universe) {
 }
 
 /// Chunk-writer chaos: "leaf.seal" throws while a streamed multi-leaf
-/// result is mid-write. The failed op must abandon its staged chunks
-/// without leaking and leave the operand untouched; survivors must match
-/// the oracle. Typed over the diff- and gamma-compressed block layouts —
-/// the two byte-coded encoders that stream through seal (raw blocks stage
-/// entries and finish via from_array_move, so seal never runs for them).
+/// result is mid-write. The failed op must drop its sealed leaves and
+/// unwind its pending entries and separators without leaking, and leave
+/// the operand untouched; survivors must match the oracle. Typed over
+/// every block layout, since every blocked tree writes through the one
+/// leaf_writer: diff- and gamma-compressed sets, a raw set, and a raw map
+/// of std::string values (non-trivial entries the unwind must destroy).
 /// Every B=8 base-case merge writes through the chunk writer, so the
 /// failpoint fires without any tuning.
 template <class SetT> void runLeafSealChaos(uint64_t Salt) {
@@ -190,10 +213,10 @@ template <class SetT> void runLeafSealChaos(uint64_t Salt) {
     auto Keys = randomKeys(R, 50 + R.next(2000), kUniverse);
     try {
       if (Step % 2) {
-        SetT Next = SetT::map_union(S, SetT(Keys));
+        SetT Next = SetT::map_union(S, SetT(entriesOf<SetT>(Keys)));
         S = std::move(Next);
       } else {
-        SetT Next = S.multi_insert(Keys);
+        SetT Next = S.multi_insert(entriesOf<SetT>(Keys));
         S = std::move(Next);
       }
       O.insert(Keys.begin(), Keys.end());
@@ -218,6 +241,14 @@ TEST_F(ChaosLeakTest, LeafSealChaosDiffBlocks) {
 
 TEST_F(ChaosLeakTest, LeafSealChaosGammaBlocks) {
   runLeafSealChaos<pam_set<uint64_t, 8, gamma_encoder>>(103);
+}
+
+TEST_F(ChaosLeakTest, LeafSealChaosRawBlocks) {
+  runLeafSealChaos<pam_set<uint64_t, 8>>(107);
+}
+
+TEST_F(ChaosLeakTest, LeafSealChaosStringValuedBlocks) {
+  runLeafSealChaos<pam_map<uint64_t, std::string, 8>>(109);
 }
 
 /// Fork refusal is not a failure: "sched.fork" firing makes parDo run both

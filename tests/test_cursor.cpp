@@ -1,29 +1,34 @@
-//===- test_cursor.cpp - Streaming encoder cursor tests --------------------===//
+//===- test_cursor.cpp - Block encoding and streaming cursor tests ---------===//
 //
 // Part of the CPAM reproduction of PaC-trees (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-encoder read_cursor / write_cursor contract tests: round trips over
-/// empty, single-entry, dense and max-width-delta blocks; fuzzed
-/// skip/take/peek interleavings against the for_each_while reference;
-/// bytes() agreement with encoded_size; move-only entries; and early
-/// abandonment (no leaked or double-destroyed entries, checked with a
-/// construction-counting entry type and with the allocator leak fixture at
-/// the tree level). ASan (the sanitize CI leg) additionally checks the
-/// max_bytes staging bound and shell-free ordering.
+/// Per-encoder block and read_cursor contract tests: max_bytes bounds on
+/// worst-case blocks and encode's end pointer; round trips over empty,
+/// single-entry, dense and max-width-delta blocks; fuzzed skip/take/peek
+/// interleavings against the for_each_while reference; move-only entries;
+/// and early abandonment (no leaked or double-destroyed entries, checked
+/// with a construction-counting entry type and, at the tree level, with the
+/// allocator leak fixture over sets, an augmented map and a string-valued
+/// map streamed through tree_ops::leaf_writer). ASan (the sanitize CI leg)
+/// additionally checks the max_bytes bound and shell-free ordering.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 
+#include "src/api/aug_map.h"
+#include "src/api/pam_map.h"
 #include "src/api/pam_set.h"
 #include "src/core/entry.h"
 #include "src/core/invariants.h"
@@ -41,24 +46,19 @@ namespace {
 // Shared round-trip machinery.
 //===----------------------------------------------------------------------===//
 
-/// Encodes \p Entries through a write_cursor into a tight block, asserting
-/// bytes() agrees with encoded_size, and returns the block.
+/// Encodes \p Entries into a buffer of exactly max_bytes(N) bytes, so ASan
+/// flags a write past the bound; checks that encoded_size respects the
+/// bound and that encode returns its end there, and returns the block.
 template <class Enc, class EntryT>
-std::vector<uint8_t> encodeViaCursor(std::vector<EntryT> Entries) {
+std::vector<uint8_t> encodeBlock(std::vector<EntryT> Entries) {
   size_t N = Entries.size();
-  // +1 keeps the staging vector non-empty for the N == 0 case.
-  std::vector<uint8_t> Staging(Enc::write_cursor::max_bytes(N) + 1);
-  typename Enc::write_cursor W(Staging.data(), N);
-  std::vector<EntryT> Reference = Entries; // For encoded_size cross-check.
-  for (size_t I = 0; I < N; ++I) {
-    W.push(std::move(Entries[I]));
-    EXPECT_EQ(W.count(), I + 1);
-  }
-  EXPECT_EQ(W.bytes(), Enc::encoded_size(Reference.data(), N))
-      << "write_cursor bytes() must equal encoded_size for the same entries";
-  std::vector<uint8_t> Block(W.bytes());
-  W.cut(Block.data());
-  EXPECT_EQ(W.count(), 0u) << "cut() must reset the cursor";
+  size_t Size = Enc::encoded_size(Entries.data(), N);
+  EXPECT_LE(Size, Enc::max_bytes(N)) << "max_bytes is not a bound";
+  std::vector<uint8_t> Block(Enc::max_bytes(N));
+  uint8_t *End = Enc::encode(Entries.data(), N, Block.data());
+  EXPECT_EQ(End, Block.data() + Size)
+      << "encode must return one past the encoded_size bytes it wrote";
+  Block.resize(Size);
   return Block;
 }
 
@@ -78,8 +78,8 @@ std::vector<EntryT> decodeViaCursor(const std::vector<uint8_t> &Block,
 template <class Enc, class EntryT>
 void roundTrip(const std::vector<EntryT> &Entries) {
   size_t N = Entries.size();
-  std::vector<uint8_t> Block = encodeViaCursor<Enc>(Entries);
-  // Cursor-written bytes decode identically through the non-cursor path.
+  std::vector<uint8_t> Block = encodeBlock<Enc>(Entries);
+  // The whole-block scan and the read cursor decode the same entries.
   std::vector<EntryT> ViaForEach;
   Enc::for_each_while(Block.data(), N, [&](const EntryT &E) {
     ViaForEach.push_back(E);
@@ -173,6 +173,71 @@ TEST(CursorRoundTrip, FuzzAllWidths) {
 }
 
 //===----------------------------------------------------------------------===//
+// max_bytes: a true bound on worst-case blocks of 2B entries.
+//===----------------------------------------------------------------------===//
+
+/// Worst-case key sequences of N keys of the unsigned type \p K: a
+/// full-width first key (the top N keys), maximal deltas (spread evenly
+/// from 0 to the top), and both at once (spread over the upper half).
+template <class K> std::vector<std::vector<K>> worstKeys(size_t N) {
+  const uint64_t Max = std::numeric_limits<K>::max();
+  const uint64_t Half = Max / 2 + 1; // Top bit set: a full-width code.
+  const uint64_t Step = N > 1 ? Max / (N - 1) : 0;
+  const uint64_t HalfStep = N > 1 ? (Max - Half) / (N - 1) : 0;
+  std::vector<std::vector<K>> Out(3, std::vector<K>(N));
+  for (size_t I = 0; I < N; ++I) {
+    Out[0][I] = static_cast<K>(Max - (N - 1) + I);
+    Out[1][I] = static_cast<K>(I * Step);
+    Out[2][I] = static_cast<K>(Half + I * HalfStep);
+  }
+  return Out;
+}
+
+/// Encodes each worst-case block of N entries, \p Make turning a key into
+/// an entry; encodeBlock checks the bound and the end pointer.
+template <class Enc, class K, class MakeEntry>
+void checkWorstCases(size_t N, const MakeEntry &Make) {
+  for (const std::vector<K> &Keys : worstKeys<K>(N)) {
+    std::vector<typename Enc::entry_t> Entries;
+    for (K Key : Keys)
+      Entries.push_back(Make(Key));
+    encodeBlock<Enc>(Entries);
+  }
+}
+
+TEST(EncoderBound, MaxBytesHoldsOnWorstCaseBlocks) {
+  auto Key = [](uint64_t K) { return K; };
+  auto Key32 = [](uint32_t K) { return K; };
+  // Maximal byte-coded values for diff_val_encoder.
+  auto MaxVal = [](uint64_t K) {
+    return std::pair<uint64_t, uint64_t>(K, ~uint64_t(0));
+  };
+  for (size_t B : {size_t(1), size_t(8), size_t(64), size_t(128),
+                   size_t(2048)}) {
+    SCOPED_TRACE("B=" + std::to_string(B));
+    const size_t N = 2 * B;
+    checkWorstCases<RawSetEnc, uint64_t>(N, Key);
+    checkWorstCases<DiffSetEnc, uint64_t>(N, Key);
+    checkWorstCases<GammaSetEnc, uint64_t>(N, Key);
+    checkWorstCases<RawMapEnc, uint64_t>(N, MaxVal);
+    checkWorstCases<DiffMapEnc, uint64_t>(N, MaxVal);
+    checkWorstCases<DiffValMapEnc, uint64_t>(N, MaxVal);
+    // 32-bit keys narrow the bound to 5-byte codes (graph edge sets).
+    checkWorstCases<diff_encoder<set_entry<uint32_t>>, uint32_t>(N, Key32);
+    checkWorstCases<gamma_encoder<set_entry<uint32_t>>, uint32_t>(N, Key32);
+  }
+  // The per-entry bound is tight: one full-width entry meets it exactly.
+  std::vector<uint64_t> Top = {~uint64_t(0)};
+  EXPECT_EQ(DiffSetEnc::encoded_size(Top.data(), 1), DiffSetEnc::max_bytes(1));
+  EXPECT_EQ(GammaSetEnc::encoded_size(Top.data(), 1),
+            GammaSetEnc::max_bytes(1));
+  std::vector<std::pair<uint64_t, uint64_t>> TopVal = {
+      {~uint64_t(0), ~uint64_t(0)}};
+  EXPECT_EQ(DiffValMapEnc::encoded_size(TopVal.data(), 1),
+            DiffValMapEnc::max_bytes(1));
+}
+
+//===----------------------------------------------------------------------===//
 // skip/take/peek interleavings.
 //===----------------------------------------------------------------------===//
 
@@ -181,7 +246,7 @@ template <class Enc> void fuzzSkipTake(uint64_t Salt) {
   for (int Round = 0; Round < 20; ++Round) {
     size_t N = 1 + R.next(200);
     auto Keys = sortedUniqueKeys(N, 1 + R.next(1000), R);
-    std::vector<uint8_t> Block = encodeViaCursor<Enc>(Keys);
+    std::vector<uint8_t> Block = encodeBlock<Enc>(Keys);
     std::vector<uint64_t> Taken, Expect;
     typename Enc::read_cursor C(Block.data(), N);
     for (size_t I = 0; I < N; ++I) {
@@ -203,77 +268,6 @@ template <class Enc> void fuzzSkipTake(uint64_t Salt) {
 TEST(CursorSkipTake, Raw) { fuzzSkipTake<RawSetEnc>(1); }
 TEST(CursorSkipTake, Diff) { fuzzSkipTake<DiffSetEnc>(2); }
 TEST(CursorSkipTake, Gamma) { fuzzSkipTake<GammaSetEnc>(3); }
-
-//===----------------------------------------------------------------------===//
-// Chunked cut()/restart: one staging buffer, many sealed blocks.
-//===----------------------------------------------------------------------===//
-
-/// Pushes \p Entries through one write_cursor, sealing a block after each
-/// prescribed chunk length. Every sealed block must carry exactly
-/// encoded_size(slice) bytes — i.e. the chunk after a cut restarts with a
-/// full-width leading key — and decode independently of its neighbours.
-template <class Enc, class EntryT>
-void cutRoundTrip(const std::vector<EntryT> &Entries,
-                  const std::vector<size_t> &ChunkLens) {
-  size_t MaxLen = 1;
-  for (size_t L : ChunkLens)
-    MaxLen = std::max(MaxLen, L);
-  std::vector<uint8_t> Staging(Enc::write_cursor::max_bytes(MaxLen) + 1);
-  typename Enc::write_cursor W(Staging.data(), MaxLen);
-  size_t Pos = 0;
-  for (size_t Len : ChunkLens) {
-    std::vector<EntryT> Slice(Entries.begin() + Pos,
-                              Entries.begin() + Pos + Len);
-    for (EntryT E : Slice)
-      W.push(std::move(E));
-    ASSERT_EQ(W.count(), Len);
-    ASSERT_EQ(W.bytes(), Enc::encoded_size(Slice.data(), Len))
-        << "a cut chunk must restart with a full-width key";
-    std::vector<uint8_t> Block(W.bytes());
-    W.cut(Block.data());
-    ASSERT_EQ(W.count(), 0u) << "cut() must restart the cursor";
-    ASSERT_EQ((decodeViaCursor<Enc, EntryT>(Block, Len)), Slice);
-    Pos += Len;
-  }
-  ASSERT_EQ(Pos, Entries.size());
-}
-
-/// Chunk lengths straddling the block-size boundaries the tree layer cuts
-/// at: 1, 2B-1, 2B and 2B+1 entries, for a few B.
-template <class Enc> void chunkBoundarySweep(uint64_t Salt) {
-  auto R = test::seeded_rng(Salt);
-  for (size_t B : {size_t(1), size_t(8), size_t(128)}) {
-    std::vector<size_t> Lens = {1, 2 * B - 1, 2 * B, 2 * B + 1, 1, 2 * B};
-    size_t Total = 0;
-    for (size_t L : Lens)
-      Total += L;
-    for (uint64_t MaxDelta : {uint64_t(1), uint64_t(1) << 40})
-      cutRoundTrip<Enc>(sortedUniqueKeys(Total, MaxDelta, R), Lens);
-  }
-}
-
-TEST(CursorChunked, CutBoundariesRaw) { chunkBoundarySweep<RawSetEnc>(1); }
-TEST(CursorChunked, CutBoundariesDiff) { chunkBoundarySweep<DiffSetEnc>(2); }
-TEST(CursorChunked, CutBoundariesGamma) { chunkBoundarySweep<GammaSetEnc>(3); }
-
-TEST(CursorChunked, CutFuzzAllEncoders) {
-  auto R = test::seeded_rng();
-  for (int Round = 0; Round < 15; ++Round) {
-    std::vector<size_t> Lens(1 + R.next(8));
-    size_t Total = 0;
-    for (auto &L : Lens) {
-      L = 1 + R.next(300);
-      Total += L;
-    }
-    auto Keys = sortedUniqueKeys(Total, 1 + R.next(1u << 20), R);
-    cutRoundTrip<RawSetEnc>(Keys, Lens);
-    cutRoundTrip<DiffSetEnc>(Keys, Lens);
-    cutRoundTrip<GammaSetEnc>(Keys, Lens);
-    auto Entries = toMapEntries(Keys, R);
-    cutRoundTrip<DiffMapEnc>(Entries, Lens);
-    cutRoundTrip<DiffValMapEnc>(Entries, Lens);
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Ownership: counting entries, consuming cursors, early abandonment.
@@ -372,33 +366,16 @@ TEST(CursorOwnership, BorrowingTakeCopiesAndLeavesBlockAlive) {
   EXPECT_EQ(Counted::Live, 0);
 }
 
-TEST(CursorOwnership, WriteCursorAbandonmentDestroysStagedEntries) {
-  ASSERT_EQ(Counted::Live, 0);
-  constexpr size_t N = 6;
-  std::vector<uint8_t> Staging(CountedEnc::write_cursor::max_bytes(N));
-  Counted::reset();
-  {
-    CountedEnc::write_cursor W(Staging.data(), N);
-    for (size_t I = 0; I < N / 2; ++I)
-      W.push(Counted(I));
-    EXPECT_EQ(W.count(), N / 2);
-    // Abandon without cut(): staged entries must be destroyed.
-  }
-  EXPECT_EQ(Counted::Live, 0) << "abandoned write_cursor leaked entries";
-  EXPECT_EQ(Counted::Copies, 0) << "push must move, not copy";
-}
-
 TEST(CursorOwnership, WriteReadPipelineNeverCopies) {
   constexpr size_t N = 10;
-  std::vector<uint8_t> Staging(CountedEnc::write_cursor::max_bytes(N));
-  std::vector<uint8_t> Block;
+  std::vector<uint8_t> Block(CountedEnc::max_bytes(N));
   Counted::reset();
   {
-    CountedEnc::write_cursor W(Staging.data(), N);
+    std::vector<Counted> A;
+    A.reserve(N);
     for (size_t I = 0; I < N; ++I)
-      W.push(Counted(I * 3));
-    Block.resize(W.bytes());
-    W.cut(Block.data());
+      A.emplace_back(I * 3);
+    CountedEnc::encode(A.data(), N, Block.data()); // Moves into the block.
   }
   {
     CountedEnc::read_cursor C(Block.data(), N, /*Consume=*/true);
@@ -407,7 +384,7 @@ TEST(CursorOwnership, WriteReadPipelineNeverCopies) {
       EXPECT_EQ(C.take().K, 3 * I++);
   }
   EXPECT_EQ(Counted::Copies, 0)
-      << "a full write->cut->consume pipeline must never copy an entry";
+      << "a full encode->consume pipeline must never copy an entry";
   EXPECT_EQ(Counted::Live, 0);
 }
 
@@ -426,17 +403,19 @@ struct MoveOnlyEntry {
 };
 using MoveOnlyEnc = raw_encoder<MoveOnlyEntry>;
 
+/// Encodes N move-only entries holding 0, Step, 2 * Step, ... into a block.
+std::vector<uint8_t> moveOnlyBlock(size_t N, uint64_t Step) {
+  std::vector<std::unique_ptr<uint64_t>> A;
+  for (size_t I = 0; I < N; ++I)
+    A.push_back(std::make_unique<uint64_t>(I * Step));
+  std::vector<uint8_t> Block(MoveOnlyEnc::max_bytes(N));
+  MoveOnlyEnc::encode(A.data(), N, Block.data());
+  return Block;
+}
+
 TEST(CursorMoveOnly, RawCursorsHandleMoveOnlyEntries) {
   constexpr size_t N = 5;
-  std::vector<uint8_t> Staging(MoveOnlyEnc::write_cursor::max_bytes(N));
-  std::vector<uint8_t> Block;
-  {
-    MoveOnlyEnc::write_cursor W(Staging.data(), N);
-    for (size_t I = 0; I < N; ++I)
-      W.push(std::make_unique<uint64_t>(I * 2));
-    Block.resize(W.bytes());
-    W.cut(Block.data());
-  }
+  std::vector<uint8_t> Block = moveOnlyBlock(N, 2);
   {
     MoveOnlyEnc::read_cursor C(Block.data(), N, /*Consume=*/true);
     uint64_t I = 0;
@@ -449,65 +428,9 @@ TEST(CursorMoveOnly, RawCursorsHandleMoveOnlyEntries) {
   }
 }
 
-TEST(CursorChunked, MoveOnlyEntriesSurviveAcrossCuts) {
-  // Chunked writing of move-only entries: each cut seals a self-contained
-  // block (entries moved, never copied); the stream continues after it.
-  const std::vector<size_t> Lens = {4, 4, 1};
-  std::vector<uint8_t> Staging(MoveOnlyEnc::write_cursor::max_bytes(4));
-  MoveOnlyEnc::write_cursor W(Staging.data(), 4);
-  std::vector<std::vector<uint8_t>> Blocks;
-  uint64_t K = 0;
-  for (size_t Len : Lens) {
-    for (size_t I = 0; I < Len; ++I)
-      W.push(std::make_unique<uint64_t>(K++));
-    std::vector<uint8_t> Block(W.bytes());
-    W.cut(Block.data());
-    Blocks.push_back(std::move(Block));
-  }
-  uint64_t Expect = 0;
-  for (size_t C = 0; C < Lens.size(); ++C) {
-    MoveOnlyEnc::read_cursor R(Blocks[C].data(), Lens[C], /*Consume=*/true);
-    while (!R.done())
-      EXPECT_EQ(*R.take(), Expect++);
-  }
-  EXPECT_EQ(Expect, K);
-}
-
-TEST(CursorChunked, AbandonmentMidChunkAfterCutsLeaksNothing) {
-  ASSERT_EQ(Counted::Live, 0);
-  Counted::reset();
-  constexpr size_t Chunk = 5;
-  std::vector<uint8_t> Staging(CountedEnc::write_cursor::max_bytes(Chunk));
-  std::vector<uint8_t> Block;
-  {
-    CountedEnc::write_cursor W(Staging.data(), Chunk);
-    for (size_t I = 0; I < Chunk; ++I)
-      W.push(Counted(I));
-    Block.resize(W.bytes());
-    W.cut(Block.data());
-    for (size_t I = 0; I < 3; ++I)
-      W.push(Counted(100 + I));
-    // Abandon mid-chunk: the staged tail must be destroyed while the
-    // sealed block keeps its entries.
-  }
-  EXPECT_EQ(Counted::Live, static_cast<int64_t>(Chunk))
-      << "abandonment must only drop the unsealed tail";
-  EXPECT_EQ(Counted::Copies, 0) << "cut() must move, not copy";
-  CountedEnc::destroy(Block.data(), Chunk);
-  EXPECT_EQ(Counted::Live, 0);
-}
-
 TEST(CursorMoveOnly, EarlyAbandonmentReleasesMoveOnlyTail) {
   constexpr size_t N = 7;
-  std::vector<uint8_t> Staging(MoveOnlyEnc::write_cursor::max_bytes(N));
-  std::vector<uint8_t> Block;
-  {
-    MoveOnlyEnc::write_cursor W(Staging.data(), N);
-    for (size_t I = 0; I < N; ++I)
-      W.push(std::make_unique<uint64_t>(I));
-    Block.resize(W.bytes());
-    W.cut(Block.data());
-  }
+  std::vector<uint8_t> Block = moveOnlyBlock(N, 1);
   {
     MoveOnlyEnc::read_cursor C(Block.data(), N, /*Consume=*/true);
     (void)C.take();
@@ -522,13 +445,71 @@ TEST(CursorMoveOnly, EarlyAbandonmentReleasesMoveOnlyTail) {
 // under the allocator leak fixture.
 //===----------------------------------------------------------------------===//
 
-template <class SetT> class CursorTreeTest : public test::TypedLeakCheckTest<SetT> {};
+/// The entry of key \p K in a tree of type \p TreeT: the key itself in a
+/// set; in a map, a value derived from the key, so equal keys always carry
+/// equal values. String values are longer than the small-string buffer, so
+/// a leaked or double-destroyed entry shows up under ASan.
+template <class TreeT> typename TreeT::entry_t entryOf(uint64_t K) {
+  using EntryT = typename TreeT::entry_t;
+  if constexpr (std::is_same_v<EntryT, uint64_t>)
+    return K;
+  else if constexpr (std::is_same_v<typename EntryT::second_type,
+                                    std::string>)
+    return {K, "value-" + std::to_string(K) + std::string(24, '.')};
+  else
+    return {K, 7 * K + 1};
+}
 
-using CursorSetTypes =
+template <class TreeT>
+std::vector<typename TreeT::entry_t>
+entriesOf(const std::vector<uint64_t> &Keys) {
+  std::vector<typename TreeT::entry_t> Out;
+  for (uint64_t K : Keys)
+    Out.push_back(entryOf<TreeT>(K));
+  return Out;
+}
+
+/// True if every augmented value in \p T equals the aggregate recomputed
+/// from the entries below it (true for trees without augmentation).
+template <class TreeT> bool aggregatesHold(const typename TreeT::node_t *T) {
+  using ops = typename TreeT::ops;
+  if constexpr (!ops::is_aug) {
+    return true;
+  } else {
+    using E = typename TreeT::entry_traits;
+    if (!T)
+      return true;
+    if (ops::is_flat(T)) {
+      auto Agg = E::aug_empty();
+      ops::foreach_seq(T, [&](const typename TreeT::entry_t &X) {
+        Agg = E::aug_combine(Agg, E::aug_from_entry(X));
+        return true;
+      });
+      return Agg == ops::aug_of(T);
+    }
+    const auto *R = static_cast<const typename ops::NL::regular_t *>(T);
+    return aggregatesHold<TreeT>(R->Left) &&
+           aggregatesHold<TreeT>(R->Right) &&
+           E::aug_combine(E::aug_combine(ops::aug_of(R->Left),
+                                         E::aug_from_entry(R->E)),
+                          ops::aug_of(R->Right)) == ops::aug_of(T);
+  }
+}
+
+template <class TreeT>
+class CursorTreeTest : public test::TypedLeakCheckTest<TreeT> {};
+
+/// Sets of every encoder, an augmented diff-encoded map (the writer
+/// aggregates each sealed leaf) and a map of non-trivial std::string
+/// values (moved into leaves, destroyed on abandonment).
+using CursorTreeTypes =
     ::testing::Types<pam_set<uint64_t, 8>, pam_set<uint64_t, 128>,
                      pam_set<uint64_t, 32, diff_encoder>,
-                     pam_set<uint64_t, 32, gamma_encoder>>;
-TYPED_TEST_SUITE(CursorTreeTest, CursorSetTypes);
+                     pam_set<uint64_t, 32, gamma_encoder>,
+                     aug_map<aug_sum_entry<uint64_t, uint64_t>, 32,
+                             diff_encoder>,
+                     pam_map<uint64_t, std::string, 8>>;
+TYPED_TEST_SUITE(CursorTreeTest, CursorTreeTypes);
 
 TYPED_TEST(CursorTreeTest, LeafWriterChunksArbitraryLengthStreams) {
   // The chunked leaf pipeline end to end: one ordered stream of N entries
@@ -536,25 +517,27 @@ TYPED_TEST(CursorTreeTest, LeafWriterChunksArbitraryLengthStreams) {
   // N around the chunk boundaries (1, B, 2B, 2B+1, many chunks, partial
   // and empty tails).
   using ops = typename TypeParam::ops;
+  using entry_t = typename TypeParam::entry_t;
   constexpr size_t B = ops::kB;
   auto R = test::seeded_rng();
   const size_t Ns[] = {1,         2,         B - 1,     B,        2 * B - 1,
                        2 * B,     2 * B + 1, 3 * B,     4 * B,    4 * B + 1,
                        6 * B + 5, 11 * B + 3};
   for (size_t N : Ns) {
-    auto Keys = sortedUniqueKeys(N, 1 + R.next(1000), R);
+    auto Want = entriesOf<TypeParam>(sortedUniqueKeys(N, 1 + R.next(1000), R));
     typename ops::leaf_writer W(N);
-    for (uint64_t K : Keys)
-      W.push(K);
+    for (const entry_t &E : Want)
+      W.push(E);
     auto *T = W.finish();
     ASSERT_EQ(ops::size(T), N);
     ASSERT_EQ((invariant_checker<ops>::check(T)), "") << "N=" << N;
-    std::vector<uint64_t> Got;
-    ops::foreach_seq(T, [&](const uint64_t &K) {
-      Got.push_back(K);
+    ASSERT_TRUE(aggregatesHold<TypeParam>(T)) << "N=" << N;
+    std::vector<entry_t> Got;
+    ops::foreach_seq(T, [&](const entry_t &E) {
+      Got.push_back(E);
       return true;
     });
-    ASSERT_EQ(Got, Keys) << "N=" << N;
+    ASSERT_EQ(Got, Want) << "N=" << N;
     ops::dec(T);
   }
 }
@@ -562,11 +545,11 @@ TYPED_TEST(CursorTreeTest, LeafWriterChunksArbitraryLengthStreams) {
 TYPED_TEST(CursorTreeTest, LeafReaderRemainingCountsDown) {
   using ops = typename TypeParam::ops;
   auto R = test::seeded_rng();
-  auto Keys = sortedUniqueKeys(ops::kB + 3, 8, R);
-  auto *T = ops::from_array_move(Keys.data(), Keys.size());
+  auto Es = entriesOf<TypeParam>(sortedUniqueKeys(ops::kB + 3, 8, R));
+  auto *T = ops::from_array_move(Es.data(), Es.size());
   ASSERT_TRUE(ops::is_flat(T));
   typename ops::leaf_reader C(T); // Consumes the (unique) reference.
-  size_t Want = Keys.size();
+  size_t Want = Es.size();
   while (!C.done()) {
     ASSERT_EQ(C.remaining(), Want--);
     C.skip();
@@ -575,17 +558,17 @@ TYPED_TEST(CursorTreeTest, LeafReaderRemainingCountsDown) {
 }
 
 TYPED_TEST(CursorTreeTest, LeafWriterAbandonmentMidStreamLeaksNothing) {
-  // Abandon a writer holding several sealed leaves, a pending separator
-  // and a partial chunk; the leak fixture verifies every node and staged
-  // entry is reclaimed.
+  // Abandon a writer holding several sealed leaves, pending separators
+  // and a partial chunk; the leak fixture verifies every node is
+  // reclaimed, and ASan that every pending entry is destroyed.
   using ops = typename TypeParam::ops;
   constexpr size_t B = ops::kB;
   auto R = test::seeded_rng();
-  auto Keys = sortedUniqueKeys(5 * B + 3, 64, R);
+  auto Es = entriesOf<TypeParam>(sortedUniqueKeys(5 * B + 3, 64, R));
   {
-    typename ops::leaf_writer W(Keys.size());
-    for (size_t I = 0; I + 2 < Keys.size(); ++I)
-      W.push(Keys[I]);
+    typename ops::leaf_writer W(Es.size());
+    for (size_t I = 0; I + 2 < Es.size(); ++I)
+      W.push(Es[I]);
   }
 }
 
@@ -598,7 +581,7 @@ TYPED_TEST(CursorTreeTest, SetOpsMatchStdSetAlgorithms) {
       K = R.next(1000);
     for (auto &K : B)
       K = R.next(1000);
-    TypeParam SA(A), SB(B);
+    TypeParam SA(entriesOf<TypeParam>(A)), SB(entriesOf<TypeParam>(B));
     std::sort(A.begin(), A.end());
     A.erase(std::unique(A.begin(), A.end()), A.end());
     std::sort(B.begin(), B.end());
@@ -614,11 +597,15 @@ TYPED_TEST(CursorTreeTest, SetOpsMatchStdSetAlgorithms) {
                         TypeParam::map_intersect(SA, SB),
                         TypeParam::map_difference(SA, SB)};
     for (int OpI = 0; OpI < 3; ++OpI) {
-      ASSERT_EQ(Got[OpI].to_vector(), Want[OpI]) << "op " << OpI;
+      ASSERT_EQ(Got[OpI].to_vector(), entriesOf<TypeParam>(Want[OpI]))
+          << "op " << OpI;
       ASSERT_EQ(Got[OpI].check_invariants(), "");
+      ASSERT_TRUE(aggregatesHold<TypeParam>(Got[OpI].root()));
     }
-    ASSERT_EQ(SA.to_vector(), A) << "left operand changed";
-    ASSERT_EQ(SB.to_vector(), B) << "right operand changed";
+    ASSERT_EQ(SA.to_vector(), entriesOf<TypeParam>(A))
+        << "left operand changed";
+    ASSERT_EQ(SB.to_vector(), entriesOf<TypeParam>(B))
+        << "right operand changed";
   }
 }
 
