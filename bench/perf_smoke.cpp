@@ -122,7 +122,8 @@ template <int B> void runSuite(size_t N, JsonReport &Report) {
   Report.add("build_sorted", B, N, TBuild);
   print_time_row("build_sorted", TBuild, TBuild);
 
-  // union_equal: expose/unfold/fold churn across the whole output.
+  // union_equal: expose/split/join churn across the whole output, down to
+  // kappa-sized base cases.
   double TUnion = medianPrepared(
       g_reps, [&] { Out = Map(); },
       [&] { Out = Map::map_union(Evens, Odds); });

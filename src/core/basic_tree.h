@@ -28,7 +28,6 @@
 #include <utility>
 
 #include "src/core/node.h"
-#include "src/obs/trace.h"
 
 namespace cpam {
 
@@ -51,7 +50,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   using NL::flatten;
   using NL::ref_count;
   using NL::size;
-  using NL::unfold;
   using NL::weight;
 
   /// Weight-balance parameter alpha = 0.29 (Def. 4.1), as the integer
@@ -94,13 +92,10 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     if constexpr (!kBlocked)
       return make_regular(L, std::move(E), R);
     size_t S = size(L) + size(R) + 1;
-    if (S > 4 * kB) {
-      node_guard GR(R);
-      node_t *Ln = normalize(L);
-      node_guard GLn(Ln);
-      node_t *Rn = normalize(GR.release());
-      return make_regular(GLn.release(), std::move(E), Rn);
-    }
+    // Weight balance gives each child more than B entries, and every
+    // subtree of at most 2B entries is already one block.
+    if (S > 4 * kB)
+      return make_regular(L, std::move(E), R);
     if (S <= 2 * kB) {
       // Fold everything into a single flat node.
       node_guard GL(L), GR(R);
@@ -134,22 +129,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     return make_regular(Lf, std::move(Buf.data()[Mid]), Rf);
   }
 
-  /// Repairs a child that should be a flat block but is a raw expanded
-  /// subtree (possible after rotations over freshly unfolded nodes): any
-  /// regular subtree of at most 2B entries is folded into a single flat node.
-  static node_t *normalize(node_t *C) {
-    if constexpr (!kBlocked)
-      return C;
-    if (!C || is_flat(C) || C->Size > 2 * kB)
-      return C;
-    size_t N = C->Size;
-    node_guard G(C);
-    temp_buf Buf(N);
-    flatten(G.release(), Buf.data());
-    Buf.set_count(N);
-    return make_flat(Buf.data(), N);
-  }
-
   //===--------------------------------------------------------------------===
   // expose (Fig. 5): destructure a tree into (left, entry, right).
   //===--------------------------------------------------------------------===
@@ -160,12 +139,23 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     node_t *R;
   };
 
-  /// Destructures \p T, consuming one reference. Flat nodes are expanded
-  /// first (unfold); unique nodes are cannibalized without copying.
+  /// Destructures \p T, consuming one reference. A flat block splits at its
+  /// median entry into two flat blocks, either of which may be empty: the
+  /// root of the block's balanced expansion, built without its regular
+  /// nodes. A uniquely owned regular node is cannibalized without copying.
   static exposed expose(node_t *T) {
     assert(T && "cannot expose an empty tree");
-    if (is_flat(T))
-      T = unfold(T);
+    if (is_flat(T)) {
+      size_t N = T->Size, Mid = N / 2;
+      node_guard G(T); // Covers a throw from the buffer allocation.
+      temp_buf Buf(N);
+      flatten(G.release(), Buf.data());
+      Buf.set_count(N);
+      node_guard L(Mid ? make_flat(Buf.data(), Mid) : nullptr);
+      node_t *R =
+          N - Mid > 1 ? make_flat(Buf.data() + Mid + 1, N - Mid - 1) : nullptr;
+      return {L.release(), std::move(Buf.data()[Mid]), R};
+    }
     auto *R = as_regular(T);
     if (ref_count(T) == 1) {
       exposed Out{R->Left, std::move(R->E), R->Right};
@@ -553,137 +543,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     size_t NLeaves = 0;
     size_t NSeps = 0;
   };
-
-  //===--------------------------------------------------------------------===
-  // parallel_flat_merge: quantile-split chunked merges.
-  //===--------------------------------------------------------------------===
-
-  /// Hard cap on quantile-split chunks per merge. Bounds the on-stack
-  /// boundary and part arrays, and keeps the join fan-in cheap; 64 chunks
-  /// of parallel_merge_grain() entries each saturate far more workers than
-  /// the elastic pool ever runs.
-  static constexpr size_t kMaxMergeChunks = 64;
-
-  /// Minimum entries of merge work per chunk before a flat merge is split
-  /// at key quantiles and run as parallel chunk merges. Reuses the
-  /// scheduler fork granularity default — a chunk is one fork's worth of
-  /// work. 0 disables the parallel path. Runtime-mutable (single-threaded
-  /// setup code only) so the differential tests can lower it to force
-  /// chunked runs on small inputs and the merge benches can A/B it.
-  static constexpr size_t kParallelMergeGrainDefault = par_gran();
-  static size_t &parallel_merge_grain() {
-    static size_t G = kParallelMergeGrainDefault;
-    return G;
-  }
-
-  /// Number of chunks a merge over \p Total combined entries (larger
-  /// operand: \p Larger entries) splits into; 1 means "run sequentially".
-  /// Depends only on operand sizes and the grain knob — never on the
-  /// worker count — so the chunking, and with it the output tree, is
-  /// identical at any thread count.
-  static size_t merge_chunk_count(size_t Total, size_t Larger) {
-    size_t G = parallel_merge_grain();
-    if (G == 0 || Total < 2 * G)
-      return 1;
-    size_t C = std::min(std::min(Total / G, kMaxMergeChunks), Larger);
-    return C < 2 ? 1 : C;
-  }
-
-  /// Key of an element of a sorted array: an entry's key, or the element
-  /// itself in a key array (the batch of a difference).
-  template <class Elt> static const key_t &key_of(const Elt &X) {
-    if constexpr (std::is_same_v<Elt, key_t>)
-      return X;
-    else
-      return Entry::get_key(X);
-  }
-
-  /// Index of the first element of the sorted array A[0..N) (entries or
-  /// keys) whose key is not less than \p K.
-  template <class Elt>
-  static size_t lower_bound(const Elt *A, size_t N, const key_t &K) {
-    return static_cast<size_t>(
-        std::lower_bound(A, A + N, K,
-                         [](const Elt &X, const key_t &Key) {
-                           return Entry::comp(key_of(X), Key);
-                         }) -
-        A);
-  }
-
-  /// Quantile-split parallel merge driver. Splits the sorted inputs
-  /// A[0..N1) (entries) and B[0..N2) (entries or keys) into \p C aligned
-  /// chunk pairs at key quantiles of the larger side, runs
-  /// \p MC(AChunk, An, BChunk, Bn) -> node_t* on each pair under scheduler
-  /// forks, and joins the per-chunk trees weight-balanced. A boundary key
-  /// starts the *right* chunk on both sides (lower_bound), so equal-key
-  /// pairs land in the same chunk and every chunk merge sees a
-  /// self-contained key range.
-  template <class EltB, class ChunkMerge>
-  static node_t *parallel_flat_merge(entry_t *A, size_t N1, EltB *B,
-                                     size_t N2, size_t C,
-                                     const ChunkMerge &MC) {
-    assert(C >= 2 && C <= kMaxMergeChunks && "merge_chunk_count sizes C");
-    size_t IA[kMaxMergeChunks + 1], IB[kMaxMergeChunks + 1];
-    IA[0] = IB[0] = 0;
-    IA[C] = N1;
-    IB[C] = N2;
-    for (size_t I = 1; I < C; ++I) {
-      // Quantile ranks on the larger side are exact boundaries (keys are
-      // distinct within a side); the smaller side splits by binary search
-      // on the same key, so the boundary keys — and the chunking — are a
-      // pure function of the inputs.
-      if (N1 >= N2) {
-        IA[I] = I * N1 / C;
-        IB[I] = lower_bound(B, N2, key_of(A[IA[I]]));
-      } else {
-        IB[I] = I * N2 / C;
-        IA[I] = lower_bound(A, N1, key_of(B[IB[I]]));
-      }
-    }
-    // Zero-initialized so a throwing chunk merge leaves its slot (and any
-    // never-run slots) as harmless nullptrs for the cleanup sweep.
-    node_t *Parts[kMaxMergeChunks] = {};
-    obs::trace::span MergeSpan("merge", "merge");
-    try {
-      par::parallel_for(
-          0, C,
-          [&](size_t I) {
-            obs::trace::span S("merge_chunk", "merge");
-            Parts[I] = MC(A + IA[I], IA[I + 1] - IA[I], B + IB[I],
-                          IB[I + 1] - IB[I]);
-          },
-          /*Granularity=*/1);
-      obs::trace::span JoinSpan("merge_join", "merge");
-      return join_parts(Parts, C);
-    } catch (...) {
-      // join_parts nulls slots as it consumes them, so this sweep releases
-      // exactly the chunk trees nobody owns yet.
-      for (size_t I = 0; I < C; ++I)
-        dec(Parts[I]);
-      throw;
-    }
-  }
-
-  /// Balanced concatenation of \p K adjacent chunk trees: divide and
-  /// conquer so intermediate joins stay near-balanced regardless of how
-  /// the per-chunk output sizes skew.
-  static node_t *join_parts(node_t **P, size_t K) {
-    if (K == 1) {
-      node_t *Out = P[0];
-      P[0] = nullptr; // Consumed: the caller's failure sweep must not re-dec.
-      return Out;
-    }
-    size_t Mid = K / 2;
-    node_t *L = join_parts(P, Mid);
-    node_t *R;
-    try {
-      R = join_parts(P + Mid, K - Mid);
-    } catch (...) {
-      dec(L);
-      throw;
-    }
-    return join2(L, R);
-  }
 
   //===--------------------------------------------------------------------===
   // split / split_last / join2 (Figs. 5/10).

@@ -12,13 +12,16 @@
 ///     node, so every regular node holds more than 2B entries; interior
 ///     flat nodes hold B..2B and only a root block may be smaller;
 ///   - size fields consistent; keys strictly increasing in-order; augmented
-///     values equal to the recomputed aggregate.
+///     values equal to the aggregate recomputed from the entries, wherever
+///     the augmented type is equality-comparable. The range tree's inner
+///     sets are not, so its set-valued aggregates stay unchecked.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CPAM_CORE_INVARIANTS_H
 #define CPAM_CORE_INVARIANTS_H
 
+#include <concepts>
 #include <string>
 
 #include "src/core/basic_tree.h"
@@ -27,19 +30,49 @@ namespace cpam {
 
 /// Invariant checker over a tree_ops (or derived) instantiation \p Ops.
 template <class Ops> struct invariant_checker {
+  using NL = typename Ops::NL;
   using node_t = typename Ops::node_t;
   using entry_t = typename Ops::entry_t;
-  using Entry = typename Ops::NL; // node_layer exposes entry statics via...
+  using aug_t = typename NL::aug_t;
+  using Entry = typename NL::entry_traits;
 
   /// Returns an empty string if all invariants hold, else a description of
   /// the first violation.
   static std::string check(const node_t *T, bool Ordered = true) {
     std::string Err;
     checkRec(T, /*IsRoot=*/true, Ordered, Err);
+    if constexpr (NL::is_aug && std::equality_comparable<aug_t>)
+      if (Err.empty())
+        aggregate(T, Err);
     return Err;
   }
 
 private:
+  /// Recomputes the aggregate of \p T from its entries, a block by scanning
+  /// it and a regular node as combine(left, entry, right), and records the
+  /// first node (children before parents) whose stored value differs.
+  static aug_t aggregate(const node_t *T, std::string &Err) {
+    if (!T)
+      return Entry::aug_empty();
+    aug_t Agg = Entry::aug_empty();
+    if (Ops::is_flat(T)) {
+      NL::scan(T, [&](const entry_t &E) {
+        Agg = Entry::aug_combine(Agg, Entry::aug_from_entry(E));
+        return true;
+      });
+    } else {
+      const auto *R = static_cast<const typename NL::regular_t *>(T);
+      aug_t L = aggregate(R->Left, Err), Rt = aggregate(R->Right, Err);
+      Agg = Entry::aug_combine(
+          Entry::aug_combine(L, Entry::aug_from_entry(R->E)), Rt);
+    }
+    if (Err.empty() && !(Agg == NL::aug_of(T)))
+      Err = std::string(Ops::is_flat(T) ? "flat" : "regular") +
+            " node of size " + std::to_string(T->Size) +
+            " stores an augmented value that differs from its aggregate";
+    return Agg;
+  }
+
   static size_t checkRec(const node_t *T, bool IsRoot, bool Ordered,
                          std::string &Err) {
     if (!Err.empty() || !T)
@@ -88,8 +121,8 @@ private:
   }
 };
 
-/// Checks in-order key ordering and (if augmented) aggregate correctness
-/// for map-like trees built over \p Ops (a map_ops or aug_ops instance).
+/// Checks in-order key ordering for map-like trees built over \p Ops (a
+/// map_ops or aug_ops instance).
 template <class Ops, class EntryT> struct order_checker {
   using node_t = typename Ops::node_t;
   using entry_t = typename Ops::entry_t;

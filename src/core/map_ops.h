@@ -22,12 +22,14 @@
 /// the ablation study). Point and batch updates are a second skeleton,
 /// batch_op, with the same keep policies: a tree against a sorted batch of
 /// entries (insert, multi_insert) or keys (remove, multi_delete); a point
-/// update is a one-entry batch. Every base case that walks two sorted
-/// inputs is one loop, merge<P>, over two sources: a flat block read
-/// through tree_ops::leaf_reader, a slice of an entry array, or a slice of
-/// a key array. It writes through one tree_ops::leaf_writer, which encodes
-/// each survivor once into finished leaves. Updates consume their operand
-/// trees; the queries and range() only read theirs.
+/// update is a one-entry batch. Every base case holds at most
+/// max(kappa, 4B) entries and is one sequential call of merge<P>, the loop
+/// that walks two sorted sources: a flat block read through
+/// tree_ops::leaf_reader, a slice of an entry array, or a slice of a key
+/// array. It writes through one tree_ops::leaf_writer, which encodes each
+/// survivor once into finished leaves. All merge parallelism comes from the
+/// two skeletons forking their halves, as in PAM. Updates consume their
+/// operand trees; the queries and range() only read theirs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +38,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 
 #include "src/core/basic_tree.h"
 #include "src/parallel/primitives.h"
@@ -70,8 +73,6 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using TO::join2;
   using TO::kB;
   using TO::kBlocked;
-  using TO::key_of;
-  using TO::lower_bound;
   using TO::par_gran;
   using TO::select;
   using TO::size;
@@ -99,13 +100,14 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
 
   /// True when operands of \p N1 and \p N2 entries (trees, or a tree and a
   /// sorted batch) merge whole in one base case instead of recursing:
-  /// when the larger is one block (at most 2B entries, so exposing it would
-  /// unfold it), or when the pair is dense (smaller * B >= larger) with at
-  /// most kappa() entries. A sparse pair keeps recursing down the larger
-  /// side, so merging m scattered keys into n entries touches O(m) blocks
-  /// rather than rewriting every kappa-sized subtree they land in. Without
-  /// blocks (B = 0) a pair never merges whole: the recursion runs down to
-  /// single nodes, so P-trees never reach a leaf_writer.
+  /// when the larger is one block (at most 2B entries), or when the pair is
+  /// dense (smaller * B >= larger) with at most kappa() entries, so a base
+  /// case holds at most max(kappa(), 4B) entries. A sparse pair keeps
+  /// recursing down the larger side, so merging m scattered keys into n
+  /// entries touches O(m) blocks rather than rewriting every kappa-sized
+  /// subtree they land in. Without blocks (B = 0) a pair never merges
+  /// whole: the recursion runs down to single nodes, so P-trees never
+  /// reach a leaf_writer.
   static bool merge_whole(size_t N1, size_t N2) {
     if constexpr (!kBlocked)
       return false;
@@ -326,6 +328,27 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   static array_source batch_source(entry_t *B, size_t N) { return {B, N}; }
   static key_source batch_source(const key_t *B, size_t N) { return {B, N}; }
 
+  /// Key of a batch element: an entry's key, or the element itself in a
+  /// key array.
+  template <class Elt> static const key_t &key_of(const Elt &X) {
+    if constexpr (std::is_same_v<Elt, key_t>)
+      return X;
+    else
+      return entry_key(X);
+  }
+
+  /// Index of the first element of the sorted batch B[0..N) (entries or
+  /// keys) whose key is not less than \p K.
+  template <class Elt>
+  static size_t lower_bound(const Elt *B, size_t N, const key_t &K) {
+    return static_cast<size_t>(
+        std::lower_bound(B, B + N, K,
+                         [](const Elt &X, const key_t &Key) {
+                           return key_less(key_of(X), Key);
+                         }) -
+        B);
+  }
+
   /// The merge loop of every sorted base case: walks the sources \p A and
   /// \p B (a leaf_reader, array_source or key_source each) in key order
   /// under keep policy \p P into one leaf_writer and returns the finished
@@ -367,42 +390,14 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return W.finish();
   }
 
-  //===--------------------------------------------------------------------===
-  // Array merges: a base case reads a flat block straight through a
-  // leaf_reader only while its pair (a flat block or a batch) fits one
-  // chunk; any other tree operand is flattened into an array. When
-  // merge_chunk_count — a pure function of the operand sizes — gives at
-  // least two chunks, the arrays are split at key quantiles
-  // (tree_ops::parallel_flat_merge) and each chunk is one merge; otherwise
-  // the whole pair is one merge. Chunk boundaries never depend on the
-  // worker count, so the output tree is identical at any thread count.
-  //===--------------------------------------------------------------------===
-
-  /// Merges the sorted entry array A[0..N1) with the sorted array B[0..N2)
-  /// of entries or keys (survivors moved out) into a tree under keep
-  /// policy \p P, parallel above the quantile-split threshold.
-  template <class P, class Elt, class CombineOp>
-  static node_t *merge_arrays(entry_t *A, size_t N1, Elt *B, size_t N2,
-                              const CombineOp &Op) {
-    auto Chunk = [&Op](entry_t *CA, size_t Cn1, Elt *CB, size_t Cn2) {
-      array_source SA(CA, Cn1);
-      auto SB = batch_source(CB, Cn2);
-      return merge<P>(SA, SB, Op);
-    };
-    size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
-    if (C >= 2)
-      return TO::parallel_flat_merge(A, N1, B, N2, C, Chunk);
-    return Chunk(A, N1, B, N2);
-  }
-
-  /// Base case of set_op: merges the whole pair in one pass. Two flat
-  /// blocks that fit one chunk are read block to block; any other pair is
-  /// flattened into arrays.
+  /// Base case of set_op: merges the whole pair, at most
+  /// max(kappa(), 4B) entries, in one merge. Two flat blocks are read
+  /// block to block; any other pair is flattened into arrays.
   template <class P, class CombineOp>
   static node_t *set_base(node_t *T1, node_t *T2, const CombineOp &Op) {
     size_t N1 = size(T1), N2 = size(T2);
-    if (is_flat(T1) && is_flat(T2) &&
-        TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2) {
+    assert(N1 + N2 <= std::max(kappa(), 4 * kB) && "oversized base case");
+    if (is_flat(T1) && is_flat(T2)) {
       leaf_reader A(T1), B(T2);
       return merge<P>(A, B, Op);
     }
@@ -412,7 +407,8 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     B1.set_count(N1);
     flatten(G2.release(), B2.data());
     B2.set_count(N2);
-    return merge_arrays<P>(B1.data(), N1, B2.data(), N2, Op);
+    array_source A(B1.data(), N1), B(B2.data(), N2);
+    return merge<P>(A, B, Op);
   }
 
   /// The one join-based skeleton of every set operation over owned T1 and
@@ -511,31 +507,34 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   // Point and batch updates (Fig. 8): one skeleton, batch_op.
   //===--------------------------------------------------------------------===
 
-  /// Base case of batch_op: merges the whole batch into \p T in one pass. A
-  /// flat T whose pair fits one chunk is read block to block; any other T
-  /// is flattened into an array. Kept out of batch_op so that the
-  /// recursion's frame does not carry the base case's in-object buffers.
+  /// Base case of batch_op: merges the whole batch into \p T, at most
+  /// max(kappa(), 4B) entries together, in one merge. A flat T is read
+  /// block to block; any other T is flattened into an array. Kept out of
+  /// batch_op so that the recursion's frame does not carry the base case's
+  /// in-object buffers.
   template <class P, class Elt, class CombineOp>
   static node_t *batch_base(node_t *T, Elt *B, size_t N, const CombineOp &Op) {
     size_t Nt = size(T);
-    if (is_flat(T) && TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2) {
+    assert(Nt + N <= std::max(kappa(), 4 * kB) && "oversized base case");
+    auto S = batch_source(B, N);
+    if (is_flat(T)) {
       leaf_reader C(T);
-      auto S = batch_source(B, N);
       return merge<P>(C, S, Op);
     }
     node_guard G(T);
     temp_buf Bt(Nt);
     flatten(G.release(), Bt.data());
     Bt.set_count(Nt);
-    return merge_arrays<P>(Bt.data(), Nt, B, N, Op);
+    array_source C(Bt.data(), Nt);
+    return merge<P>(C, S, Op);
   }
 
   /// Merges the sorted batch B[0..N) of distinct keys into owned \p T under
   /// keep policy \p P: entries (moved out) for a union, keys for a
-  /// difference. A flat T (exposing it would unfold the block) or a pair
-  /// that merge_whole admits is one base case. Otherwise T is exposed, its
-  /// root key is found in the batch by binary search, and only a side that
-  /// gets batch entries is rebuilt; the other is reused as it is. A point
+  /// difference. A pair that merge_whole admits is one base case. Otherwise
+  /// T is exposed (a block splits at its median), its root key is found in
+  /// the batch by binary search, and only a side that gets batch entries is
+  /// rebuilt; the other is reused as it is. A point
   /// update thus walks one path, and only a node with batch entries on both
   /// sides reaches par_do_if. O(m log(n/m + 1) + min(mB, n)) work for a
   /// batch of m into a tree of n.
@@ -549,7 +548,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
         return from_array_move(B, N);
       return nullptr;
     }
-    if (is_flat(T) || merge_whole(size(T), N))
+    if (merge_whole(size(T), N))
       return batch_base<P>(T, B, N, Op);
     exposed X = expose(T);
     node_guard GL(X.L), GR(X.R);

@@ -42,6 +42,7 @@ namespace cpam {
 /// \p EncoderT and block-size parameter \p BlockSizeB (0 = plain P-tree).
 template <class Entry, template <class> class EncoderT, int BlockSizeB>
 struct node_layer {
+  using entry_traits = Entry;
   using entry_t = typename Entry::entry_t;
   using key_t = typename Entry::key_t;
   using encoder = EncoderT<Entry>;
@@ -53,9 +54,8 @@ struct node_layer {
   static constexpr size_t kB = BlockSizeB;
   static constexpr bool kBlocked = BlockSizeB > 0;
   /// Fork granularity for the node-layer parallel walks (dec, flatten,
-  /// build_expanded, size_in_bytes, node_count): the tree layer's 2048, at
-  /// which a ~19 ns fork stays well under 1% of the subtree work (see
-  /// BENCH_PR4.json).
+  /// size_in_bytes, node_count): the tree layer's 2048, at which a ~19 ns
+  /// fork stays well under 1% of the subtree work (see BENCH_PR4.json).
   static constexpr size_t par_gc_gran() { return 2048; }
 
   //===--------------------------------------------------------------------===
@@ -354,7 +354,7 @@ struct node_layer {
   };
 
   //===--------------------------------------------------------------------===
-  // Flatten / unfold (fold lives in tree_ops::node_join).
+  // Flatten (fold lives in tree_ops::node_join).
   //===--------------------------------------------------------------------===
 
   /// Writes the entries of \p T in order into raw storage \p Out
@@ -393,43 +393,6 @@ struct node_layer {
     par::par_do_if(N >= par_gc_gran(), [&] { flatten(L, Out); },
                    [&] { flatten(Rt, Out + Ls + 1); });
     return N;
-  }
-
-  /// Builds a perfectly balanced tree of regular nodes from \p A[0..N)
-  /// (entries moved out). Used to expand flat nodes ("unfold", Fig. 5) —
-  /// deliberately does *not* re-fold.
-  static node_t *build_expanded(entry_t *A, size_t N) {
-    if (N == 0)
-      return nullptr;
-    size_t Mid = N / 2;
-    node_t *L = nullptr, *R = nullptr;
-    // Both branches always run (parDo's exception contract), so on a throw
-    // each half either produced a subtree (released here) or threw after
-    // releasing its own resources; unconsumed entries stay owned by the
-    // caller's buffer.
-    try {
-      par::par_do_if(
-          N >= par_gc_gran(), [&] { L = build_expanded(A, Mid); },
-          [&] { R = build_expanded(A + Mid + 1, N - Mid - 1); });
-    } catch (...) {
-      dec(L);
-      dec(R);
-      throw;
-    }
-    return make_regular(L, std::move(A[Mid]), R);
-  }
-
-  /// Expands a flat node into a perfectly balanced binary tree of regular
-  /// nodes (the expanded version of Def. 4.1), consuming \p T.
-  static node_t *unfold(node_t *T) {
-    assert(is_flat(T) && "unfold expects a flat node");
-    size_t N = T->Size;
-    node_guard G(T); // Covers a throw from the buffer allocation.
-    temp_buf Buf(N);
-    flatten(G.release(), Buf.data());
-    Buf.set_count(N);
-    node_t *Out = build_expanded(Buf.data(), N);
-    return Out;
   }
 
   //===--------------------------------------------------------------------===

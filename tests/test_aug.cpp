@@ -43,6 +43,32 @@ TYPED_TEST(AugSumTest, AugValIsTotalSum) {
   EXPECT_EQ(M.check_invariants(), "");
 }
 
+// check_invariants recomputes every aggregate: one stale stored value, in
+// a regular node or in a block, is a violation.
+TYPED_TEST(AugSumTest, CheckerRejectsAStaleAggregate) {
+  using NL = typename TypeParam::ops::NL;
+  std::vector<std::pair<uint64_t, uint64_t>> E;
+  for (uint64_t I = 0; I < 4000; ++I)
+    E.push_back({2 * I, I});
+  TypeParam M(E);
+  ASSERT_EQ(M.check_invariants(), "");
+  // The root, then the leftmost leaf: a block unless B = 0.
+  auto *Leaf = M.root();
+  while (!NL::is_flat(Leaf) && NL::as_regular(Leaf)->Left)
+    Leaf = NL::as_regular(Leaf)->Left;
+  for (auto *T : {M.root(), Leaf}) {
+    uint64_t &Aug =
+        NL::is_flat(T) ? NL::as_flat(T)->Aug : NL::as_regular(T)->Aug;
+    const uint64_t Saved = Aug;
+    Aug += 1;
+    EXPECT_NE(M.check_invariants(), "")
+        << (NL::is_flat(T) ? "block" : "regular node") << " of size "
+        << T->Size;
+    Aug = Saved;
+  }
+  EXPECT_EQ(M.check_invariants(), "");
+}
+
 TYPED_TEST(AugSumTest, AugRangeMatchesBruteForce) {
   std::vector<std::pair<uint64_t, uint64_t>> E;
   Rng R(3);

@@ -425,8 +425,8 @@ TYPED_TEST(DifferentialMapTest, RandomOpsMatchStdMap) {
 // map_update keeps every key of its first operand and combines the values
 // of the keys both hold. The skeleton exposes the larger operand and splits
 // the smaller, so the two size orders take different branches of its
-// middle-entry rule; sizes reach the parallel forks and the quantile-split
-// base cases, and the ctest variants run the suite at 1, 4 and 16 workers.
+// middle-entry rule; sizes reach the recursion's parallel forks and its
+// kappa-sized base cases.
 TYPED_TEST(DifferentialMapTest, MapUpdateMatchesStdMap) {
   using MapT = TypeParam;
   auto Plus = std::plus<uint64_t>();
@@ -948,7 +948,7 @@ TYPED_TEST(DifferentialSetTest, MultiLeafChunkedResults) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel quantile-split merges.
+// Parallel set operations.
 //===----------------------------------------------------------------------===//
 
 /// Structural fingerprint of the whole tree: node kinds, sizes, child
@@ -979,22 +979,16 @@ template <class SetT> uint64_t treeFingerprint(const SetT &S) {
   return Walk{}(S.root());
 }
 
-/// Drives every operation routed through the quantile-split parallel merge
-/// with the grain lowered (so these test-sized inputs split into many
-/// chunks) and kappa raised (so whole operands reach the merge base
-/// cases). Each op is checked three ways: contents against the std::set
-/// oracle, the Def. 4.1 invariants, and structural identity between a run
-/// under the real scheduler and the same chunked code path with every fork
-/// inlined (par::set_sequential). Chunk boundaries are a pure function of
-/// the operand sizes — never the worker count — so this last check, run by
-/// the x1/x4/x16 ctest variants of this suite, pins byte-identical output
-/// trees at every thread count.
-template <class SetT> void runParallelMergeEpisode(Rng R) {
-  using ops = typename SetT::ops;
-  test::ValueGuard<size_t> GGrain(ops::parallel_merge_grain());
-  test::ValueGuard<size_t> GKappa(ops::kappa());
-  ops::parallel_merge_grain() = 512;
-  ops::kappa() = size_t{1} << 20;
+/// Drives every set operation and batch update at sizes (6,000 and 5,000
+/// entries) where the join-based recursion forks its halves in parallel,
+/// at the default kappa. Each op is checked three ways: contents against
+/// the std::set oracle, the Def. 4.1 invariants, and structural identity
+/// between a run under the real scheduler and the same run with every fork
+/// inlined (par::set_sequential). The recursion's split points are a pure
+/// function of the operands — never the worker count — so this last check,
+/// run by the x1/x4/x16 ctest variants of this suite, pins byte-identical
+/// output trees at every thread count.
+template <class SetT> void runParallelSetOpsEpisode(Rng R) {
   constexpr uint64_t Universe = 300000;
 
   auto RandomKeys = [&R](size_t N) {
@@ -1011,7 +1005,7 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
     SetT Seq = Mk();
     par::set_sequential(false);
     EXPECT_EQ(treeFingerprint(Par), treeFingerprint(Seq))
-        << What << ": chunked merge output depends on scheduling";
+        << What << ": parallel output depends on scheduling";
     EXPECT_EQ(Par.size_in_bytes(), Seq.size_in_bytes()) << What;
     EXPECT_EQ(Par.node_count(), Seq.node_count()) << What;
     return Par;
@@ -1030,7 +1024,7 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
   }
   {
     // Overlap half of SA's keys so the intersection is nonempty in every
-    // chunk.
+    // base case.
     std::vector<uint64_t> KC = KB;
     for (uint64_t K : KA)
       if (R.next(2))
@@ -1053,16 +1047,29 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
         O.insert(K);
     checkSetAgainstOracle(D, O, "parallel difference");
   }
+  // A tiny flat root against a batch that dwarfs it: the root block is
+  // exposed (split at its median) and the batch recursion forks.
+  auto Seed = RandomKeys(5);
+  SetT Root(Seed);
   {
-    // The single-worker-encode-bottleneck shape: a tiny flat root spliced
-    // with a batch that dwarfs it.
-    auto Seed = RandomKeys(5);
-    SetT Root(Seed);
     SetT M = CheckDeterminism(
         "multi_insert", [&] { return Root.multi_insert(KA); });
     std::set<uint64_t> O(Seed.begin(), Seed.end());
     O.insert(KA.begin(), KA.end());
     checkSetAgainstOracle(M, O, "parallel multi_insert");
+  }
+  {
+    // The key-batch side of the same recursion: 6,000 keys, among them
+    // every other key of the root.
+    std::vector<uint64_t> Del = RandomKeys(6000);
+    for (size_t I = 0; I < Seed.size(); I += 2)
+      Del.push_back(Seed[I]);
+    SetT M = CheckDeterminism(
+        "multi_delete from a block", [&] { return Root.multi_delete(Del); });
+    std::set<uint64_t> O(Seed.begin(), Seed.end());
+    for (uint64_t K : Del)
+      O.erase(K);
+    checkSetAgainstOracle(M, O, "parallel multi_delete from a block");
   }
   {
     std::vector<uint64_t> Del;
@@ -1078,9 +1085,9 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
   }
 }
 
-TYPED_TEST(DifferentialSetTest, ParallelMergeMatchesInlineRunAndOracle) {
+TYPED_TEST(DifferentialSetTest, ParallelSetOpsMatchInlineRunAndOracle) {
   for (uint64_t Salt : {44, 33}) {
-    runParallelMergeEpisode<TypeParam>(test::seeded_rng(Salt));
+    runParallelSetOpsEpisode<TypeParam>(test::seeded_rng(Salt));
     if (this->HasFatalFailure())
       break;
   }
@@ -1090,8 +1097,8 @@ TYPED_TEST(DifferentialSetTest, ParallelMergeMatchesInlineRunAndOracle) {
 /// The dense 50%-interleaved shape: even keys against odd-shifted keys, so
 /// the winner alternates every entry and half the pairs collide. With
 /// kappa raised past the operand sizes the pair reaches the base case
-/// whole and is split at key quantiles into parallel chunk merges; every
-/// set operation must still match the oracle exactly.
+/// whole and runs as one merge over two flattened arrays; every set
+/// operation must still match the oracle exactly.
 TYPED_TEST(DifferentialSetTest, DenseInterleavedMergeMatchesOracle) {
   using ops = typename TypeParam::ops;
   test::ValueGuard<size_t> GKappa(ops::kappa());

@@ -11,10 +11,10 @@
 /// reported percentile in [true, true * (1 + 1/16)]), reset coherence
 /// through obs::reset_all() across every surface (owned metrics, raw
 /// cells, scheduler source), the serving metrics recorded through the
-/// registry, and a trace-span round trip: force a chunked parallel merge
-/// under tracing and assert the flushed Chrome trace JSON parses
-/// structurally and contains the merge-chunk spans. Runs in the CI TSan
-/// leg (concurrent record/flush).
+/// registry, and a trace-span round trip: publish two versions on a
+/// version chain under tracing and assert the flushed Chrome trace JSON
+/// parses structurally and contains the publish and reclaim spans. Runs in
+/// the CI TSan leg (concurrent record/flush).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,12 +25,10 @@
 
 #include "gtest/gtest.h"
 
-#include "src/api/pam_set.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/parallel/primitives.h"
 #include "src/serving/version_chain.h"
-#include "tests/test_common.h"
 
 using namespace cpam;
 
@@ -263,26 +261,18 @@ TEST(ObsShims, ServingMetricsRecordThroughRegistry) {
 // Trace spans.
 //===----------------------------------------------------------------------===//
 
-TEST(ObsTrace, ChunkedMergeSpansFlushAsLoadableJson) {
-  using SetT = pam_set<uint64_t, 128>;
-  using ops = typename SetT::ops;
-  // Force the quantile-split path on test-sized inputs, exactly like the
-  // differential parallel-merge episode.
-  test::ValueGuard<size_t> GGrain(ops::parallel_merge_grain());
-  test::ValueGuard<size_t> GKappa(ops::kappa());
-  ops::parallel_merge_grain() = 512;
-  ops::kappa() = size_t{1} << 20;
-
+// publish and its reclaim record their spans on the calling thread, so
+// the flushed JSON holds complete spans and this thread's lane name at any
+// worker count, whether or not the pool runs anything.
+TEST(ObsTrace, ServingSpansFlushAsLoadableJson) {
   obs::trace::clear();
   obs::trace::enable();
-  std::vector<uint64_t> KA, KB;
-  for (uint64_t I = 0; I < 6000; ++I)
-    KA.push_back(3 * I);
-  for (uint64_t I = 0; I < 5000; ++I)
-    KB.push_back(3 * I + 1);
-  SetT SA(KA), SB(KB);
-  SetT U = SetT::map_union(SA, SB);
-  ASSERT_EQ(U.size(), KA.size() + KB.size());
+  {
+    serving::version_chain<int> VC(1);
+    VC.publish(2);
+    VC.publish(3);
+    EXPECT_EQ(VC.seq(), 3u);
+  }
   obs::trace::disable();
 
   const char *Path = "test_obs_trace.json";
@@ -299,10 +289,8 @@ TEST(ObsTrace, ChunkedMergeSpansFlushAsLoadableJson) {
   }
   std::remove(Path);
   EXPECT_NE(J.find("\"traceEvents\""), std::string::npos);
-  // merge_chunk spans fire inside the parallel_for lambda, which runs even
-  // when every fork inlines — present at any worker count.
-  EXPECT_NE(J.find("\"merge_chunk\""), std::string::npos);
-  EXPECT_NE(J.find("\"merge_join\""), std::string::npos);
+  EXPECT_NE(J.find("\"publish\""), std::string::npos);
+  EXPECT_NE(J.find("\"reclaim\""), std::string::npos);
   EXPECT_NE(J.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(J.find("\"thread_name\""), std::string::npos);
   int Depth = 0;
