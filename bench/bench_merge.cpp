@@ -6,9 +6,10 @@
 //
 // dense_* rows: many independent leaf-sized unions of the dense
 // 50%-interleaved shape (winner runs of length ~1, half the keys
-// colliding), one row per (B, encoding). Each pair of flat blocks merges
-// block to block through the one merge loop (map_ops::merge), so the row
-// prices its per-entry decode/compare/encode chain on the worst-case shape.
+// colliding), one row per (B, encoding). Each pair of flat blocks is
+// flattened (one batch decode per block) and merged through the one merge
+// loop (map_ops::merge), so the row prices decode, compare and encode on
+// the worst-case shape.
 // The unions run one after another, each a single base case, so the rows
 // do not depend on the worker count.
 //

@@ -145,14 +145,15 @@ inline void tree_free(void *P, size_t Bytes) {
 
 /// Scratch storage whose size is fixed on first use: kept inside the
 /// object up to kInline bytes, else taken from tree_alloc. The limit is 2B
-/// entries of either graph level at B = 64 (4-byte neighbour ids, 16-byte
-/// vertex entries), so a temp_buf or leaf writer over a block that small
-/// costs no allocation and a small merge, splice or fold allocates only its
-/// result block. Neither copyable nor movable: the storage may be the
-/// object itself.
+/// 16-byte entries at B = 128 (the maps of the perfbench workloads) and
+/// 2B entries of either graph level at B = 64 (4-byte neighbour ids,
+/// 16-byte vertex entries), so a flattened block never needs a scratch
+/// allocation, and a small merge, cut or fold allocates only its result
+/// blocks. Neither copyable nor movable: the storage may be the object
+/// itself.
 class scratch_buf {
 public:
-  static constexpr size_t kInline = 2048;
+  static constexpr size_t kInline = 4096;
 
   scratch_buf() = default;
   scratch_buf(const scratch_buf &) = delete;

@@ -13,9 +13,12 @@
 /// algorithms (union, maps, sequences, augmented queries) are written
 /// against exactly these primitives, which is the paper's central
 /// software-design claim: redesigning join and expose lets the whole PAM
-/// algorithm suite run unchanged over compressed leaves. Splitting or
-/// filtering inside a block streams it through leaf_reader -> leaf_writer,
-/// one code path for every encoder, augmented trees included.
+/// algorithm suite run unchanged over compressed leaves. A block is read
+/// as a whole: a consuming read flattens it into a temp_buf once
+/// (node_layer::flatten), a read-only one scans it (node_layer::scan).
+/// Cutting, mapping or filtering a block then writes each result block
+/// with one make_flat, one code path for every encoder, augmented trees
+/// included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,37 +99,26 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     // subtree of at most 2B entries is already one block.
     if (S > 4 * kB)
       return make_regular(L, std::move(E), R);
-    if (S <= 2 * kB) {
-      // Fold everything into a single flat node.
-      node_guard GL(L), GR(R);
-      temp_buf Buf(S);
-      size_t Ls = flatten(GL.release(), Buf.data());
-      ::new (static_cast<void *>(Buf.data() + Ls)) entry_t(std::move(E));
-      flatten(GR.release(), Buf.data() + Ls + 1);
-      Buf.set_count(S);
-      return make_flat(Buf.data(), S);
-    }
     // 2B < S <= 4B. If both children are already flat blocks of legal size
     // (a root block may be smaller than B), the invariant holds as-is.
-    if (is_flat(L) && is_flat(R) && L->Size >= kB && R->Size >= kB)
+    if (S > 2 * kB && is_flat(L) && is_flat(R) && L->Size >= kB &&
+        R->Size >= kB)
       return make_regular(L, std::move(E), R);
-    // Otherwise redistribute into two equal flat blocks around the median.
+    // Otherwise flatten everything into one buffer: up to 2B entries fold
+    // into a single flat node, more redistribute into two equal flat
+    // blocks around the median.
     node_guard GL(L), GR(R);
     temp_buf Buf(S);
     size_t Ls = flatten(GL.release(), Buf.data());
     ::new (static_cast<void *>(Buf.data() + Ls)) entry_t(std::move(E));
     flatten(GR.release(), Buf.data() + Ls + 1);
     Buf.set_count(S);
+    if (S <= 2 * kB)
+      return make_flat(Buf.data(), S);
     size_t Mid = S / 2;
-    node_t *Lf = make_flat(Buf.data(), Mid);
-    node_t *Rf;
-    try {
-      Rf = make_flat(Buf.data() + Mid + 1, S - Mid - 1);
-    } catch (...) {
-      dec(Lf);
-      throw;
-    }
-    return make_regular(Lf, std::move(Buf.data()[Mid]), Rf);
+    node_guard Lf(make_flat(Buf.data(), Mid));
+    node_t *Rf = make_flat(Buf.data() + Mid + 1, S - Mid - 1);
+    return make_regular(Lf.release(), std::move(Buf.data()[Mid]), Rf);
   }
 
   //===--------------------------------------------------------------------===
@@ -139,22 +131,39 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     node_t *R;
   };
 
-  /// Destructures \p T, consuming one reference. A flat block splits at its
+  struct split_t {
+    node_t *L = nullptr;
+    node_t *R = nullptr;
+    std::optional<entry_t> E; // Set iff the key was present (or taken).
+  };
+
+  /// Cuts the flat block \p T at index \p I, consuming it: flattens the
+  /// block once, makes [0, I) and [I + Take, N) one block each (null when
+  /// empty) and, with \p Take, moves the entry at I into E. Serves expose,
+  /// split, split_last and seq split_at. Out of line, so its buffer never
+  /// joins a recursive caller's frame.
+  [[gnu::noinline]] static split_t cut(node_t *T, size_t I, bool Take) {
+    size_t N = size(T), J = I + Take;
+    assert(is_flat(T) && J <= N && "cut past the end of the block");
+    temp_buf Buf(T);
+    node_guard L(I ? make_flat(Buf.data(), I) : nullptr);
+    split_t Out;
+    Out.R = J < N ? make_flat(Buf.data() + J, N - J) : nullptr;
+    Out.L = L.release();
+    if (Take)
+      Out.E.emplace(std::move(Buf.data()[I]));
+    return Out;
+  }
+
+  /// Destructures \p T, consuming one reference. A flat block is cut at its
   /// median entry into two flat blocks, either of which may be empty: the
   /// root of the block's balanced expansion, built without its regular
   /// nodes. A uniquely owned regular node is cannibalized without copying.
   static exposed expose(node_t *T) {
     assert(T && "cannot expose an empty tree");
     if (is_flat(T)) {
-      size_t N = T->Size, Mid = N / 2;
-      node_guard G(T); // Covers a throw from the buffer allocation.
-      temp_buf Buf(N);
-      flatten(G.release(), Buf.data());
-      Buf.set_count(N);
-      node_guard L(Mid ? make_flat(Buf.data(), Mid) : nullptr);
-      node_t *R =
-          N - Mid > 1 ? make_flat(Buf.data() + Mid + 1, N - Mid - 1) : nullptr;
-      return {L.release(), std::move(Buf.data()[Mid]), R};
+      split_t S = cut(T, T->Size / 2, true);
+      return {S.L, std::move(*S.E), S.R};
     }
     auto *R = as_regular(T);
     if (ref_count(T) == 1) {
@@ -309,46 +318,13 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   }
 
   //===--------------------------------------------------------------------===
-  // Streaming leaf cursors (Sec. 8 base cases without materialization).
+  // The leaf writer: the output of the Sec. 8 merge base cases.
   //===--------------------------------------------------------------------===
-
-  /// Streaming reader over a flat node, consuming one reference to it.
-  /// Uniquely owned blocks are cannibalized: entries are moved out through
-  /// the encoder's consuming read cursor and only the shell bytes are freed.
-  /// Shared blocks are read by copy and dec'd. Abandoning the reader
-  /// mid-block releases everything (the unconsumed tail included).
-  class leaf_reader {
-  public:
-    explicit leaf_reader(node_t *T)
-        : F(NL::as_flat(T)), Unique(NL::ref_count(T) == 1),
-          C(NL::payload(F), T->Size, Unique) {}
-    leaf_reader(const leaf_reader &) = delete;
-    leaf_reader &operator=(const leaf_reader &) = delete;
-    ~leaf_reader() {
-      // Destroy any unconsumed entries before the shell bytes go away.
-      C.release();
-      if (Unique)
-        NL::free_flat_shell(F);
-      else
-        NL::dec(F);
-    }
-
-    bool done() const { return C.done(); }
-    size_t remaining() const { return C.remaining(); }
-    const entry_t &peek() const { return C.peek(); }
-    const key_t &key() const { return Entry::get_key(C.peek()); }
-    entry_t take() { return C.take(); }
-    void skip() { C.skip(); }
-
-  private:
-    typename NL::flat_t *F;
-    bool Unique;
-    typename NL::encoder::read_cursor C;
-  };
 
   /// Streaming writer: turns one ordered entry stream of at most \p MaxN
   /// entries into a balanced tree of legal flat leaves, for every blocked
-  /// tree (B = 0 trees never reach one; see map_ops::merge_whole).
+  /// tree (B = 0 trees never reach one; see map_ops::merge_whole). Its one
+  /// caller is map_ops::merge, whose result size is known only at the end.
   ///
   /// push() is a single store into a pending entry array. Once 3B+1
   /// entries are pending, the oldest 2B are sealed as a finished leaf by
@@ -379,7 +355,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     explicit leaf_writer(size_t MaxN) {
       // One scratch buffer carries the pending array and, for streams that
       // can span leaves, the separator and leaf-pointer arrays; for a
-      // stream of at most 2 KiB of entries it sits inside the writer, so
+      // stream of at most 4 KiB of entries it sits inside the writer, so
       // sealing the result is the only allocation.
       PendCap = std::max<size_t>(1, std::min(MaxN, kPendTrigger));
       size_t SepOff = PendCap * sizeof(entry_t);
@@ -548,12 +524,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   // split / split_last / join2 (Figs. 5/10).
   //===--------------------------------------------------------------------===
 
-  struct split_t {
-    node_t *L = nullptr;
-    node_t *R = nullptr;
-    std::optional<entry_t> E; // Set iff the key was present.
-  };
-
   /// Splits \p T by key \p K into (keys < K, keys > K) plus the entry with
   /// key K if present. Consumes \p T. A block whose keys all fall on one
   /// side of K is returned as it is, with no re-encode.
@@ -576,25 +546,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
         (Below == N ? Out.L : Out.R) = T;
         return Out;
       }
-      // Leaf splice: stream the block into the two sides, never
-      // materializing it (each entry is decoded once on its way out).
-      leaf_reader C(T);
-      leaf_writer WL(Below), WR(N - Below);
-      split_t Out;
-      for (size_t I = 0; I < Below; ++I)
-        WL.push(C.take());
-      if (Found)
-        Out.E.emplace(C.take());
-      while (!C.done())
-        WR.push(C.take());
-      Out.L = WL.finish();
-      try {
-        Out.R = WR.finish();
-      } catch (...) {
-        dec(Out.L);
-        throw;
-      }
-      return Out;
+      return cut(T, Below, Found);
     }
     exposed X = expose(T);
     const key_t &Ke = Entry::get_key(X.E);
@@ -625,15 +577,8 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   static std::pair<node_t *, entry_t> split_last(node_t *T) {
     assert(T && "split_last on empty tree");
     if (is_flat(T)) {
-      // Leaf splice: stream all but the last entry straight into the
-      // result block.
-      size_t N = T->Size;
-      leaf_reader C(T);
-      leaf_writer W(N - 1);
-      for (size_t I = 0; I + 1 < N; ++I)
-        W.push(C.take());
-      entry_t Last = C.take();
-      return {W.finish(), std::move(Last)};
+      split_t S = cut(T, T->Size - 1, true);
+      return {S.L, std::move(*S.E)};
     }
     exposed X = expose(T);
     if (!X.R)
@@ -719,13 +664,12 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return nullptr;
     if (is_flat(T)) {
-      // Stream the block through the cursor pair: each entry is decoded
-      // once, transformed, and pushed straight into the result leaf.
-      leaf_reader C(T);
-      leaf_writer W(C.remaining());
-      while (!C.done())
-        W.push(f(C.take()));
-      return W.finish();
+      // Rewrite the flattened block in place and encode it once.
+      temp_buf Buf(T);
+      entry_t *A = Buf.data();
+      for (size_t I = 0; I < Buf.count(); ++I)
+        A[I] = f(std::move(A[I]));
+      return make_flat(A, Buf.count());
     }
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;
@@ -746,18 +690,14 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     if (!T)
       return nullptr;
     if (is_flat(T)) {
-      // Stream the block through the cursor pair: each kept entry is
-      // decoded once on its way out, nothing is materialized for the
-      // dropped ones (|result| <= |T| <= 2B always fits one leaf).
-      leaf_reader C(T);
-      leaf_writer W(C.remaining());
-      while (!C.done()) {
-        if (P(C.peek()))
-          W.push(C.take());
-        else
-          C.skip();
-      }
-      return W.finish();
+      // Compact the kept entries of the flattened block to its front, in
+      // order, and encode them once (|result| <= |T| <= 2B is one block).
+      temp_buf Buf(T);
+      entry_t *A = Buf.data();
+      size_t K = std::remove_if(A, A + Buf.count(),
+                                [&](const entry_t &E) { return !P(E); }) -
+                 A;
+      return K ? make_flat(A, K) : nullptr;
     }
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;

@@ -23,13 +23,14 @@
 /// batch_op, with the same keep policies: a tree against a sorted batch of
 /// entries (insert, multi_insert) or keys (remove, multi_delete); a point
 /// update is a one-entry batch. Every base case holds at most
-/// max(kappa, 4B) entries and is one sequential call of merge<P>, the loop
-/// that walks two sorted sources: a flat block read through
-/// tree_ops::leaf_reader, a slice of an entry array, or a slice of a key
-/// array. It writes through one tree_ops::leaf_writer, which encodes each
-/// survivor once into finished leaves. All merge parallelism comes from the
-/// two skeletons forking their halves, as in PAM. Updates consume their
-/// operand trees; the queries and range() only read theirs.
+/// max(kappa, 4B) entries: it flattens its tree operands into entry arrays
+/// (a block is decoded as a whole) and makes one sequential call of
+/// merge<P>, the loop that walks two sorted sources, each a slice of an
+/// entry array or of a key array. merge<P> is the one user of
+/// tree_ops::leaf_writer, which encodes each survivor once into finished
+/// leaves. All merge parallelism comes from the two skeletons forking
+/// their halves, as in PAM. Updates consume their operand trees; the
+/// queries and range() only read theirs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,7 +66,6 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using split_t = typename TO::split_t;
   using TO::dec;
   using TO::expose;
-  using TO::flatten;
   using TO::from_array_move;
   using TO::inc;
   using TO::is_flat;
@@ -77,7 +77,6 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using TO::select;
   using TO::size;
   using TO::split;
-  using leaf_reader = typename TO::leaf_reader;
   using leaf_writer = typename TO::leaf_writer;
 
   /// Base-case granularity kappa of Sec. 8: a dense pair of operands with at
@@ -350,12 +349,10 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   }
 
   /// The merge loop of every sorted base case: walks the sources \p A and
-  /// \p B (a leaf_reader, array_source or key_source each) in key order
-  /// under keep policy \p P into one leaf_writer and returns the finished
-  /// tree. Survivors are taken once (moved out of arrays and uniquely
-  /// owned blocks), and \p Op runs exactly once per kept duplicate key, as
-  /// Op(value in A, value in B). The caller constructs the sources first,
-  /// so a throwing writer still releases the blocks they adopted. Kept out
+  /// \p B (an array_source or key_source each) in key order under keep
+  /// policy \p P into one leaf_writer and returns the finished tree.
+  /// Survivors are moved out of their arrays once, and \p Op runs exactly
+  /// once per kept duplicate key, as Op(value in A, value in B). Kept out
   /// of line: inlined into batch_base, the loop made point updates on a
   /// 2M-entry B=128 diff map about 10% slower.
   template <class P, class SrcA, class SrcB, class CombineOp>
@@ -390,24 +387,16 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return W.finish();
   }
 
-  /// Base case of set_op: merges the whole pair, at most
-  /// max(kappa(), 4B) entries, in one merge. Two flat blocks are read
-  /// block to block; any other pair is flattened into arrays.
+  /// Base case of set_op: flattens both operands, at most
+  /// max(kappa(), 4B) entries together, and merges them in one merge.
   template <class P, class CombineOp>
   static node_t *set_base(node_t *T1, node_t *T2, const CombineOp &Op) {
-    size_t N1 = size(T1), N2 = size(T2);
-    assert(N1 + N2 <= std::max(kappa(), 4 * kB) && "oversized base case");
-    if (is_flat(T1) && is_flat(T2)) {
-      leaf_reader A(T1), B(T2);
-      return merge<P>(A, B, Op);
-    }
-    node_guard G1(T1), G2(T2);
-    temp_buf B1(N1), B2(N2);
-    flatten(G1.release(), B1.data());
-    B1.set_count(N1);
-    flatten(G2.release(), B2.data());
-    B2.set_count(N2);
-    array_source A(B1.data(), N1), B(B2.data(), N2);
+    assert(size(T1) + size(T2) <= std::max(kappa(), 4 * kB) &&
+           "oversized base case");
+    node_guard G2(T2);
+    temp_buf B1(T1);
+    temp_buf B2(G2.release());
+    array_source A(B1.data(), B1.count()), B(B2.data(), B2.count());
     return merge<P>(A, B, Op);
   }
 
@@ -507,25 +496,16 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   // Point and batch updates (Fig. 8): one skeleton, batch_op.
   //===--------------------------------------------------------------------===
 
-  /// Base case of batch_op: merges the whole batch into \p T, at most
-  /// max(kappa(), 4B) entries together, in one merge. A flat T is read
-  /// block to block; any other T is flattened into an array. Kept out of
-  /// batch_op so that the recursion's frame does not carry the base case's
-  /// in-object buffers.
+  /// Base case of batch_op: flattens \p T and merges the whole batch into
+  /// it, at most max(kappa(), 4B) entries together, in one merge. Kept out
+  /// of batch_op so that the recursion's frame does not carry the base
+  /// case's in-object buffer.
   template <class P, class Elt, class CombineOp>
   static node_t *batch_base(node_t *T, Elt *B, size_t N, const CombineOp &Op) {
-    size_t Nt = size(T);
-    assert(Nt + N <= std::max(kappa(), 4 * kB) && "oversized base case");
+    assert(size(T) + N <= std::max(kappa(), 4 * kB) && "oversized base case");
+    temp_buf Bt(T);
+    array_source C(Bt.data(), Bt.count());
     auto S = batch_source(B, N);
-    if (is_flat(T)) {
-      leaf_reader C(T);
-      return merge<P>(C, S, Op);
-    }
-    node_guard G(T);
-    temp_buf Bt(Nt);
-    flatten(G.release(), Bt.data());
-    Bt.set_count(Nt);
-    array_source C(Bt.data(), Nt);
     return merge<P>(C, S, Op);
   }
 
@@ -714,19 +694,22 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   }
 
   /// Copies the entries of the flat block \p T with *KL <= key <= *KR (a
-  /// null bound is open) into a new tree of at most one block; T is read,
-  /// not consumed.
+  /// null bound is open) into a temp_buf and from there into a new tree of
+  /// at most one block; T is read, not consumed.
   static node_t *copy_block(const node_t *T, const key_t *KL,
                             const key_t *KR) {
-    leaf_writer W(T->Size);
+    temp_buf Buf(T->Size);
+    size_t K = 0;
     NL::scan(T, [&](const entry_t &E) {
       if (KR && key_less(*KR, entry_key(E)))
         return false;
-      if (!KL || !key_less(entry_key(E), *KL))
-        W.push(E);
+      if (!KL || !key_less(entry_key(E), *KL)) {
+        ::new (static_cast<void *>(Buf.data() + K)) entry_t(E);
+        Buf.set_count(++K);
+      }
       return true;
     });
-    return W.finish();
+    return K ? TO::make_flat(Buf.data(), K) : nullptr;
   }
 
   //===--------------------------------------------------------------------===

@@ -117,7 +117,7 @@ struct node_layer {
   static size_t weight(const node_t *T) { return size(T) + 1; }
 
   //===--------------------------------------------------------------------===
-  // Block scan: the one read of a flat node's entries.
+  // Block scan: the one read-only read of a flat node's entries.
   //===--------------------------------------------------------------------===
 
   static constexpr uintptr_t kCacheLine = 64;
@@ -311,9 +311,8 @@ struct node_layer {
     tree_free(T, Bytes);
   }
 
-  /// Frees a flat node's storage WITHOUT destroying its payload entries —
-  /// for callers that already consumed them through a consuming read
-  /// cursor (see tree_ops::leaf_reader).
+  /// Frees a flat node's storage WITHOUT destroying its payload entries:
+  /// for flatten, whose decode_move has already moved them out.
   static void free_flat_shell(flat_t *T) {
     size_t Bytes = kPayloadOffset + T->Bytes;
     T->~flat_t();
@@ -331,6 +330,14 @@ struct node_layer {
     explicit temp_buf(size_t Cap)
         : Data(reinterpret_cast<entry_t *>(Mem.reserve(Cap * sizeof(entry_t)))),
           Cap(Cap) {}
+    /// The entries of \p T in order: flattens T into a buffer of its size,
+    /// consuming one reference (also when reserving the buffer throws).
+    explicit temp_buf(node_t *T) {
+      node_guard G(T);
+      Cap = size(T);
+      Data = reinterpret_cast<entry_t *>(Mem.reserve(Cap * sizeof(entry_t)));
+      Count = flatten(G.release(), Data);
+    }
     temp_buf(const temp_buf &) = delete;
     temp_buf &operator=(const temp_buf &) = delete;
     ~temp_buf() {
@@ -348,18 +355,20 @@ struct node_layer {
 
   private:
     scratch_buf Mem;
-    entry_t *Data;
+    entry_t *Data = nullptr;
     size_t Count = 0;
-    size_t Cap;
+    size_t Cap = 0;
   };
 
   //===--------------------------------------------------------------------===
-  // Flatten (fold lives in tree_ops::node_join).
+  // Flatten: the one consuming read of a block (fold lives in
+  // tree_ops::node_join).
   //===--------------------------------------------------------------------===
 
   /// Writes the entries of \p T in order into raw storage \p Out
   /// (placement-constructing them), consuming one reference to \p T.
-  /// Returns the number written.
+  /// Returns the number written. A block is decoded as a whole: moved out
+  /// of a uniquely owned block, copied out of a shared one.
   static size_t flatten(node_t *T, entry_t *Out) {
     if (!T)
       return 0;

@@ -32,8 +32,6 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using temp_buf = typename TO::temp_buf;
   using node_guard = typename TO::node_guard;
   using exposed = typename TO::exposed;
-  using leaf_reader = typename TO::leaf_reader;
-  using leaf_writer = typename TO::leaf_writer;
   using TO::dec;
   using TO::expose;
   using TO::flatten;
@@ -52,16 +50,8 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (I >= size(T))
       return {T, nullptr};
     if (is_flat(T)) {
-      // Stream the block into the two sides without materializing it.
-      leaf_reader C(T);
-      leaf_writer WL(I), WR(C.remaining() - I);
-      for (size_t J = 0; J < I; ++J)
-        WL.push(C.take());
-      while (!C.done())
-        WR.push(C.take());
-      node_guard L(WL.finish());
-      node_t *R = WR.finish();
-      return {L.release(), R};
+      auto S = TO::cut(T, I, false);
+      return {S.L, S.R};
     }
     exposed X = expose(T);
     size_t Ls = size(X.L);
@@ -102,17 +92,16 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   /// over array sequences in Fig. 2 (arrays need O(n)).
   static node_t *append(node_t *L, node_t *R) {
     if (is_flat(L) && is_flat(R)) {
-      // Flat x flat: stream both blocks into the writer back to back, one
-      // encode per entry, instead of splitting L's last entry off and
-      // folding the pieces again in join2. The readers adopt both blocks
-      // before the writer allocates.
-      leaf_reader A(L), B(R);
-      leaf_writer W(A.remaining() + B.remaining());
-      while (!A.done())
-        W.push(A.take());
-      while (!B.done())
-        W.push(B.take());
-      return W.finish();
+      // Flat x flat: flatten both blocks into one buffer and build from it,
+      // one encode per entry, instead of splitting L's last entry off and
+      // folding the pieces again in join2.
+      size_t Nl = size(L), N = Nl + size(R);
+      node_guard GL(L), GR(R); // Cover a throw from the buffer allocation.
+      temp_buf Buf(N);
+      flatten(GL.release(), Buf.data());
+      flatten(GR.release(), Buf.data() + Nl);
+      Buf.set_count(N);
+      return from_array_move(Buf.data(), N);
     }
     return join2(L, R);
   }
@@ -122,10 +111,7 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     size_t N = size(T);
     if (N <= 1)
       return T;
-    node_guard G(T); // Covers a throw from the buffer allocation.
-    temp_buf Buf(N);
-    flatten(G.release(), Buf.data());
-    Buf.set_count(N);
+    temp_buf Buf(T);
     entry_t *A = Buf.data();
     par::parallel_for(0, N / 2, [&](size_t I) {
       std::swap(A[I], A[N - 1 - I]);

@@ -152,44 +152,6 @@ template <class Entry, bool ValsByteCoded> struct diff_encoder_impl {
   }
 
   static void destroy(uint8_t *, size_t) {}
-
-  /// Streaming reader: decodes one entry per advance (no block
-  /// materialization). Delta blocks own no C++ objects, so Consume only
-  /// matters for the caller's shell bookkeeping.
-  class read_cursor {
-  public:
-    read_cursor(const uint8_t *In, size_t N, bool /*Consume*/ = false)
-        : In(In), Remaining(N) {
-      if (Remaining)
-        this->In = decode_entry(this->In, Prev, /*First=*/true, Cur);
-    }
-    read_cursor(const read_cursor &) = delete;
-    read_cursor &operator=(const read_cursor &) = delete;
-
-    bool done() const { return Remaining == 0; }
-    size_t remaining() const { return Remaining; }
-    const entry_t &peek() const {
-      assert(Remaining && "peek past the end of the block");
-      return Cur;
-    }
-    entry_t take() {
-      entry_t E = Cur;
-      skip();
-      return E;
-    }
-    void skip() {
-      assert(Remaining && "skip past the end of the block");
-      if (--Remaining)
-        In = decode_entry(In, Prev, /*First=*/false, Cur);
-    }
-    void release() { Remaining = 0; }
-
-  private:
-    const uint8_t *In;
-    size_t Remaining;
-    uint64_t Prev = 0;
-    entry_t Cur{};
-  };
 };
 
 } // namespace detail

@@ -182,47 +182,6 @@ template <class Entry> struct gamma_encoder {
   }
 
   static void destroy(uint8_t *, size_t) {}
-
-  /// Streaming reader: varint first key, then one gamma code per advance.
-  class read_cursor {
-  public:
-    read_cursor(const uint8_t *In, size_t N, bool /*Consume*/ = false)
-        : Remaining(N) {
-      if (Remaining) {
-        In = varint_decode(In, Prev);
-        R = detail::BitReader(In);
-        Cur = static_cast<key_t>(Prev);
-      }
-    }
-    read_cursor(const read_cursor &) = delete;
-    read_cursor &operator=(const read_cursor &) = delete;
-
-    bool done() const { return Remaining == 0; }
-    size_t remaining() const { return Remaining; }
-    const entry_t &peek() const {
-      assert(Remaining && "peek past the end of the block");
-      return Cur;
-    }
-    entry_t take() {
-      entry_t E = Cur;
-      skip();
-      return E;
-    }
-    void skip() {
-      assert(Remaining && "skip past the end of the block");
-      if (--Remaining) {
-        Prev += detail::gammaGet(R);
-        Cur = static_cast<key_t>(Prev);
-      }
-    }
-    void release() { Remaining = 0; }
-
-  private:
-    size_t Remaining;
-    uint64_t Prev = 0;
-    detail::BitReader R{nullptr};
-    entry_t Cur{};
-  };
 };
 
 } // namespace cpam

@@ -12,7 +12,9 @@
 ///
 /// Encoder interface (all encoders implement this; see Sec. 8 "Compression
 /// on Blocks" for the user-defined-scheme design). A block is encoded and
-/// decoded as a whole; node_layer::make_flat is the one builder of a block.
+/// decoded as a whole: node_layer::make_flat is the one builder of a block,
+/// node_layer::flatten (decode, decode_move) its one consuming read and
+/// node_layer::scan (for_each_while) its one read-only read.
 ///   encoded_size(A, N)    bytes needed for A[0..N)
 ///   max_bytes(N)          constexpr bound on encoded_size of any N entries
 ///   encode(A, N, Out)     writes the block for A[0..N) at Out and returns
@@ -27,21 +29,6 @@
 ///                         front and encodes in place. Every other scheme
 ///                         encodes once into a max_bytes(2B) stack buffer
 ///                         that make_flat copies into an exactly sized node.
-///
-/// Streaming read interface (the merge and splice base cases walk encoded
-/// blocks entry by entry without materializing them):
-///
-///   read_cursor(In, N, Consume)  yields the block's entries one at a time:
-///     done()      no entries left
-///     peek()      const ref to the current entry (valid until the cursor
-///                 advances)
-///     take()      moves the current entry out and advances; when Consume is
-///                 false the entry is copied instead (the block stays alive)
-///     skip()      advances, discarding the current entry
-///     release()   destroys any unconsumed entries the cursor owns; also run
-///                 by the destructor, so abandoning a cursor mid-block leaks
-///                 nothing. With Consume set the caller must not destroy the
-///                 block's entries again (free the shell bytes only).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -123,60 +110,6 @@ template <class Entry> struct raw_encoder {
         Src[I].~entry_t();
     }
   }
-
-  /// Streaming reader over an encoded block. With \p Consume set, entries
-  /// are moved out as they are taken and the block's entries are destroyed
-  /// by the time the cursor is done (or released) — the caller then frees
-  /// only the shell bytes. A block of a shared node must use Consume=false.
-  class read_cursor {
-  public:
-    read_cursor(const uint8_t *In, size_t N, bool Consume = false)
-        // Consuming cursors mutate the payload of a uniquely owned block.
-        : Src(reinterpret_cast<entry_t *>(const_cast<uint8_t *>(In))), N(N),
-          Consume(Consume) {}
-    read_cursor(const read_cursor &) = delete;
-    read_cursor &operator=(const read_cursor &) = delete;
-    ~read_cursor() { release(); }
-
-    bool done() const { return I == N; }
-    size_t remaining() const { return N - I; }
-    const entry_t &peek() const {
-      assert(I < N && "peek past the end of the block");
-      return Src[I];
-    }
-    entry_t take() {
-      assert(I < N && "take past the end of the block");
-      if constexpr (std::is_copy_constructible_v<entry_t>) {
-        if (!Consume)
-          return Src[I++];
-      } else {
-        assert(Consume && "move-only entries require a consuming cursor");
-      }
-      entry_t E = std::move(Src[I]);
-      Src[I].~entry_t();
-      ++I;
-      return E;
-    }
-    void skip() {
-      assert(I < N && "skip past the end of the block");
-      if (Consume)
-        Src[I].~entry_t();
-      ++I;
-    }
-    /// Destroys the unconsumed tail of a consuming cursor.
-    void release() {
-      if (Consume)
-        for (; I < N; ++I)
-          Src[I].~entry_t();
-      I = N;
-    }
-
-  private:
-    entry_t *Src;
-    size_t N;
-    size_t I = 0;
-    bool Consume;
-  };
 };
 
 } // namespace cpam

@@ -1,19 +1,20 @@
-//===- test_cursor.cpp - Block encoding and streaming cursor tests ---------===//
+//===- test_cursor.cpp - Block encoder contract tests ----------------------===//
 //
 // Part of the CPAM reproduction of PaC-trees (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-encoder block and read_cursor contract tests: max_bytes bounds on
-/// worst-case blocks and encode's end pointer; round trips over empty,
-/// single-entry, dense and max-width-delta blocks; fuzzed skip/take/peek
-/// interleavings against the for_each_while reference; move-only entries;
-/// and early abandonment (no leaked or double-destroyed entries, checked
-/// with a construction-counting entry type and, at the tree level, with the
-/// allocator leak fixture over sets, an augmented map and a string-valued
-/// map streamed through tree_ops::leaf_writer). ASan (the sanitize CI leg)
-/// additionally checks the max_bytes bound and shell-free ordering.
+/// Per-encoder block contract tests (a block is encoded and decoded as a
+/// whole): max_bytes bounds on worst-case blocks and encode's end pointer;
+/// round trips over empty, single-entry, dense and max-width-delta blocks,
+/// checking the batch decode against the for_each_while scan; the
+/// ownership contract of decode and decode_move, checked with a
+/// construction-counting entry type and move-only entries; and, at the tree
+/// level, tree_ops::leaf_writer and the set operations under the allocator
+/// leak fixture over sets, an augmented map and a string-valued map (no
+/// leaked or double-destroyed entries). ASan (the sanitize CI leg)
+/// additionally checks the max_bytes bound.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,16 +63,24 @@ std::vector<uint8_t> encodeBlock(std::vector<EntryT> Entries) {
   return Block;
 }
 
-/// Reads a whole block back through a borrowing read_cursor.
+/// Uninitialized storage for \p N entries: decode and decode_move construct
+/// into it, and the test destroys what they built.
+template <class T> struct RawSlots {
+  explicit RawSlots(size_t N) : P(std::allocator<T>().allocate(N)), N(N) {}
+  RawSlots(const RawSlots &) = delete;
+  RawSlots &operator=(const RawSlots &) = delete;
+  ~RawSlots() { std::allocator<T>().deallocate(P, N); }
+  T *P;
+  size_t N;
+};
+
+/// Reads a whole block back through the encoder's batch decode.
 template <class Enc, class EntryT>
-std::vector<EntryT> decodeViaCursor(const std::vector<uint8_t> &Block,
-                                    size_t N) {
-  std::vector<EntryT> Out;
-  typename Enc::read_cursor R(Block.data(), N);
-  while (!R.done()) {
-    EXPECT_EQ(R.peek(), R.peek()) << "peek must be stable";
-    Out.push_back(R.take());
-  }
+std::vector<EntryT> decodeBlock(const std::vector<uint8_t> &Block, size_t N) {
+  RawSlots<EntryT> Slots(N);
+  Enc::decode(Block.data(), N, Slots.P);
+  std::vector<EntryT> Out(Slots.P, Slots.P + N);
+  std::destroy_n(Slots.P, N);
   return Out;
 }
 
@@ -79,14 +88,14 @@ template <class Enc, class EntryT>
 void roundTrip(const std::vector<EntryT> &Entries) {
   size_t N = Entries.size();
   std::vector<uint8_t> Block = encodeBlock<Enc>(Entries);
-  // The whole-block scan and the read cursor decode the same entries.
+  // The whole-block scan and the batch decode read the same entries.
   std::vector<EntryT> ViaForEach;
   Enc::for_each_while(Block.data(), N, [&](const EntryT &E) {
     ViaForEach.push_back(E);
     return true;
   });
   EXPECT_EQ(ViaForEach, Entries);
-  EXPECT_EQ((decodeViaCursor<Enc, EntryT>(Block, N)), Entries);
+  EXPECT_EQ((decodeBlock<Enc, EntryT>(Block, N)), Entries);
 }
 
 using U64Set = set_entry<uint64_t>;
@@ -238,39 +247,7 @@ TEST(EncoderBound, MaxBytesHoldsOnWorstCaseBlocks) {
 }
 
 //===----------------------------------------------------------------------===//
-// skip/take/peek interleavings.
-//===----------------------------------------------------------------------===//
-
-template <class Enc> void fuzzSkipTake(uint64_t Salt) {
-  auto R = test::seeded_rng(Salt);
-  for (int Round = 0; Round < 20; ++Round) {
-    size_t N = 1 + R.next(200);
-    auto Keys = sortedUniqueKeys(N, 1 + R.next(1000), R);
-    std::vector<uint8_t> Block = encodeBlock<Enc>(Keys);
-    std::vector<uint64_t> Taken, Expect;
-    typename Enc::read_cursor C(Block.data(), N);
-    for (size_t I = 0; I < N; ++I) {
-      ASSERT_FALSE(C.done());
-      ASSERT_EQ(C.remaining(), N - I);
-      ASSERT_EQ(C.peek(), Keys[I]);
-      if (R.next(2)) {
-        Taken.push_back(C.take());
-        Expect.push_back(Keys[I]);
-      } else {
-        C.skip();
-      }
-    }
-    ASSERT_TRUE(C.done());
-    ASSERT_EQ(Taken, Expect);
-  }
-}
-
-TEST(CursorSkipTake, Raw) { fuzzSkipTake<RawSetEnc>(1); }
-TEST(CursorSkipTake, Diff) { fuzzSkipTake<DiffSetEnc>(2); }
-TEST(CursorSkipTake, Gamma) { fuzzSkipTake<GammaSetEnc>(3); }
-
-//===----------------------------------------------------------------------===//
-// Ownership: counting entries, consuming cursors, early abandonment.
+// Ownership: counting entries through decode and decode_move.
 //===----------------------------------------------------------------------===//
 
 /// An entry type that counts live instances and copy/move constructions.
@@ -318,49 +295,48 @@ struct CountedEntry {
 };
 using CountedEnc = raw_encoder<CountedEntry>;
 
-TEST(CursorOwnership, ConsumingTakeMovesAndAbandonmentDestroys) {
-  ASSERT_EQ(Counted::Live, 0);
-  {
-    constexpr size_t N = 8;
-    std::vector<uint8_t> Block(CountedEnc::encoded_size(nullptr, N));
-    {
-      std::vector<Counted> A;
-      for (size_t I = 0; I < N; ++I)
-        A.emplace_back(I * 10);
-      CountedEnc::encode(A.data(), N, Block.data()); // Moves into the block.
-    }
-    ASSERT_EQ(Counted::Live, static_cast<int64_t>(N)); // Block owns them.
-    Counted::reset();
-    {
-      CountedEnc::read_cursor C(Block.data(), N, /*Consume=*/true);
-      Counted E0 = C.take();
-      EXPECT_EQ(E0.K, 0u);
-      C.skip();
-      Counted E2 = C.take();
-      EXPECT_EQ(E2.K, 20u);
-      // Abandon with five entries unconsumed: the cursor destroys them.
-    }
-    EXPECT_EQ(Counted::Copies, 0) << "consuming take() must move, not copy";
-    EXPECT_EQ(Counted::Live, 0) << "abandoned cursor leaked block entries";
-  }
+/// Encodes N counted entries with keys 0, Step, 2 * Step, ... into a block
+/// (moved in: the block then owns N live entries).
+std::vector<uint8_t> countedBlock(size_t N, uint64_t Step) {
+  std::vector<uint8_t> Block(CountedEnc::max_bytes(N));
+  std::vector<Counted> A;
+  A.reserve(N);
+  for (size_t I = 0; I < N; ++I)
+    A.emplace_back(I * Step);
+  CountedEnc::encode(A.data(), N, Block.data());
+  return Block;
 }
 
-TEST(CursorOwnership, BorrowingTakeCopiesAndLeavesBlockAlive) {
+TEST(CursorOwnership, DecodeMoveNeverCopiesAndDestroysTheBlock) {
+  ASSERT_EQ(Counted::Live, 0);
+  constexpr size_t N = 8;
+  std::vector<uint8_t> Block = countedBlock(N, 10);
+  ASSERT_EQ(Counted::Live, static_cast<int64_t>(N)); // Block owns them.
+  Counted::reset();
+  RawSlots<Counted> Out(N);
+  CountedEnc::decode_move(Block.data(), N, Out.P);
+  EXPECT_EQ(Counted::Copies, 0) << "decode_move must move, not copy";
+  EXPECT_EQ(Counted::Moves, static_cast<int64_t>(N));
+  EXPECT_EQ(Counted::Live, static_cast<int64_t>(N))
+      << "decode_move must leave the block's entries destroyed";
+  for (size_t I = 0; I < N; ++I)
+    EXPECT_EQ(Out.P[I].K, 10 * I);
+  std::destroy_n(Out.P, N);
+  EXPECT_EQ(Counted::Live, 0);
+}
+
+TEST(CursorOwnership, DecodeCopiesEachEntryOnceAndLeavesBlockAlive) {
   constexpr size_t N = 4;
-  std::vector<uint8_t> Block(CountedEnc::encoded_size(nullptr, N));
-  {
-    std::vector<Counted> A;
-    for (size_t I = 0; I < N; ++I)
-      A.emplace_back(I);
-    CountedEnc::encode(A.data(), N, Block.data());
-  }
+  std::vector<uint8_t> Block = countedBlock(N, 1);
   Counted::reset();
   for (int Round = 0; Round < 2; ++Round) {
-    CountedEnc::read_cursor C(Block.data(), N, /*Consume=*/false);
-    while (!C.done())
-      (void)C.take();
+    RawSlots<Counted> Out(N);
+    CountedEnc::decode(Block.data(), N, Out.P);
+    for (size_t I = 0; I < N; ++I)
+      EXPECT_EQ(Out.P[I].K, I);
+    std::destroy_n(Out.P, N);
   }
-  EXPECT_EQ(Counted::Copies, 2 * N) << "borrowing take() copies each entry";
+  EXPECT_EQ(Counted::Copies, 2 * N) << "decode copies each entry once";
   EXPECT_EQ(Counted::Live, static_cast<int64_t>(N)) << "block must stay alive";
   CountedEnc::destroy(Block.data(), N);
   EXPECT_EQ(Counted::Live, 0);
@@ -368,23 +344,15 @@ TEST(CursorOwnership, BorrowingTakeCopiesAndLeavesBlockAlive) {
 
 TEST(CursorOwnership, WriteReadPipelineNeverCopies) {
   constexpr size_t N = 10;
-  std::vector<uint8_t> Block(CountedEnc::max_bytes(N));
   Counted::reset();
-  {
-    std::vector<Counted> A;
-    A.reserve(N);
-    for (size_t I = 0; I < N; ++I)
-      A.emplace_back(I * 3);
-    CountedEnc::encode(A.data(), N, Block.data()); // Moves into the block.
-  }
-  {
-    CountedEnc::read_cursor C(Block.data(), N, /*Consume=*/true);
-    uint64_t I = 0;
-    while (!C.done())
-      EXPECT_EQ(C.take().K, 3 * I++);
-  }
+  std::vector<uint8_t> Block = countedBlock(N, 3); // Moves into the block.
+  RawSlots<Counted> Out(N);
+  CountedEnc::decode_move(Block.data(), N, Out.P);
+  for (size_t I = 0; I < N; ++I)
+    EXPECT_EQ(Out.P[I].K, 3 * I);
+  std::destroy_n(Out.P, N);
   EXPECT_EQ(Counted::Copies, 0)
-      << "a full encode->consume pipeline must never copy an entry";
+      << "a full encode->decode_move pipeline must never copy an entry";
   EXPECT_EQ(Counted::Live, 0);
 }
 
@@ -413,36 +381,23 @@ std::vector<uint8_t> moveOnlyBlock(size_t N, uint64_t Step) {
   return Block;
 }
 
-TEST(CursorMoveOnly, RawCursorsHandleMoveOnlyEntries) {
+TEST(CursorMoveOnly, DecodeMoveHandlesMoveOnlyEntries) {
   constexpr size_t N = 5;
   std::vector<uint8_t> Block = moveOnlyBlock(N, 2);
-  {
-    MoveOnlyEnc::read_cursor C(Block.data(), N, /*Consume=*/true);
-    uint64_t I = 0;
-    while (!C.done()) {
-      ASSERT_NE(C.peek(), nullptr);
-      auto P = C.take();
-      EXPECT_EQ(*P, 2 * I++);
-    }
-    EXPECT_EQ(I, N);
+  RawSlots<std::unique_ptr<uint64_t>> Out(N);
+  MoveOnlyEnc::decode_move(Block.data(), N, Out.P);
+  // The block's entries are destroyed; LeakSanitizer flags any pointer
+  // that neither they nor the destroy_n below release.
+  for (size_t I = 0; I < N; ++I) {
+    ASSERT_NE(Out.P[I], nullptr);
+    EXPECT_EQ(*Out.P[I], 2 * I);
   }
-}
-
-TEST(CursorMoveOnly, EarlyAbandonmentReleasesMoveOnlyTail) {
-  constexpr size_t N = 7;
-  std::vector<uint8_t> Block = moveOnlyBlock(N, 1);
-  {
-    MoveOnlyEnc::read_cursor C(Block.data(), N, /*Consume=*/true);
-    (void)C.take();
-    C.skip();
-    // Abandon: the remaining unique_ptrs are destroyed by the cursor (ASan
-    // and LeakSanitizer catch it in the sanitize leg if they are not).
-  }
+  std::destroy_n(Out.P, N);
 }
 
 //===----------------------------------------------------------------------===//
-// Tree level: leaf_reader/leaf_writer through the set-operation fast paths,
-// under the allocator leak fixture.
+// Tree level: the leaf writer and the set-operation base cases, under the
+// allocator leak fixture.
 //===----------------------------------------------------------------------===//
 
 /// The entry of key \p K in a tree of type \p TreeT: the key itself in a
@@ -512,21 +467,6 @@ TYPED_TEST(CursorTreeTest, LeafWriterChunksArbitraryLengthStreams) {
     ASSERT_EQ(Got, Want) << "N=" << N;
     ops::dec(T);
   }
-}
-
-TYPED_TEST(CursorTreeTest, LeafReaderRemainingCountsDown) {
-  using ops = typename TypeParam::ops;
-  auto R = test::seeded_rng();
-  auto Es = entriesOf<TypeParam>(sortedUniqueKeys(ops::kB + 3, 8, R));
-  auto *T = ops::from_array_move(Es.data(), Es.size());
-  ASSERT_TRUE(ops::is_flat(T));
-  typename ops::leaf_reader C(T); // Consumes the (unique) reference.
-  size_t Want = Es.size();
-  while (!C.done()) {
-    ASSERT_EQ(C.remaining(), Want--);
-    C.skip();
-  }
-  ASSERT_EQ(Want, 0u);
 }
 
 TYPED_TEST(CursorTreeTest, LeafWriterAbandonmentMidStreamLeaksNothing) {

@@ -17,8 +17,8 @@
 /// and absent keys, which reads raw and diff blocks through the one block
 /// scan. PAM (Sun et al.) defines the
 /// uncompressed semantics the compressed block paths must preserve
-/// exactly; this suite is what licenses the cursor rewrite of the Sec. 8
-/// base cases.
+/// exactly; this suite is what licenses the flatten-and-merge rewrite of
+/// the Sec. 8 base cases.
 ///
 /// Asymmetric steps pit the collection against an operand 50-1000x smaller
 /// in both argument orders, the shape where the set-operation skeleton
@@ -27,7 +27,7 @@
 /// re-checked afterwards, since the results share subtrees with them.
 ///
 /// The same sequences also run over difference- and gamma-encoded sets so
-/// the compressed read/write cursors see every operation mix. Allocator
+/// the compressed block decode and encode see every operation mix. Allocator
 /// modes are covered by the build matrix (the sanitize CI leg runs this
 /// suite with the pool off); within a run, the leak fixture checks that no
 /// step drops nodes.
@@ -330,7 +330,7 @@ template <class MapT> void runMapEpisode(Rng R) {
       checkAgainstOracle(M, O, "multi_delete");
       break;
     }
-    case 7: { // filter on a key+value predicate (cursor flat base case).
+    case 7: { // filter on a key+value predicate (flatten-compact block case).
       uint64_t Mod = 2 + R.next(5);
       M = M.filter(
           [Mod](const auto &E) { return (E.first + E.second) % Mod != 0; });
@@ -342,7 +342,7 @@ template <class MapT> void runMapEpisode(Rng R) {
       checkAgainstOracle(M, O, "filter");
       break;
     }
-    case 8: { // map_values (cursor flat base case; keys pass through).
+    case 8: { // map_values (flatten-rewrite block case; keys pass through).
       uint64_t Add = R.next(1u << 10);
       M = M.map_values(
           [Add](const auto &E) { return E.second * 2 + Add; });
@@ -742,7 +742,7 @@ TYPED_TEST(DifferentialSetTest, RandomOpsMatchStdSet) {
 }
 
 /// Set-typed allocation chaos: same contract as the map episode, typed
-/// over every block size and encoder (the gamma cursor path included).
+/// over every block size and encoder (the gamma block decode included).
 template <class SetT> void runSetChaosEpisode(Rng R, uint64_t Salt) {
   fail::scoped_arm Arm("alloc.node",
                        "p=200/seed=" + std::to_string(Salt));
@@ -864,12 +864,12 @@ TYPED_TEST(DifferentialSetTest, AllocChaosLeavesOperandsIntact) {
 // Multi-leaf chunked outputs (small B included, diff and gamma included).
 //===----------------------------------------------------------------------===//
 
-/// Episodes sized so the flat x flat base cases and leaf splices routinely
-/// emit results spanning many leaves through the chunked write path: a
+/// Episodes sized so the flat x flat base cases routinely emit results
+/// spanning many leaves through the chunked write path: a
 /// large, mostly-disjoint key universe keeps union outputs near |A|+|B|
 /// (at B = 8 a single base case then covers several chunks), and the
 /// rebuild-then-multi_insert step streams batches of thousands of entries
-/// against one flat root — dozens of sealed leaves from one cursor stream.
+/// against one flat root — dozens of sealed leaves from one merge stream.
 template <class SetT> void runMultiLeafEpisode(Rng R) {
   constexpr uint64_t Universe = 200000;
   SetT S;

@@ -101,9 +101,10 @@ TYPED_TEST(SeqTest, AppendMatchesConcatenation) {
 }
 
 TYPED_TEST(SeqTest, AppendAndSplitAtChunkBoundaries) {
-  // append's flat x flat streaming concat and split_at's cursor splice
-  // must agree with the vector concatenation for sizes around the chunk
-  // boundaries (flat + flat results of up to 4B entries span two leaves).
+  // append's flat x flat concat (both blocks flattened into one buffer)
+  // and split_at's block cut must agree with the vector concatenation for
+  // sizes around the block boundaries (flat + flat results of up to 4B
+  // entries span two leaves, cut at the median).
   constexpr size_t B = TypeParam::ops::kB > 0 ? TypeParam::ops::kB : 16;
   auto R = test::seeded_rng();
   for (int Round = 0; Round < 2; ++Round) {
@@ -166,8 +167,8 @@ TYPED_TEST(SeqTest, MapFilterReduce) {
 }
 
 TYPED_TEST(SeqTest, MapMatchesVector) {
-  // seq map's flat base case streams through the encoder cursors; it must
-  // agree with the plain vector transform, element for element.
+  // seq map's flat base case rewrites the flattened block in place; it
+  // must agree with the plain vector transform, element for element.
   auto R = test::seeded_rng();
   std::vector<uint64_t> V(3000);
   for (auto &X : V)

@@ -270,8 +270,9 @@ TEST_F(MapSetOps, UpdatesInsideOneBlockDoNotFork) {
 }
 
 //===----------------------------------------------------------------------===//
-// Flat-block regressions: the cursor-to-cursor base cases (leaf_reader ->
-// leaf_writer) must keep the set semantics and the block invariants exactly.
+// Flat-block regressions: the base cases that flatten blocks and merge
+// them into the leaf writer must keep the set semantics and the block
+// invariants exactly.
 //===----------------------------------------------------------------------===//
 
 class FlatFastPath : public test::LeakCheckTest {};
@@ -355,9 +356,9 @@ TEST_F(FlatFastPath, CombineOpInvokedOncePerDuplicateKey) {
   }
 }
 
-/// Entry type proving the ownership discipline of the cursor paths: entries
-/// leave consumed (uniquely owned) blocks by move, never by copy, and
-/// shared blocks are copied exactly once per entry.
+/// Entry type proving the ownership discipline of flatten: entries leave
+/// consumed (uniquely owned) blocks by move, never by copy, and shared
+/// blocks are copied exactly once per entry.
 struct Tracked {
   uint64_t K = 0;
   static int64_t Copies;

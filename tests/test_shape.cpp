@@ -9,8 +9,8 @@
 // be one block (node_count() == 1) for raw, diff and gamma sets, a diff
 // map, an augmented map and sequences; that the invariant checker rejects
 // the all-regular small shape; and that small merges, split, range, sparse
-// set operations and a graph batch update stay within a fixed allocation
-// budget (pool telemetry, so pooled builds only).
+// set operations, one-block splices and a graph batch update stay within a
+// fixed allocation budget (pool telemetry, so pooled builds only).
 //
 //===----------------------------------------------------------------------===//
 
@@ -212,10 +212,9 @@ class AllocBudget : public test::LeakCheckTest {};
 
 // A one-entry union or difference against a one-block set allocates only
 // its result block, however full the block is (an all-regular small result
-// would cost one per entry): the difference merges cursor to cursor and
-// the small union flattens both blocks into scratch arrays first, and the
-// writer's pending array and the scratch arrays of a block this small live
-// inside their objects.
+// would cost one per entry): both flatten their operands into scratch
+// arrays and merge them, and the writer's pending array and the scratch
+// arrays of a block this small live inside their objects.
 TEST_F(AllocBudget, SmallMergeCostIsIndependentOfBlockFill) {
   if (!pool_enabled())
     GTEST_SKIP() << "pool telemetry only exists in pooled mode";
@@ -247,7 +246,7 @@ TEST_F(AllocBudget, SmallMergeCostIsIndependentOfBlockFill) {
 
 // split of a snapshot copies one root-to-leaf path: O(log n) allocations,
 // not one per entry of the small pieces at the leaf. Measured worst case:
-// 29 = LogN + 9.
+// 28 = LogN + 8.
 TEST_F(AllocBudget, SplitAllocatesLogarithmically) {
   if (!pool_enabled())
     GTEST_SKIP() << "pool telemetry only exists in pooled mode";
@@ -271,7 +270,57 @@ TEST_F(AllocBudget, SplitAllocatesLogarithmically) {
                        Ops::dec(S.R);
                      }));
   }
-  EXPECT_LE(Worst, LogN + 9);
+  EXPECT_LE(Worst, LogN + 8);
+}
+
+// A splice of one block flattens it once into a temp_buf and builds each
+// result block with one make_flat. 256 16-byte entries fill the buffer's
+// 4 KiB of in-object scratch exactly, so on a one-block 256-entry map a
+// split at an interior key allocates only its two pieces; filter,
+// map_values and range one block each; and a split joined back with join2
+// four blocks: the two pieces, then join2's split_last cuts the left piece
+// and node_join folds the rest into one block.
+TEST_F(AllocBudget, OneBlockSplicesAllocateOnlyTheirResultBlocks) {
+  if (!pool_enabled())
+    GTEST_SKIP() << "pool telemetry only exists in pooled mode";
+  using Map = pam_map<uint64_t, uint64_t, 128, diff_encoder>;
+  using Ops = Map::ops;
+  constexpr size_t N = 256;
+  Map M = Map::from_sorted(evens<Map>(N)); // Keys 0, 2, ..., 510.
+  ASSERT_EQ(M.node_count(), 1u);
+  // Absent (odd) and present (even) keys with at least two entries on
+  // each side.
+  for (uint64_t K : {5, 100, 255, 256, 505}) {
+    SCOPED_TRACE("K=" + std::to_string(K));
+    EXPECT_EQ(pool_allocs([&] {
+                auto S = Ops::split(Ops::inc(M.root()), K);
+                ASSERT_EQ(Ops::size(S.L), (K + 1) / 2);
+                Ops::dec(S.L);
+                Ops::dec(S.R);
+              }),
+              2u);
+    EXPECT_EQ(pool_allocs([&] {
+                auto S = Ops::split(Ops::inc(M.root()), K);
+                Map J = Map::take_root(Ops::join2(S.L, S.R));
+                ASSERT_EQ(J.size(), N - (K % 2 == 0));
+              }),
+              4u);
+  }
+  EXPECT_EQ(pool_allocs([&] {
+              Map F = M.filter([](const auto &E) { return E.first % 4 == 0; });
+              ASSERT_EQ(F.size(), N / 2);
+            }),
+            1u);
+  EXPECT_EQ(pool_allocs([&] {
+              Map V = M.map_values([](const auto &E) { return E.second + 1; });
+              ASSERT_EQ(V.size(), N);
+            }),
+            1u);
+  EXPECT_EQ(pool_allocs([&] {
+              Map Rg = M.range(100, 300);
+              ASSERT_EQ(Rg.size(), 101u);
+            }),
+            1u);
 }
 
 // range copies at most two partial blocks and shares every whole subtree
@@ -279,7 +328,7 @@ TEST_F(AllocBudget, SplitAllocatesLogarithmically) {
 // not on n. Random widths in [512, 1536] also reach the rotations inside
 // join that expose a block: it splits at its median into two blocks, so a
 // rotation costs a few allocations, not one regular node per entry.
-// Measured worst cases with these seeds: 5, 13 and 18 at both sizes (271
+// Measured worst cases with these seeds: 3, 11 and 15 at both sizes (271
 // for the random widths when expose rebuilt a block as up to 2B regular
 // nodes).
 TEST_F(AllocBudget, RangeAllocationsDependOnWidthNotSize) {
@@ -290,7 +339,7 @@ TEST_F(AllocBudget, RangeAllocationsDependOnWidthNotSize) {
   // Widths 128 and 1024 at 64 positions each, then random widths in
   // [512, 1536] at 500 positions.
   constexpr size_t Widths[] = {128, 1024, 0}, Positions[] = {64, 64, 500};
-  constexpr size_t Budget[] = {8, 16, 18};
+  constexpr size_t Budget[] = {3, 11, 15};
   uint64_t Worst[2][3] = {};
   for (size_t S = 0; S < 2; ++S) {
     const size_t N = size_t{1} << LogN[S];
@@ -327,20 +376,21 @@ TEST_F(AllocBudget, RangeAllocationsDependOnWidthNotSize) {
 // intersection is empty and the difference removes nothing. A point insert
 // is a one-entry multi_insert and allocates exactly what it does; a point
 // remove and a one-key multi_delete_sorted of an existing key walk the same
-// path. Measured worst cases: one key 10 at 2^16 and 14 at 2^20 for every
-// one-key call (intersect 0: the empty result allocates nothing); 64 keys
-// at 2^20 662 (intersect 126). Split pieces of the small operand and merge
-// scratch of up to 2 KiB live inside their objects; a 16-byte-entry B=128
-// block is larger, so its splits still pay for writer scratch.
+// path. Measured worst cases: one key 9 at 2^16 and 13 at 2^20 for every
+// one-key call (intersect 0: the empty result allocates nothing); 8 keys
+// at 2^20 99; 64 keys at 2^20 598 (intersect 126). A split or merge
+// flattens a block into a temp_buf whose 4 KiB of in-object scratch holds
+// a whole 16-byte-entry B=128 block, so a cut allocates only its pieces.
 TEST_F(AllocBudget, SparseSetOpsRewriteOnlyTheBlocksTheyTouch) {
   if (!pool_enabled())
     GTEST_SKIP() << "pool telemetry only exists in pooled mode";
   using Map = pam_map<uint64_t, uint64_t, 128, diff_encoder>;
   // One key (union, difference, multi_insert, insert, remove,
-  // multi_delete_sorted), one key (intersect), 64 keys at 2^20 (union,
-  // difference), 64 keys at 2^20 (intersect).
-  const uint64_t OneKey = 16, OneKeyIntersect = 0;
-  const uint64_t Keys64 = 700, Keys64Intersect = 140;
+  // multi_delete_sorted), one key (intersect), 8 keys at 2^20 (union,
+  // difference), 64 keys at 2^20 (union, difference), 64 keys at 2^20
+  // (intersect).
+  const uint64_t OneKey = 13, OneKeyIntersect = 0, Keys8 = 99;
+  const uint64_t Keys64 = 598, Keys64Intersect = 126;
   for (size_t LogN : {16, 20}) {
     const size_t N = size_t{1} << LogN;
     std::vector<Map::entry_t> E(N);
@@ -390,6 +440,10 @@ TEST_F(AllocBudget, SparseSetOpsRewriteOnlyTheBlocksTheyTouch) {
           EXPECT_LE(DelSorted, OneKey);
           EXPECT_LE(Inter, OneKeyIntersect);
         }
+        if (K == 8 && LogN == 20) {
+          EXPECT_LE(UnionAS, Keys8);
+          EXPECT_LE(Diff, Keys8);
+        }
         if (K == 64 && LogN == 20) {
           EXPECT_LE(UnionAS, Keys64);
           EXPECT_LE(Diff, Keys64);
@@ -405,7 +459,7 @@ TEST_F(AllocBudget, SparseSetOpsRewriteOnlyTheBlocksTheyTouch) {
 // the batch touches costs its new edge block (the one-block edge-set union
 // or difference allocates only its result) plus its share of the vertex
 // tree's rewritten blocks and paths, and the delete applies its delta in
-// one keep-left pass with no lookup per source. Measured: 1,804 and 1,802
+// one keep-left pass with no lookup per source. Measured: 1,794 and 1,792
 // (4,343 and 2,653 before the in-object scratch and the keep-left delete).
 TEST_F(AllocBudget, GraphBatchUpdate) {
   if (!pool_enabled())
@@ -423,8 +477,8 @@ TEST_F(AllocBudget, GraphBatchUpdate) {
   ASSERT_EQ(Del.check_invariants(), "");
   ASSERT_GT(Ins.num_edges(), G.num_edges());
   ASSERT_LT(Del.num_edges(), Ins.num_edges());
-  EXPECT_LE(InsertAllocs, 1900u);
-  EXPECT_LE(DeleteAllocs, 1900u);
+  EXPECT_LE(InsertAllocs, 1794u);
+  EXPECT_LE(DeleteAllocs, 1792u);
 }
 
 } // namespace
